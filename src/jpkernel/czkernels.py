@@ -186,22 +186,20 @@ def _maximal_t_grid(t_lo: float, per_decade: int):
 
 
 class MaximalKernel(_KernelBase):
-
-    symmetric = True
-
     """sup_t H_t, approximated on a log grid (64 per decade over [1e-4, 50]
     in accurate mode) refined by golden section; for lam = 0 the
     t -> infinity limit 1/mu_total is an explicit candidate.  The sup of
     H_t in t is empirically unimodal off the diagonal, which the sparser
     scan-mode grid relies on."""
 
+    symmetric = True
     name = "maximal"
+
     def __init__(self, params: JacobiParams, quality: str = "accurate"):
         super().__init__(params, quality)
         self.t_grid = _maximal_t_grid(self.preset["sup_t_lo"], self.preset["sup_per_decade"])
 
     def _eval_batch(self, theta, phi, dth, dph, t_grid=None):
-        p = self.preset
         t_grid = self.t_grid if t_grid is None else t_grid
         out = np.empty_like(t_grid)
         small = t_grid < AUTO_SPLIT_T

@@ -58,8 +58,8 @@ class KernelQuery:
     method: str = "auto"
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError(f"t must be positive, got {self.t}")
+        if not 0 < self.t < math.inf:
+            raise ValueError(f"t must be positive and finite, got {self.t}")
         for name, val in (("theta", self.theta), ("phi", self.phi)):
             if not 0.0 <= val <= math.pi:
                 raise ValueError(f"{name} must lie in [0, pi], got {val}")
@@ -70,6 +70,13 @@ class KernelQuery:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method in ("f4", "general") and self.deriv != (0, 0, 0):
             raise UnsupportedOrderError(f"method {self.method!r} supports values only")
+
+
+def _require_finite(t_arr):
+    """Raise ValueError naming the first non-finite entry of a t array."""
+    bad = t_arr[~np.isfinite(t_arr)]
+    if bad.size:
+        raise ValueError(f"t must be finite, got {bad[0]}")
 
 
 def closed_form_chebyshev(t, theta, phi):
@@ -117,6 +124,7 @@ def series_H(params: JacobiParams, t, theta: float, phi, M=0, N=0, L=0, rtol=1e-
     broadcasts to shape t.shape + phi.shape (scalar axes squeezed).
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    _require_finite(t_arr)
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
     n_cut = _series_cut(params, float(t_arr.min()), M, N, L, rtol)
     n = np.arange(n_cut + 1, dtype=float)
@@ -151,9 +159,14 @@ def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float, rtol=1
     Sums along anti-diagonals m + n = s; all terms are nonnegative, and the
     block sums eventually decay geometrically with ratio
     rho^2 = (sqrt x + sqrt y)^2, which drives the stopping rule.
+
+    Cost: S anti-diagonals take O(S^2) flops, which the double sum itself
+    requires; S grows like log(rtol) / log(rho^2) as rho -> 1.  Each
+    anti-diagonal is three vector passes (divide, multiply, dot) over
+    buffers allocated once per call, so no diagonal allocates memory.
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     ch = math.cosh(0.5 * t)
     sx = math.sin(0.5 * theta) * math.sin(0.5 * phi) / ch
     sy = math.cos(0.5 * theta) * math.cos(0.5 * phi) / ch
@@ -175,32 +188,39 @@ def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float, rtol=1
     # mantissa * exp(logw) per entry: the pure-x edge underflows double range
     # long before its column stops mattering, so magnitudes are carried in
     # log space and mantissas are renormalized periodically.
-    row = np.array([1.0])
-    logw = np.array([0.0])
-    ew = np.array([1.0])  # exp(logw), refreshed at renormalization
+    # The buffers are allocated untouched, so only the pages of the live
+    # prefix s + 2 are ever used.  den[n] = (b2 + n)(n + 1) is the y-step
+    # denominator of column n, read reversed as den[s::-1].  Each entry is
+    # rounded as row[m] * ((fac y) / den[s - m]); folding fac into den or
+    # multiplying by 1/den would change the last bit against the plain
+    # per-diagonal loop that tests/_f4_reference.py keeps.
+    row, nxt, tmp, logw, ew, den = np.empty((6, F4_MAX_DIAGONALS + 2))
+    row[0], logw[0], ew[0] = 1.0, 0.0, 1.0  # ew = exp(logw), refreshed at renormalization
     total = 1.0
     prev_block = 1.0
     renorm_every = 32
     for s in range(F4_MAX_DIAGONALS):
         fac = (a1 + s) * (a2 + s)
-        m = np.arange(s + 1, dtype=float)
-        nxt = np.empty(s + 2)
-        nxt[: s + 1] = row * (fac * y / ((b2 + (s - m)) * (s - m + 1.0)))
+        den[s] = (b2 + s) * (s + 1.0)
+        np.divide(fac * y, den[s::-1], out=tmp[: s + 1])
+        np.multiply(row[: s + 1], tmp[: s + 1], out=nxt[: s + 1])
         nxt[s + 1] = row[s] * (fac * x / ((b1 + s) * (s + 1.0)))
-        logw = np.append(logw, logw[s])
-        ew = np.append(ew, ew[s])
-        block = float(np.dot(nxt, ew))
+        logw[s + 1] = logw[s]
+        ew[s + 1] = ew[s]
+        block = float(np.dot(nxt[: s + 2], ew[: s + 2]))
         total += block
         if s >= 4 and block <= prev_block and block * geo <= rtol * total:
             break
         prev_block = block
-        row = nxt
+        row, nxt = nxt, row
         if (s + 1) % renorm_every == 0:
-            pos = row > 0.0
-            logw = np.where(pos, logw + np.log(row, where=pos, out=np.zeros_like(row)), logw)
-            row = np.where(pos, 1.0, 0.0)
+            live = row[: s + 2]
+            pos = live > 0.0
+            np.add(logw[: s + 2], np.log(live, where=pos, out=tmp[: s + 2]),
+                   out=logw[: s + 2], where=pos)
+            np.copyto(live, pos)
             with np.errstate(under="ignore"):
-                ew = np.exp(logw)
+                np.exp(logw[: s + 2], out=ew[: s + 2])
     else:
         raise SlowConvergenceError(f"F4 series did not converge in {F4_MAX_DIAGONALS} blocks")
     return params.c_ab * math.sinh(0.5 * t) / ch**params.sigma * total
@@ -296,12 +316,11 @@ def _contract(vals, u_w, v_w):
     return total, np.abs(rows, out=rows).sum(axis=1)
 
 
-def _integral_batch(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor=2.0**-40):
-    """Companion-kernel derivative over a t batch at one resolution, and the
-    sum of |w psi| over the quadrature terms of each t (its roundoff scale)."""
+def _integral_terms(params, t_min, theta, phi, n_nodes, delta_floor=2.0**-40):
+    """The double sums of the case dispatch at one resolution, graded for
+    t >= t_min: a list of (u nodes, v nodes, u weights, v weights, K, R),
+    the nodes shaped to broadcast as psi's (t, u, v) axes."""
     case = _case(params)
-    psi = psi_evaluator(params)
-    t_min = float(t_arr.min())
     p_coupling, q_coupling = _pq(theta, phi)
     du = _grading_delta(t_min, theta, phi, p_coupling, delta_floor)
     dv = _grading_delta(t_min, theta, phi, q_coupling, delta_floor)
@@ -323,17 +342,21 @@ def _integral_batch(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor=2.0
     atom_col = np.array([1.0, -1.0]).reshape(1, -1, 1)
     atom_row = atom_col.reshape(1, 1, -1)
     half = np.array([0.5, 0.5])
-    # (u nodes, v nodes, u weights, v weights, K, R) of each double sum
     if case == "i":
-        terms = [(u_col, v_row, u_w, v_w, 0, 0)]
-    elif case == "ii":
-        terms = [(u_col, v_row, u_w, v_w, 1, 0), (atom_col, v_row, half, v_w, 0, 0)]
-    elif case == "iii":
-        terms = [(u_col, v_row, u_w, v_w, 0, 1), (u_col, atom_row, u_w, half, 0, 0)]
-    else:
-        terms = [(u_col, v_row, u_w, v_w, 1, 1), (u_col, atom_row, u_w, half, 1, 0),
-                 (atom_col, v_row, half, v_w, 0, 1), (atom_col, atom_row, half, half, 0, 0)]
+        return [(u_col, v_row, u_w, v_w, 0, 0)]
+    if case == "ii":
+        return [(u_col, v_row, u_w, v_w, 1, 0), (atom_col, v_row, half, v_w, 0, 0)]
+    if case == "iii":
+        return [(u_col, v_row, u_w, v_w, 0, 1), (u_col, atom_row, u_w, half, 0, 0)]
+    return [(u_col, v_row, u_w, v_w, 1, 1), (u_col, atom_row, u_w, half, 1, 0),
+            (atom_col, v_row, half, v_w, 0, 1), (atom_col, atom_row, half, half, 0, 0)]
 
+
+def _integral_batch(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor=2.0**-40):
+    """Companion-kernel derivative over a t batch at one resolution, and the
+    sum of |w psi| over the quadrature terms of each t (its roundoff scale)."""
+    psi = psi_evaluator(params)
+    terms = _integral_terms(params, float(t_arr.min()), theta, phi, n_nodes, delta_floor)
     out = np.zeros_like(t_arr)
     mass = np.zeros_like(t_arr)
     for lo in range(0, t_arr.size, _T_CHUNK):
@@ -367,15 +390,31 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
             f"integral route supports L <= 1 and N + M <= 3, got {deriv}"
         )
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    _require_finite(t_arr)
     if np.any(t_arr <= 0):
         raise ValueError("t must be positive")
+
+    def batch(n):
+        # D underflows to 0 at the integrand's singularity (t -> 0 on the
+        # diagonal); refuse the non-finite result instead of warning on it.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            vals, mass = _integral_batch_banded(params, t_arr, theta, phi, M, N, L, n,
+                                                delta_floor)
+        if not np.all(np.isfinite(vals)):
+            raise QuadratureError(
+                f"integral route (case {_case(params)}, deriv={deriv}) hit the integrand's "
+                f"singularity: non-finite value for t_min={t_arr.min():g}, theta={theta:g}, "
+                f"phi={phi:g}"
+            )
+        return vals, mass
+
     n = base_nodes
-    prev, _ = _integral_batch_banded(params, t_arr, theta, phi, M, N, L, n, delta_floor)
+    prev, _ = batch(n)
     if max_doublings == 0:
         return prev if np.ndim(t) else float(prev[0])
     for _ in range(max_doublings):
         n *= 2
-        cur, mass = _integral_batch_banded(params, t_arr, theta, phi, M, N, L, n, delta_floor)
+        cur, mass = batch(n)
         scale = float(np.max(np.abs(cur))) or 1e-300
         if np.max(np.abs(cur - prev)) <= rtol * scale:
             cond = float(np.max(mass)) / scale
@@ -450,47 +489,10 @@ def h_script_integral_parts(params: JacobiParams, t: float, theta: float, phi: f
     One value for case (i), two for (ii)/(iii), four for (iv); each is
     nonnegative and they sum to the companion kernel.
     """
-    case = _case(params)
     psi = psi_evaluator(params)
-    p_coupling, q_coupling = _pq(theta, phi)
-    du = _grading_delta(t, theta, phi, p_coupling)
-    dv = _grading_delta(t, theta, phi, q_coupling)
-    _, un, uw = _axis_rule(params.alpha, n_nodes, du)
-    _, vn, vw = _axis_rule(params.beta, n_nodes, dv)
     tc = np.array([[[t]]])
-    atoms = np.array([1.0, -1.0])
-    half = np.array([0.5, 0.5])
-
-    def ev(u, v, K=0, R=0):
-        return psi(tc, theta, phi, u, v, K=K, R=R)
-
-    def fold_u(arr_nodes):
-        return np.concatenate([arr_nodes, -arr_nodes])
-
-    su = np.concatenate([uw, -uw])
-    sv = np.concatenate([vw, -vw])
-    if case == "i":
-        full = np.einsum("tij,i,j->", ev(un.reshape(1, -1, 1), vn.reshape(1, 1, -1)), uw, vw)
-        return [float(full)]
-    if case == "ii":
-        u2 = fold_u(un).reshape(1, -1, 1)
-        v1 = vn.reshape(1, 1, -1)
-        a = np.einsum("tij,i,j->", ev(u2, v1, K=1), su, vw)
-        b = np.einsum("tij,i,j->", ev(atoms.reshape(1, -1, 1), v1), half, vw)
-        return [float(a), float(b)]
-    if case == "iii":
-        u1 = un.reshape(1, -1, 1)
-        v2 = fold_u(vn).reshape(1, 1, -1)
-        a = np.einsum("tij,i,j->", ev(u1, v2, R=1), uw, sv)
-        b = np.einsum("tij,i,j->", ev(u1, atoms.reshape(1, 1, -1)), uw, half)
-        return [float(a), float(b)]
-    u2 = fold_u(un).reshape(1, -1, 1)
-    v2 = fold_u(vn).reshape(1, 1, -1)
-    j1 = np.einsum("tij,i,j->", ev(u2, v2, K=1, R=1), su, sv)
-    j2 = np.einsum("tij,i,j->", ev(u2, atoms.reshape(1, 1, -1), K=1), su, half)
-    j3 = np.einsum("tij,i,j->", ev(atoms.reshape(1, -1, 1), v2, R=1), half, sv)
-    j4 = np.einsum("tij,i,j->", ev(atoms.reshape(1, -1, 1), atoms.reshape(1, 1, -1)), half, half)
-    return [float(j1), float(j2), float(j3), float(j4)]
+    return [float(_contract(psi(tc, theta, phi, u, v, K=K, R=R), wu, wv)[0][0])
+            for u, v, wu, wv, K, R in _integral_terms(params, t, theta, phi, n_nodes)]
 
 
 def h_script_general(params: JacobiParams, t: float, theta: float, phi: float,
@@ -502,8 +504,8 @@ def h_script_general(params: JacobiParams, t: float, theta: float, phi: float,
     cancellation floor: the doubly-differenced integrand loses a few digits
     when the exponent alpha + beta + 2 is large.
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     n = _BASE_NODES
     prev = _general_once(params, t, theta, phi, n)
     for _ in range(_MAX_DOUBLINGS):

@@ -38,12 +38,18 @@ class QArgs:
 
 
 def _dsin_half(x, k):
-    """d^k/dx^k sin(x/2)."""
-    return 0.5**k * np.sin(0.5 * x + 0.5 * k * np.pi)
+    """d^k/dx^k sin(x/2), by the period-4 cycle sin, cos, -sin, -cos of
+    x/2, so that even orders are exactly 0 at x = 0, where the phase form
+    sin(x/2 + k pi/2) would leave sin(pi) ~ 1.2e-16."""
+    f = np.cos if k % 2 else np.sin
+    return -(0.5**k) * f(0.5 * x) if k % 4 >= 2 else 0.5**k * f(0.5 * x)
 
 
 def _dcos_half(x, k):
-    return 0.5**k * np.cos(0.5 * x + 0.5 * k * np.pi)
+    """d^k/dx^k cos(x/2), by the cycle cos, -sin, -cos, sin of x/2, so that
+    odd orders are exactly 0 at x = 0 (not cos(pi/2) ~ 6e-17)."""
+    f = np.sin if k % 2 else np.cos
+    return -(0.5**k) * f(0.5 * x) if k % 4 in (1, 2) else 0.5**k * f(0.5 * x)
 
 
 def q_value(theta, phi, u, v):

@@ -1,6 +1,9 @@
 """Tests for the four kernel evaluation routes and their dispatch."""
 
+import csv
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,9 +33,25 @@ from jpkernel.kernel import (
 from jpkernel.params import JacobiParams
 from jpkernel.qpsi import psi_evaluator
 
+from _f4_reference import h_script_f4_reference
 from _oracles import chebyshev_H
 
 CHEB = JacobiParams(-0.5, -0.5)
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+with open(Path(__file__).parent / "golden" / "compare_cheb.csv", newline="") as _fh:
+    _COMPARE_POINTS = [(CHEB, float(r["t"]), float(r["theta"]), float(r["phi"]))
+                       for r in csv.DictReader(_fh)]
+# (params, t, theta, phi) where the F4 sweep must equal the reference loop:
+# the compare golden; theta = 0 (x = 0) and phi = pi (y ~ 4e-33), whose zero
+# and underflowing entries meet the renormalization mask; and rho =
+# 1/cosh(0.05) ~ 0.99875, which takes about ten thousand anti-diagonals.
+F4_SWEEP_POINTS = _COMPARE_POINTS + [
+    (JacobiParams(0.5, -0.75), 0.05, 0.0, 0.3),
+    (JacobiParams(-0.75, 0.5), 0.05, 2.9, math.pi),
+    (JacobiParams(0.0, 0.0), 0.7, 0.0, math.pi),
+    (JacobiParams(2.0, -0.25), 0.1, 1.2, 1.2),
+]
 
 
 class TestClosedForm:
@@ -104,6 +123,13 @@ class TestF4:
         with pytest.raises(SlowConvergenceError):
             h_script_f4(JacobiParams(0, 0), 1e-4, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "p, t, th, ph", F4_SWEEP_POINTS,
+        ids=lambda v: f"{v:g}" if isinstance(v, float) else f"a{v.alpha}_b{v.beta}",
+    )
+    def test_sweep_is_bitwise_the_reference_loop(self, p, t, th, ph):
+        assert h_script_f4(p, t, th, ph) == h_script_f4_reference(p, t, th, ph)
+
 
 class TestIntegral:
     def test_cross_method_all_cases(self, acceptance_params):
@@ -168,6 +194,19 @@ class TestIntegral:
         # can refuse: the four terms cancel to roundoff.
         with pytest.raises(QuadratureError, match="roundoff floor"):
             h_script_integral(CHEB, 0.5, 0.0, 1.0, deriv=(0, 1, 0))
+
+    def test_odd_derivative_vanishes_at_theta_zero(self):
+        # every term of dtheta H at theta = phi = 0 is an exact zero
+        p = JacobiParams(0.5, 0.5)
+        assert series_H(p, 0.5, 0.0, 0.0, N=1) == 0.0
+        assert h_script_integral(p, 0.5, 0.0, 0.0, deriv=(0, 1, 0)) == 0.0
+
+    def test_singularity_raises_without_warnings(self):
+        # D underflows to 0 at t = 1e-8 on the diagonal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="t_min=1e-08, theta=1, phi=1"):
+                h_script_integral(CHEB, 1e-8, 1.0, 1.0)
 
 
 class TestGeneral:
@@ -256,3 +295,22 @@ class TestKernelEval:
             KernelQuery(t=1.0, theta=1.0, phi=1.0, deriv=(2, 2, 0))
         with pytest.raises(UnsupportedOrderError):
             KernelQuery(t=1.0, theta=1.0, phi=1.0, deriv=(1, 0, 0), method="f4")
+
+
+@pytest.mark.parametrize("t", NON_FINITE, ids=str)
+@pytest.mark.parametrize("method", ["series", "f4", "integral", "general", "auto"])
+def test_query_rejects_non_finite_t(method, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"finite, got {t}"):
+            KernelQuery(t=t, theta=1.0, phi=2.0, method=method)
+
+
+@pytest.mark.parametrize("t", NON_FINITE, ids=str)
+@pytest.mark.parametrize("route", [series_H, h_script_f4, h_script_integral, h_script_general],
+                         ids=lambda f: f.__name__)
+def test_routes_reject_non_finite_t(route, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"finite, got {t}"):
+            route(JacobiParams(0.5, -0.75), t, 1.0, 2.0)

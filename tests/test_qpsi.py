@@ -11,7 +11,16 @@ from numpy.testing import assert_allclose
 
 from jpkernel.errors import UnsupportedOrderError
 from jpkernel.params import JacobiParams
-from jpkernel.qpsi import QArgs, psi_eval, psi_evaluator, q_eval, q_value
+from jpkernel.qpsi import (
+    QArgs,
+    _dcos_half,
+    _dsin_half,
+    _q_partial,
+    psi_eval,
+    psi_evaluator,
+    q_eval,
+    q_value,
+)
 
 
 class TestQ:
@@ -30,6 +39,19 @@ class TestQ:
     def test_order_cap(self):
         with pytest.raises(UnsupportedOrderError):
             q_eval(QArgs(1.0, 2.0, 0.3, 0.4), dtheta=3)
+
+    def test_odd_angle_derivative_is_exact_zero_at_zero(self):
+        # d/dtheta cos(theta/2) = -sin(theta/2)/2 is exactly 0 at theta = 0
+        assert _q_partial(0.0, 1.3, 0.4, -0.2, 0, 1, 1, 0) == 0.0
+        assert _q_partial(1.3, 0.0, 0.4, -0.2, 0, 1, 0, 3) == 0.0
+
+    def test_trig_derivatives_match_phase_shift_form(self):
+        x = np.linspace(0.0, math.pi, 181)
+        for k in range(5):
+            assert_allclose(_dsin_half(x, k), 0.5**k * np.sin(0.5 * x + 0.5 * k * math.pi),
+                            rtol=0, atol=1e-15)
+            assert_allclose(_dcos_half(x, k), 0.5**k * np.cos(0.5 * x + 0.5 * k * math.pi),
+                            rtol=0, atol=1e-15)
 
     @settings(max_examples=50, deadline=None)
     @given(
