@@ -12,9 +12,10 @@ def thread_count() -> int:
     raw = os.environ.get("JPK_THREADS")
     if raw is not None:
         try:
-            cap = min(cap, max(int(raw), 1))
+            n = int(raw)
         except ValueError:
-            pass
+            raise ValueError(f"JPK_THREADS must be an integer, got {raw!r}") from None
+        cap = min(cap, max(n, 1))
     return cap
 
 

@@ -230,8 +230,10 @@ def _scan_report(args, config, params) -> EstimateReport:
         return czkernels.gradient_check(params, kernel_id, theta_grid, phi_grid, cap=cap_val,
                                         options=options)
     if which == "smoothness":
-        return czkernels.smoothness_check(params, kernel_id,
-                                          n_samples=int(_opt(args, config, "samples", 100)),
+        samples = int(_opt(args, config, "samples", 100))
+        if samples < 1:
+            raise UsageError(f"samples must be at least 1, got {samples}")
+        return czkernels.smoothness_check(params, kernel_id, n_samples=samples,
                                           seed=int(_opt(args, config, "seed", 7)),
                                           cap=cap_val, options=options)
     raise UsageError(f"unknown scan {which!r}")

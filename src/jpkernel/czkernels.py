@@ -17,7 +17,10 @@ the exponentially small remainder (laplace).
 Scans check the growth bound against 1/mu(ball), the gradient bound against
 1/(|theta-phi| mu(ball)), and sample the first smoothness bound directly on
 admissible triples; caps are artifact constants, reports carry the
-empirical extremes.
+empirical extremes.  Growth and gradient scans run one pair driver,
+_pair_check, with a probe(kernel, theta, phi): kernel.norm for growth, the
+sum of kernel.grad_norms for gradient; the same probe re-checks the worst
+pair at the finer preset.
 """
 
 from __future__ import annotations
@@ -164,6 +167,8 @@ class _KernelBase:
 
     def _small_H(self, ts, theta, phi, M, N, L):
         """H-derivative values on the small-t nodes via the integral route."""
+        if theta == phi:
+            raise ValueError(f"the {self.name} kernel is evaluated off the diagonal only")
         p = self.preset
         vals = h_script_integral(
             self.params, ts, theta, phi, deriv=(M, N, L), rtol=p["rtol"],
@@ -173,6 +178,20 @@ class _KernelBase:
         if N == 0 and L == 0:
             vals = vals + jph_correction(self.params, ts, M=M)
         return vals
+
+
+# Norms of the scalar-valued kernels (Riesz, Laplace, Stieltjes), bound as
+# methods in each of those classes.
+def _abs_norm(self, theta, phi):
+    return abs(self._value(theta, phi))
+
+
+def _abs_grad_norms(self, theta, phi):
+    return abs(self._value(theta, phi, dth=1)), abs(self._value(theta, phi, dph=1))
+
+
+def _abs_diff_norm(self, theta, theta2, phi):
+    return abs(self._value(theta, phi) - self._value(theta2, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -199,29 +218,19 @@ class MaximalKernel(_KernelBase):
         super().__init__(params, quality)
         self.t_grid = _maximal_t_grid(self.preset["sup_t_lo"], self.preset["sup_per_decade"])
 
-    def _eval_batch(self, theta, phi, dth, dph, t_grid=None):
-        t_grid = self.t_grid if t_grid is None else t_grid
-        out = np.empty_like(t_grid)
-        small = t_grid < AUTO_SPLIT_T
+    def _eval_batch(self, ts, theta, phi, dth, dph):
+        out = np.empty_like(ts)
+        small = ts < AUTO_SPLIT_T
         if np.any(small):
-            out[small] = self._small_grid_H(t_grid[small], theta, phi, dth, dph)
+            out[small] = self._small_H(ts[small], theta, phi, 0, dth, dph)
         if np.any(~small):
-            out[~small] = series_H(self.params, t_grid[~small], theta, phi, N=dth, L=dph)
+            out[~small] = series_H(self.params, ts[~small], theta, phi, N=dth, L=dph)
         return out
 
-    def _small_grid_H(self, ts, theta, phi, dth, dph):
-        p = self.preset
-        vals = h_script_integral(
-            self.params, ts, theta, phi, deriv=(0, dth, dph), rtol=p["rtol"],
-            base_nodes=p["base_nodes"], max_doublings=p["doublings"],
-            delta_floor=p["delta_floor"],
-        )
-        if dth == 0 and dph == 0:
-            vals = vals + jph_correction(self.params, ts)
-        return vals
-
-    def _sup(self, theta, phi, dth=0, dph=0):
-        vals = np.abs(self._eval_batch(theta, phi, dth, dph))
+    def _refined_max(self, abs_vals):
+        """(grid max, refined max) of abs_vals, a map t array -> |values|:
+        the t-grid maximum, then golden section between its neighbours."""
+        vals = abs_vals(self.t_grid)
         i = int(np.argmax(vals))
         grid_max = float(vals[i])
         refined = grid_max
@@ -230,43 +239,29 @@ class MaximalKernel(_KernelBase):
             hi = self.t_grid[min(i + 1, len(self.t_grid) - 1)]
 
             def f(log_t):
-                t = np.array([math.exp(log_t)])
-                return abs(float(self._eval_batch(theta, phi, dth, dph, t_grid=t)[0]))
+                return float(abs_vals(np.array([math.exp(log_t)]))[0])
 
             refined = max(grid_max, _golden_max(f, math.log(lo), math.log(hi),
                                                 iters=self.preset["golden_iters"]))
+        return grid_max, refined
+
+    def norm_detail(self, theta, phi, dth=0, dph=0):
+        """(grid max, refined max) per the approximation contract."""
+        grid_max, refined = self._refined_max(
+            lambda ts: np.abs(self._eval_batch(ts, theta, phi, dth, dph)))
         if self.params.lam == 0.0 and dth == 0 and dph == 0:
             refined = max(refined, 1.0 / mu_total(self.params))
         return grid_max, refined
 
-    def norm_detail(self, theta, phi):
-        """(grid max, refined max) per the approximation contract."""
-        return self._sup(theta, phi)
-
     def norm(self, theta, phi):
-        return self._sup(theta, phi)[1]
+        return self.norm_detail(theta, phi)[1]
 
     def grad_norms(self, theta, phi):
-        return self._sup(theta, phi, dth=1)[1], self._sup(theta, phi, dph=1)[1]
+        return self.norm_detail(theta, phi, dth=1)[1], self.norm_detail(theta, phi, dph=1)[1]
 
     def diff_norm(self, theta, theta2, phi):
-        a = self._eval_batch(theta, phi, 0, 0)
-        b = self._eval_batch(theta2, phi, 0, 0)
-        vals = np.abs(a - b)
-        i = int(np.argmax(vals))
-        best = float(vals[i])
-        if self.preset["golden_iters"] > 0:
-            lo = self.t_grid[max(i - 1, 0)]
-            hi = self.t_grid[min(i + 1, len(self.t_grid) - 1)]
-
-            def f(log_t):
-                t = np.array([math.exp(log_t)])
-                return abs(float(self._eval_batch(theta, phi, 0, 0, t_grid=t)[0]
-                                 - self._eval_batch(theta2, phi, 0, 0, t_grid=t)[0]))
-
-            best = max(best, _golden_max(f, math.log(lo), math.log(hi),
-                                         iters=self.preset["golden_iters"]))
-        return best
+        return self._refined_max(lambda ts: np.abs(self._eval_batch(ts, theta, phi, 0, 0)
+                                                   - self._eval_batch(ts, theta2, phi, 0, 0)))[1]
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 36) -> float:
@@ -314,14 +309,7 @@ class RieszKernel(_KernelBase):
         tail = float(np.sum(coef[nz] * specfun.gammaincc_times_gamma(N, a[nz]) / a[nz] ** N))
         return (small + tail) / math.gamma(N)
 
-    def norm(self, theta, phi):
-        return abs(self._value(theta, phi))
-
-    def grad_norms(self, theta, phi):
-        return abs(self._value(theta, phi, dth=1)), abs(self._value(theta, phi, dph=1))
-
-    def diff_norm(self, theta, theta2, phi):
-        return abs(self._value(theta, phi) - self._value(theta2, phi))
+    norm, grad_norms, diff_norm = _abs_norm, _abs_grad_norms, _abs_diff_norm
 
 
 class SquareFunctionKernel(_KernelBase):
@@ -336,23 +324,26 @@ class SquareFunctionKernel(_KernelBase):
         self.symmetric = N == 0
         self.name = f"gfun{M}{N}"
 
-    def _coefs(self, theta, phi, dth, dph):
+    def _parts(self, theta, phi, dth=0, dph=0):
+        """(small-t node values, spectral coefficients) of the kernel's
+        d_theta^dth d_phi^dph derivative."""
         p = self.params
-        a = _rates(p)
-        return (-a) ** self.M * _coef(p.alpha, p.beta, theta, self.N + dth) * _coef(
+        ts, _ = self._t_rule()
+        vals = self._small_H(ts, theta, phi, self.M, self.N + dth, dph)
+        coef = (-_rates(p)) ** self.M * _coef(p.alpha, p.beta, theta, self.N + dth) * _coef(
             p.alpha, p.beta, phi, dph
         )
+        return vals, coef
 
-    def _norm_sq(self, theta, phi, dth=0, dph=0):
-        p = self.params
+    def _l2_sq(self, vals, coef):
+        """Squared L^2(t^(W-1) dt) norm: Gauss below t = 1, exact
+        incomplete-Gamma closure of the spectral series above."""
         W = 2 * (self.M + self.N)
         ts, ws = self._t_rule()
-        vals = self._small_H(ts, theta, phi, self.M, self.N + dth, dph)
         small = float(np.sum(ws * vals * vals * ts ** (W - 1)))
-        c = self._coefs(theta, phi, dth, dph)
-        a = _rates(p)
+        a = _rates(self.params)
         s = a[:, None] + a[None, :]
-        cc = c[:, None] * c[None, :]
+        cc = coef[:, None] * coef[None, :]
         mask = (s > 0) & (cc != 0.0)
         tail = float(
             np.sum(cc[mask] * specfun.gammaincc_times_gamma(W, s[mask]) / s[mask] ** W)
@@ -360,31 +351,17 @@ class SquareFunctionKernel(_KernelBase):
         return small + tail
 
     def norm(self, theta, phi):
-        return math.sqrt(self._norm_sq(theta, phi))
+        return math.sqrt(self._l2_sq(*self._parts(theta, phi)))
 
     def grad_norms(self, theta, phi):
         return (
-            math.sqrt(self._norm_sq(theta, phi, dth=1)),
-            math.sqrt(self._norm_sq(theta, phi, dph=1)),
+            math.sqrt(self._l2_sq(*self._parts(theta, phi, dth=1))),
+            math.sqrt(self._l2_sq(*self._parts(theta, phi, dph=1))),
         )
 
     def diff_norm(self, theta, theta2, phi):
-        p = self.params
-        W = 2 * (self.M + self.N)
-        ts, ws = self._t_rule()
-        dv = self._small_H(ts, theta, phi, self.M, self.N, 0) - self._small_H(
-            ts, theta2, phi, self.M, self.N, 0
-        )
-        small = float(np.sum(ws * dv * dv * ts ** (W - 1)))
-        c = self._coefs(theta, phi, 0, 0) - self._coefs(theta2, phi, 0, 0)
-        a = _rates(p)
-        s = a[:, None] + a[None, :]
-        cc = c[:, None] * c[None, :]
-        mask = (s > 0) & (cc != 0.0)
-        tail = float(
-            np.sum(cc[mask] * specfun.gammaincc_times_gamma(W, s[mask]) / s[mask] ** W)
-        )
-        return math.sqrt(max(small + tail, 0.0))
+        (v1, c1), (v2, c2) = self._parts(theta, phi), self._parts(theta2, phi)
+        return math.sqrt(max(self._l2_sq(v1 - v2, c1 - c2), 0.0))
 
 
 class LaplaceKernel(_KernelBase):
@@ -432,14 +409,7 @@ class LaplaceKernel(_KernelBase):
                 )
         return complex(val) if np.iscomplexobj(val) else float(val)
 
-    def norm(self, theta, phi):
-        return abs(self._value(theta, phi))
-
-    def grad_norms(self, theta, phi):
-        return abs(self._value(theta, phi, dth=1)), abs(self._value(theta, phi, dph=1))
-
-    def diff_norm(self, theta, theta2, phi):
-        return abs(self._value(theta, phi) - self._value(theta2, phi))
+    norm, grad_norms, diff_norm = _abs_norm, _abs_grad_norms, _abs_diff_norm
 
 
 class StieltjesKernel(_KernelBase):
@@ -459,45 +429,7 @@ class StieltjesKernel(_KernelBase):
         total = np.sum(np.asarray(self.atoms.weights) * h)
         return complex(total) if np.iscomplexobj(total) else float(total)
 
-    def norm(self, theta, phi):
-        return abs(self._value(theta, phi))
-
-    def grad_norms(self, theta, phi):
-        return abs(self._value(theta, phi, dth=1)), abs(self._value(theta, phi, dph=1))
-
-    def diff_norm(self, theta, theta2, phi):
-        return abs(self._value(theta, phi) - self._value(theta2, phi))
-
-
-def maximal_kernel_norm(params: JacobiParams, theta: float, phi: float):
-    """(grid max, refined max) of sup_t H_t(theta, phi)."""
-    if theta == phi:
-        raise ValueError("the maximal kernel is evaluated off the diagonal only")
-    return MaximalKernel(params).norm_detail(theta, phi)
-
-
-def riesz_kernel(params: JacobiParams, N: int, theta: float, phi: float) -> float:
-    if theta == phi:
-        raise ValueError("the Riesz kernel is evaluated off the diagonal only")
-    return RieszKernel(params, N)._value(theta, phi)
-
-
-def square_fn_kernel_norm(params: JacobiParams, M: int, N: int, theta: float, phi: float) -> float:
-    if theta == phi:
-        raise ValueError("the square-function kernel is evaluated off the diagonal only")
-    return SquareFunctionKernel(params, M, N).norm(theta, phi)
-
-
-def laplace_multiplier_kernel(params: JacobiParams, spec: LaplaceProfile, theta: float,
-                              phi: float):
-    if theta == phi:
-        raise ValueError("the multiplier kernel is evaluated off the diagonal only")
-    return LaplaceKernel(params, spec)._value(theta, phi)
-
-
-def stieltjes_multiplier_kernel(params: JacobiParams, spec: StieltjesAtoms, theta: float,
-                                phi: float):
-    return StieltjesKernel(params, spec)._value(theta, phi)
+    norm, grad_norms, diff_norm = _abs_norm, _abs_grad_norms, _abs_diff_norm
 
 
 # ---------------------------------------------------------------------------
@@ -533,37 +465,24 @@ def _resolve_kernel(params, kernel, quality, options):
     return kernel
 
 
-def _unique_pairs(kernel, pairs):
-    """Representative pairs: for symmetric kernels each unordered pair once."""
-    if not getattr(kernel, "symmetric", False):
-        return list(pairs)
-    seen, reps = set(), []
-    for theta, phi in pairs:
-        key = (min(theta, phi), max(theta, phi))
-        if key not in seen:
-            seen.add(key)
-            reps.append((theta, phi))
-    return reps
+def _norm_probe(kernel, theta, phi):
+    return kernel.norm(theta, phi)
 
 
-def _norm_map(kernel, pairs):
-    reps = _unique_pairs(kernel, pairs)
-    vals = parallel_map(lambda p: kernel.norm(*p), reps)
-    out = dict(zip(reps, vals))
-    if getattr(kernel, "symmetric", False):
-        for (theta, phi), v in list(out.items()):
-            out.setdefault((phi, theta), v)
-    return out
+def _grad_probe(kernel, theta, phi):
+    # a sum, so a symmetric kernel's mirrored pair needs no (g2, g1) swap
+    return sum(kernel.grad_norms(theta, phi))
 
 
-def _grad_map(kernel, pairs):
-    reps = _unique_pairs(kernel, pairs)
-    vals = parallel_map(lambda p: kernel.grad_norms(*p), reps)
-    out = dict(zip(reps, vals))
-    if getattr(kernel, "symmetric", False):
-        for (theta, phi), (g1, g2) in list(out.items()):
-            out.setdefault((phi, theta), (g2, g1))
-    return out
+def _probe_map(kernel, pairs, probe):
+    """probe(kernel, theta, phi) per pair; a symmetric kernel is probed once
+    per unordered pair, in the order met first."""
+    key = (lambda p: (min(p), max(p))) if getattr(kernel, "symmetric", False) else (lambda p: p)
+    reps = {}
+    for pair in pairs:
+        reps.setdefault(key(pair), pair)
+    vals = dict(zip(reps, parallel_map(lambda p: probe(kernel, *p), list(reps.values()))))
+    return {pair: vals[key(pair)] for pair in pairs}
 
 
 def _stabilized(report_max, params, kernel, quality_next, options, probe, tol=0.01):
@@ -574,6 +493,35 @@ def _stabilized(report_max, params, kernel, quality_next, options, probe, tol=0.
     return abs(fine_val - coarse_val) / max(abs(fine_val), 1e-300) <= tol
 
 
+def _pair_check(kind, probe, sep_power, params, kernel, theta_grid, phi_grid, cap, quality,
+                options) -> EstimateReport:
+    """ratio = probe * |theta-phi|^sep_power * mu(B(theta, |theta-phi|)) per
+    off-diagonal grid pair; the worst pair is the first strict maximum."""
+    options = options or {}
+    k = _resolve_kernel(params, kernel, quality, options)
+    pairs = list(_pairs(theta_grid, phi_grid))
+    values = _probe_map(k, pairs, probe)
+    rows = []
+    for theta, phi in pairs:
+        sep = abs(theta - phi)
+        w = sep ** sep_power
+        ball = mu_ball(params, theta, sep).exact
+        v = values[(theta, phi)]
+        rows.append((theta, phi, v, 1.0 / (w * ball), v * w * ball))
+    worst = (-math.inf, None)
+    for theta, phi, v, _, ratio in rows:
+        if ratio > worst[0]:
+            worst = (ratio, (theta, phi, v))
+    meta = {"alpha": params.alpha, "beta": params.beta, "kernel": k.name}
+    if isinstance(kernel, str) and quality == "scan" and worst[1] is not None:
+        theta, phi, v = worst[1]
+        meta["stabilized"] = None if worst[0] < 1e-3 else _stabilized(
+            (v, (theta, phi)), params, kernel, "scan_fine", options, probe,
+        )
+    return EstimateReport(kind=kind, columns=("theta", "phi", "norm", "bound", "ratio"),
+                          rows=rows, cap=cap, meta=meta)
+
+
 def growth_check(params: JacobiParams, kernel, theta_grid, phi_grid, cap: float = 1e3,
                  quality: str = "scan", options: dict | None = None) -> EstimateReport:
     """ratio = ||K|| * mu(B(theta, |theta-phi|)) per grid point.
@@ -582,74 +530,15 @@ def growth_check(params: JacobiParams, kernel, theta_grid, phi_grid, cap: float 
     The worst grid point is re-evaluated at the next finer resolution and
     the report records whether it moved by less than 1%.
     """
-    options = options or {}
-    k = _resolve_kernel(params, kernel, quality, options)
-
-    pairs = list(_pairs(theta_grid, phi_grid))
-    norms = _norm_map(k, pairs)
-
-    def one(pair):
-        theta, phi = pair
-        ball = mu_ball(params, theta, abs(theta - phi)).exact
-        norm = norms[pair]
-        return (theta, phi, norm, 1.0 / ball, norm * ball)
-
-    rows = [one(p) for p in pairs]
-    worst = (-math.inf, None)
-    for theta, phi, norm, _, ratio in rows:
-        if ratio > worst[0]:
-            worst = (ratio, (theta, phi, norm))
-    meta = {"alpha": params.alpha, "beta": params.beta, "kernel": k.name}
-    if isinstance(kernel, str) and quality == "scan" and worst[1] is not None:
-        theta, phi, norm = worst[1]
-        meta["stabilized"] = None if worst[0] < 1e-3 else _stabilized(
-            (norm, (theta, phi)), params, kernel, "scan_fine", options,
-            lambda kk, th, ph: kk.norm(th, ph),
-        )
-    return EstimateReport(
-        kind="growth",
-        columns=("theta", "phi", "norm", "bound", "ratio"),
-        rows=rows,
-        cap=cap,
-        meta=meta,
-    )
+    return _pair_check("growth", _norm_probe, 0, params, kernel, theta_grid, phi_grid, cap,
+                       quality, options)
 
 
 def gradient_check(params: JacobiParams, kernel, theta_grid, phi_grid, cap: float = 1e3,
                    quality: str = "scan", options: dict | None = None) -> EstimateReport:
     """ratio = (||d_theta K|| + ||d_phi K||) |theta-phi| mu(B) per grid point."""
-    options = options or {}
-    k = _resolve_kernel(params, kernel, quality, options)
-
-    pairs = list(_pairs(theta_grid, phi_grid))
-    grads = _grad_map(k, pairs)
-
-    def one(pair):
-        theta, phi = pair
-        sep = abs(theta - phi)
-        ball = mu_ball(params, theta, sep).exact
-        g1, g2 = grads[pair]
-        return (theta, phi, g1 + g2, 1.0 / (sep * ball), (g1 + g2) * sep * ball)
-
-    rows = [one(p) for p in pairs]
-    worst = (-math.inf, None)
-    for theta, phi, gsum, _, ratio in rows:
-        if ratio > worst[0]:
-            worst = (ratio, (theta, phi, gsum))
-    meta = {"alpha": params.alpha, "beta": params.beta, "kernel": k.name}
-    if isinstance(kernel, str) and quality == "scan" and worst[1] is not None:
-        theta, phi, gsum = worst[1]
-        meta["stabilized"] = None if worst[0] < 1e-3 else _stabilized(
-            (gsum, (theta, phi)), params, kernel, "scan_fine", options,
-            lambda kk, th, ph: sum(kk.grad_norms(th, ph)),
-        )
-    return EstimateReport(
-        kind="gradient",
-        columns=("theta", "phi", "norm", "bound", "ratio"),
-        rows=rows,
-        cap=cap,
-        meta=meta,
-    )
+    return _pair_check("gradient", _grad_probe, 1, params, kernel, theta_grid, phi_grid, cap,
+                       quality, options)
 
 
 def smoothness_check(params: JacobiParams, kernel, n_samples: int = 100, seed: int = 7,

@@ -142,6 +142,14 @@ class TestScanCommand:
         assert code == 2
         assert "cap" in err
 
+    def test_samples_below_one_usage_exit(self, capsys):
+        code, _, err = run_cli(
+            capsys, "scan", "--scan", "smoothness", "--kernel", "stieltjes",
+            "--alpha", "0", "--beta", "0", "--samples", "0",
+        )
+        assert code == 2
+        assert "samples" in err
+
 
 def capsys_last_line(out: str) -> str:
     return out.strip().splitlines()[-1]

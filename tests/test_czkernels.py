@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+from jpkernel._parallel import thread_count
 from jpkernel.basis import OrthonormalBasis, mu_total, theta_quad_rule, trig_poly_deriv, trig_poly_table
 from jpkernel.czkernels import (
     LaplaceKernel,
@@ -22,11 +23,7 @@ from jpkernel.czkernels import (
     growth_check,
     imaginary_power_profile,
     make_kernel,
-    maximal_kernel_norm,
-    riesz_kernel,
     smoothness_check,
-    square_fn_kernel_norm,
-    stieltjes_multiplier_kernel,
 )
 from jpkernel.errors import TailError
 from jpkernel.kernel import closed_form_chebyshev
@@ -47,7 +44,7 @@ def _cheb_dth(t, theta, phi, h=1e-6):
 
 class TestMaximal:
     def test_matches_closed_form_pipeline(self):
-        grid_max, refined = maximal_kernel_norm(CHEB, 1.0, 2.0)
+        grid_max, refined = MaximalKernel(CHEB).norm_detail(1.0, 2.0)
         preset_grid = _maximal_t_grid(1e-4, 64)
         vals = closed_form_chebyshev(preset_grid, 1.0, 2.0)
         i = int(np.argmax(vals))
@@ -64,42 +61,51 @@ class TestMaximal:
 
     def test_far_pair_is_finite_and_small(self):
         p = JacobiParams(0.5, -0.75)
-        _, refined = maximal_kernel_norm(p, 0.1, 3.0)
+        _, refined = MaximalKernel(p).norm_detail(0.1, 3.0)
         assert 0 < refined < 10.0
 
     def test_lam_zero_limit_candidate(self):
         # the t -> infinity limit 1/mu_total is part of the sup
-        _, refined = maximal_kernel_norm(CHEB, 1.0, 1.2)
+        _, refined = MaximalKernel(CHEB).norm_detail(1.0, 1.2)
         assert refined >= 1.0 / mu_total(CHEB) - 1e-14
 
-    def test_diagonal_rejected(self):
+    @pytest.mark.parametrize("kernel_id, options", [
+        ("maximal", {}), ("riesz", {"N": 1}), ("gfun", {"M": 1, "N": 0}), ("laplace", {}),
+    ], ids=["maximal", "riesz", "gfun", "laplace"])
+    def test_diagonal_rejected(self, kernel_id, options):
         with pytest.raises(ValueError):
-            maximal_kernel_norm(CHEB, 1.0, 1.0)
+            make_kernel(CHEB, kernel_id, **options).norm(1.0, 1.0)
 
 
 class TestRiesz:
     def test_order_one_mpmath_style_oracle(self):
         # adaptive quadrature of the closed-form t-integrand
-        got = riesz_kernel(CHEB, 1, 1.0, 2.3)
+        got = RieszKernel(CHEB, 1)._value(1.0, 2.3)
         ref, _ = integrate.quad(lambda t: _cheb_dth(t, 1.0, 2.3), 0, 60, limit=300)
         assert_allclose(got, ref, rtol=1e-7)
 
     def test_order_two_oracle(self):
-        h = 1e-4
-        got = riesz_kernel(CHEB, 2, 1.2, 2.4)
+        got = RieszKernel(CHEB, 2)._value(1.2, 2.4)
+
+        def s2(t, x):
+            # S(x) = sum_k r^k cos kx, D = 1 - 2 r cos x + r^2:
+            # S''(x) = -(1 - r^2)/2 [2 r cos x / D^2 - 8 r^2 sin^2 x / D^3]
+            r = math.exp(-t)
+            d = 1.0 - 2.0 * r * math.cos(x) + r * r
+            return -(1.0 - r * r) / 2.0 * (2.0 * r * math.cos(x) / d**2
+                                           - 8.0 * r * r * math.sin(x) ** 2 / d**3)
 
         def d2(t):
-            return (closed_form_chebyshev(t, 1.2 + h, 2.4)
-                    - 2 * closed_form_chebyshev(t, 1.2, 2.4)
-                    + closed_form_chebyshev(t, 1.2 - h, 2.4)) / h**2
+            # exact d_theta^2 of closed_form_chebyshev
+            return (s2(t, 1.2 - 2.4) + s2(t, 1.2 + 2.4)) / math.pi
 
         ref, _ = integrate.quad(lambda t: d2(t) * t, 0, 60, limit=300)
         assert_allclose(got, ref, rtol=1e-5)
 
     def test_no_symmetry_but_finite(self):
         p = JacobiParams(0.5, -0.75)
-        a = riesz_kernel(p, 1, 0.9, 2.0)
-        b = riesz_kernel(p, 1, 2.0, 0.9)
+        a = RieszKernel(p, 1)._value(0.9, 2.0)
+        b = RieszKernel(p, 1)._value(2.0, 0.9)
         assert math.isfinite(a) and math.isfinite(b)
 
     def test_spectral_consistency_five_points(self):
@@ -122,13 +128,13 @@ class TestRiesz:
 
 class TestSquareFunction:
     def test_order_10_oracle(self):
-        got = square_fn_kernel_norm(CHEB, 1, 0, 1.0, 2.5)
+        got = SquareFunctionKernel(CHEB, 1, 0).norm(1.0, 2.5)
         ref, _ = integrate.quad(lambda t: _cheb_dt(t, 1.0, 2.5) ** 2 * t, 0, 80, limit=300)
         assert_allclose(got, math.sqrt(ref), rtol=1e-6)
 
     def test_order_01_positive_finite(self):
         p = JacobiParams(-0.75, 0.5)
-        val = square_fn_kernel_norm(p, 0, 1, 1.0, 2.0)
+        val = SquareFunctionKernel(p, 0, 1).norm(1.0, 2.0)
         assert 0 < val < 1e3
 
     def test_order_validation(self):
@@ -165,11 +171,11 @@ class TestLaplace:
 
 class TestStieltjes:
     def test_single_atom(self):
-        got = stieltjes_multiplier_kernel(CHEB, StieltjesAtoms((0.9,), (1.0,)), 0.7, 2.1)
+        got = StieltjesKernel(CHEB, StieltjesAtoms((0.9,), (1.0,)))._value(0.7, 2.1)
         assert_allclose(got, closed_form_chebyshev(0.9, 0.7, 2.1), rtol=1e-10)
 
     def test_difference_of_atoms(self):
-        got = stieltjes_multiplier_kernel(CHEB, StieltjesAtoms((1.0, 2.0), (1.0, -1.0)), 0.7, 2.1)
+        got = StieltjesKernel(CHEB, StieltjesAtoms((1.0, 2.0), (1.0, -1.0)))._value(0.7, 2.1)
         ref = closed_form_chebyshev(1.0, 0.7, 2.1) - closed_form_chebyshev(2.0, 0.7, 2.1)
         assert_allclose(got, ref, rtol=1e-10)
 
@@ -213,12 +219,15 @@ class TestChecks:
         assert report.passed
         assert report.meta["stabilized"] in (True, None)
 
-    def test_gradient_report_symmetric_scan_layout(self):
-        # scan rows come in both orders of each pair
+    @pytest.mark.parametrize("check", [growth_check, gradient_check], ids=["growth", "gradient"])
+    def test_gradient_report_symmetric_scan_layout(self, check):
+        # scan rows come in both orders of each pair, with equal norms
         grid = np.array([0.5, 1.5, 2.5])
-        report = growth_check(JacobiParams(0.0, 0.0), "maximal", grid, grid)
-        pairs = {(r[0], r[1]) for r in report.rows}
-        assert (0.5, 1.5) in pairs and (1.5, 0.5) in pairs
+        report = check(JacobiParams(0.0, 0.0), "maximal", grid, grid)
+        norms = {(r[0], r[1]): r[2] for r in report.rows}
+        assert (0.5, 1.5) in norms and (1.5, 0.5) in norms
+        for theta, phi in norms:
+            assert norms[(phi, theta)] == norms[(theta, phi)]
 
     def test_smoothness_sampling(self):
         report = smoothness_check(JacobiParams(0.5, 0.5), "riesz", n_samples=20,
@@ -235,3 +244,12 @@ class TestChecks:
         assert isinstance(make_kernel(p, "stieltjes"), StieltjesKernel)
         with pytest.raises(ValueError):
             make_kernel(p, "bogus")
+
+
+class TestThreadCount:
+    def test_malformed_value_rejected(self, monkeypatch):
+        monkeypatch.setenv("JPK_THREADS", "1")
+        assert thread_count() == 1
+        monkeypatch.setenv("JPK_THREADS", "two")
+        with pytest.raises(ValueError, match="JPK_THREADS"):
+            thread_count()
