@@ -2,9 +2,10 @@
 
 The package evaluates the Poisson kernel of the Jacobi differential operator
 for all admissible type parameters alpha, beta > -1 by several independent
-routes (spectral series, Appell-F4 double series, a four-case integral
-representation and a symmetrized one-formula variant), provides the measure
-and quadrature machinery those routes need, scans empirical sharp-bound and
+routes (spectral series, Appell-F4 double series, an integral representation
+whose four cases are the products of the two integration axes' measure
+regimes, and a symmetrized one-formula variant), provides the measure and
+quadrature machinery those routes need, scans empirical sharp-bound and
 Calderon-Zygmund-type kernel estimates, and applies the associated spectral
 operators to finite Fourier-Jacobi expansions.
 """
@@ -17,11 +18,10 @@ from jpkernel.kernel import (
     h_script_general,
     h_script_integral,
     kernel_eval,
-    kernel_series,
 )
 from jpkernel.operators import Expansion, analyze, g_function, multiplier_apply, riesz_apply, semigroup_apply
 from jpkernel.params import JacobiParams
-from jpkernel.pi_measures import PiMeasure, pi_cdf, pi_integrate, pi_profile_integrate
+from jpkernel.pi_measures import pi_cdf
 
 __all__ = [
     "JacobiParams",
@@ -32,15 +32,11 @@ __all__ = [
     "mu_total",
     "KernelQuery",
     "kernel_eval",
-    "kernel_series",
     "closed_form_chebyshev",
     "h_script_f4",
     "h_script_integral",
     "h_script_general",
-    "PiMeasure",
     "pi_cdf",
-    "pi_integrate",
-    "pi_profile_integrate",
     "Expansion",
     "analyze",
     "semigroup_apply",

@@ -203,13 +203,9 @@ def _scan_report(args, config, params) -> EstimateReport:
     phi_grid = _parse_grid(_opt(args, config, "phi-grid", "")) if _opt(args, config, "phi-grid") else theta_grid
     if which == "sharp":
         t_grid = _parse_grid(_opt(args, config, "t-grid", "0.05:1.0:10"))
-        if t_grid.size == 0 or theta_grid.size == 0 or phi_grid.size == 0:
-            raise UsageError("scan grids must be non-empty")
         return sharp.ratio_scan(params, t_grid, theta_grid, phi_grid,
                                 which=_opt(args, config, "comparator", "H"),
                                 cap=float(cap) if cap is not None else 50.0)
-    if theta_grid.size == 0 or phi_grid.size == 0:
-        raise UsageError("scan grids must be non-empty")
     kernel_id = _opt(args, config, "kernel", "maximal")
     options = {}
     if kernel_id == "riesz":

@@ -10,12 +10,17 @@ Routes:
               T_MIN_SERIES; derivatives term by term;
   f4       -- companion kernel through the Appell-F4 double power series
               (all terms nonnegative), values only;
-  integral -- companion kernel through the four-case integral representation
-              against the Pi measure family; t-uniform, derivative orders
+  integral -- companion kernel through the integral representation against
+              the Pi measure family; t-uniform, derivative orders
               N + M <= 3, L <= 1;
   general  -- companion kernel through the symmetrized one-formula
               representation on (0, 1]^2, values only; the independent
-              cross-check of the case dispatch.
+              cross-check of the integral route.
+
+The integral route's four cases (i)-(iv) are the products of the two axes'
+regimes (u against Pi_alpha, v against Pi_beta): each axis contributes
+either its measure (density or half-atoms) or, in the profile regime, a
+derivative along the axis against the profile plus the half-atoms at +-1.
 """
 
 from __future__ import annotations
@@ -142,13 +147,6 @@ def series_H(params: JacobiParams, t, theta: float, phi, M=0, N=0, L=0, rtol=1e-
     return float(vals) if np.ndim(vals) == 0 else vals
 
 
-def kernel_series(params, query: KernelQuery) -> float:
-    """Series route for a query; accepts JacobiParams or an OrthonormalBasis."""
-    params = getattr(params, "params", params)
-    M, N, L = query.deriv
-    return series_H(params, query.t, query.theta, query.phi, M=M, N=N, L=L)
-
-
 # ---------------------------------------------------------------------------
 # F4 route
 # ---------------------------------------------------------------------------
@@ -227,7 +225,7 @@ def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float, rtol=1
 
 
 # ---------------------------------------------------------------------------
-# integral route (four-case dispatch)
+# integral route
 # ---------------------------------------------------------------------------
 
 _BASE_NODES = 24
@@ -256,27 +254,19 @@ def _grading_delta(t_min: float, theta: float, phi: float, coupling: float,
     return pi_measures.snap_delta(max(0.25 * d_min / coupling, floor))
 
 
-def _case(params: JacobiParams) -> str:
-    au = params.alpha < -0.5
-    bv = params.beta < -0.5
-    if not au and not bv:
-        return "i"
-    if au and not bv:
-        return "ii"
-    if not au and bv:
-        return "iii"
-    return "iv"
+def _axis_terms(gamma: float, n: int, delta: float):
+    """Terms (nodes, weights, derivative order) of one integration axis.
 
-
-def _axis_rule(gamma: float, n: int, delta: float):
-    """(kind, nodes, weights) for one integration axis of the integral route."""
-    if gamma > -0.5:
-        nodes, weights = pi_measures.density_rule(gamma, n, delta)
-        return "density", nodes, weights
-    if gamma == -0.5:
-        return "atomic", np.array([-1.0, 1.0]), np.array([0.5, 0.5])
-    nodes, weights = pi_measures.profile_rule(gamma, n, delta)
-    return "profile", nodes, weights
+    A density or atomic axis integrates psi against its measure.  A profile
+    axis integrates the axis derivative of psi against the profile, folded
+    onto +-u as one stacked tensor with signed weights, and adds psi at the
+    two half-atoms.
+    """
+    nodes, weights = pi_measures.axis_rule(gamma, n, delta)
+    if gamma >= -0.5:
+        return [(nodes, weights, 0)]
+    return [(np.concatenate([nodes, -nodes]), np.concatenate([weights, -weights]), 1),
+            (np.array([1.0, -1.0]), np.array([0.5, 0.5]), 0)]
 
 
 def _integral_batch_banded(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor=2.0**-40):
@@ -317,39 +307,17 @@ def _contract(vals, u_w, v_w):
 
 
 def _integral_terms(params, t_min, theta, phi, n_nodes, delta_floor=2.0**-40):
-    """The double sums of the case dispatch at one resolution, graded for
-    t >= t_min: a list of (u nodes, v nodes, u weights, v weights, K, R),
-    the nodes shaped to broadcast as psi's (t, u, v) axes."""
-    case = _case(params)
+    """The double sums of the integral representation at one resolution,
+    graded for t >= t_min: the product of the u and v axes' terms, u-major,
+    as (u nodes, v nodes, u weights, v weights, K, R) with the nodes shaped
+    to broadcast as psi's (t, u, v) axes."""
     p_coupling, q_coupling = _pq(theta, phi)
-    du = _grading_delta(t_min, theta, phi, p_coupling, delta_floor)
-    dv = _grading_delta(t_min, theta, phi, q_coupling, delta_floor)
-
-    # Sign folds of the profile cases are evaluated as single stacked
-    # tensors: nodes +-u carry signed weights, so one psi call per term.
-    _, un, uw = _axis_rule(params.alpha, n_nodes, du)
-    _, vn, vw = _axis_rule(params.beta, n_nodes, dv)
-    if case in ("ii", "iv"):
-        u_nodes, u_w = np.concatenate([un, -un]), np.concatenate([uw, -uw])
-    else:
-        u_nodes, u_w = un, uw
-    if case in ("iii", "iv"):
-        v_nodes, v_w = np.concatenate([vn, -vn]), np.concatenate([vw, -vw])
-    else:
-        v_nodes, v_w = vn, vw
-    u_col = u_nodes.reshape(1, -1, 1)
-    v_row = v_nodes.reshape(1, 1, -1)
-    atom_col = np.array([1.0, -1.0]).reshape(1, -1, 1)
-    atom_row = atom_col.reshape(1, 1, -1)
-    half = np.array([0.5, 0.5])
-    if case == "i":
-        return [(u_col, v_row, u_w, v_w, 0, 0)]
-    if case == "ii":
-        return [(u_col, v_row, u_w, v_w, 1, 0), (atom_col, v_row, half, v_w, 0, 0)]
-    if case == "iii":
-        return [(u_col, v_row, u_w, v_w, 0, 1), (u_col, atom_row, u_w, half, 0, 0)]
-    return [(u_col, v_row, u_w, v_w, 1, 1), (u_col, atom_row, u_w, half, 1, 0),
-            (atom_col, v_row, half, v_w, 0, 1), (atom_col, atom_row, half, half, 0, 0)]
+    u_terms = _axis_terms(params.alpha, n_nodes,
+                          _grading_delta(t_min, theta, phi, p_coupling, delta_floor))
+    v_terms = _axis_terms(params.beta, n_nodes,
+                          _grading_delta(t_min, theta, phi, q_coupling, delta_floor))
+    return [(un.reshape(1, -1, 1), vn.reshape(1, 1, -1), uw, vw, K, R)
+            for un, uw, K in u_terms for vn, vw, R in v_terms]
 
 
 def _integral_batch(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor=2.0**-40):
@@ -372,7 +340,7 @@ def _integral_batch(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor=2.0
 def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(0, 0, 0),
                       rtol=1e-9, base_nodes=_BASE_NODES, max_doublings=_MAX_DOUBLINGS,
                       delta_floor=2.0**-40):
-    """Companion kernel (and derivatives) via the four-case representation.
+    """Companion kernel (and derivatives) via the integral representation.
 
     deriv = (M, N, L); N + M <= 3 and L <= 1 are supported.  Node counts
     double until two successive evaluations agree to rtol (scaled by the
@@ -393,6 +361,8 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
     _require_finite(t_arr)
     if np.any(t_arr <= 0):
         raise ValueError("t must be positive")
+    route = f"integral route (alpha={params.alpha}, beta={params.beta}, deriv={deriv})"
+    point = f"t_min={t_arr.min():g}, theta={theta:g}, phi={phi:g}"
 
     def batch(n):
         # D underflows to 0 at the integrand's singularity (t -> 0 on the
@@ -402,9 +372,7 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
                                                 delta_floor)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError(
-                f"integral route (case {_case(params)}, deriv={deriv}) hit the integrand's "
-                f"singularity: non-finite value for t_min={t_arr.min():g}, theta={theta:g}, "
-                f"phi={phi:g}"
+                f"{route} hit the integrand's singularity: non-finite value for {point}"
             )
         return vals, mass
 
@@ -420,17 +388,13 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
             cond = float(np.max(mass)) / scale
             if _EPS * cond > rtol:
                 raise QuadratureError(
-                    f"integral route (case {_case(params)}, deriv={deriv}) cannot reach "
-                    f"rtol={rtol:g}: condition number sum|w psi|/|value| = {cond:.3g} "
-                    f"puts its roundoff floor at {_EPS * cond:.3g}, for t_min={t_arr.min():g}, "
-                    f"theta={theta:g}, phi={phi:g}"
+                    f"{route} cannot reach rtol={rtol:g}: condition number "
+                    f"sum|w psi|/|value| = {cond:.3g} puts its roundoff floor at "
+                    f"{_EPS * cond:.3g}, for {point}"
                 )
             return cur if np.ndim(t) else float(cur[0])
         prev = cur
-    raise QuadratureError(
-        f"integral route (case {_case(params)}, deriv={deriv}) did not stabilize "
-        f"at {n} nodes per piece for t_min={t_arr.min():g}, theta={theta:g}, phi={phi:g}"
-    )
+    raise QuadratureError(f"{route} did not stabilize at {n} nodes per piece for {point}")
 
 
 # ---------------------------------------------------------------------------
@@ -482,25 +446,11 @@ def _general_once(params, t, theta, phi, n_nodes):
     return 4.0 * total_dd + 2.0 * total_su + 2.0 * total_sv + corner
 
 
-def h_script_integral_parts(params: JacobiParams, t: float, theta: float, phi: float,
-                            n_nodes: int = 96):
-    """The individual double integrals of the case dispatch at one point.
-
-    One value for case (i), two for (ii)/(iii), four for (iv); each is
-    nonnegative and they sum to the companion kernel.
-    """
-    psi = psi_evaluator(params)
-    tc = np.array([[[t]]])
-    return [float(_contract(psi(tc, theta, phi, u, v, K=K, R=R), wu, wv)[0][0])
-            for u, v, wu, wv, K, R in _integral_terms(params, t, theta, phi, n_nodes)]
-
-
 def h_script_general(params: JacobiParams, t: float, theta: float, phi: float,
                      rtol=5e-8) -> float:
     """Companion kernel via the symmetrized representation over (0, 1]^2.
 
-    Serves as an independent cross-check of the case dispatch of
-    h_script_integral; value only.  The default rtol sits at the route's
+    Serves as an independent cross-check of h_script_integral; value only.  The default rtol sits at the route's
     cancellation floor: the doubly-differenced integrand loses a few digits
     when the exponent alpha + beta + 2 is large.
     """

@@ -1,11 +1,14 @@
 """The one-parameter measure family on [-1, 1] behind the kernel integrals.
 
-For gamma > -1/2 the measure is the probability density
+Each integration axis of the kernel's integral representation lives in one
+of three regimes of its parameter gamma.  For gamma > -1/2 the measure is
+the probability density
     c_gamma (1-u^2)^(gamma-1/2) du,   c_gamma = Gamma(gamma+1)/(sqrt(pi) Gamma(gamma+1/2)),
 at gamma = -1/2 it degenerates to two half-atoms at +-1, and for
 gamma in (-1, -1/2) the role is taken over by the finite even profile
 |Pi_gamma(u)| du, where Pi_gamma is the (negative, odd) primitive of the
-no-longer-integrable density.
+no-longer-integrable density.  axis_rule is the one dispatch on the regime;
+the kernel's cases are products of the two axes' regimes.
 
 The profile is evaluated through the exact decomposition (u > 0)
     Pi_gamma(u) = 1/2 + c_gamma B_gamma u (1-u^2)^(gamma+1/2) 2F1(1, 1+gamma; gamma+3/2; 1-u^2),
@@ -17,16 +20,12 @@ factors, so plain Gauss-Jacobi pieces converge spectrally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from jpkernel import specfun
-from jpkernel.errors import QuadratureError
 
-DEFAULT_NODES = 64
-_MAX_NODES = 2048
 _SPLIT = 0.75  # |u| above which the endpoint decomposition is used
 
 
@@ -48,15 +47,10 @@ def pi_cdf(alpha: float, u):
     u = np.asarray(u, dtype=float)
     if np.any(np.abs(u) >= 1.0):
         raise ValueError("argument must lie in the open interval (-1, 1)")
-    c = pi_c(alpha)
     if alpha > -0.5:
-        out = c * u * specfun.hyp2f1(0.5, 0.5 - alpha, 1.5, u * u)
+        out = pi_c(alpha) * u * specfun.hyp2f1(0.5, 0.5 - alpha, 1.5, u * u)
     else:
-        out = np.where(
-            np.abs(u) <= _SPLIT,
-            c * u * specfun.hyp2f1(0.5, 0.5 - alpha, 1.5, np.minimum(u * u, _SPLIT**2)),
-            -np.sign(u) * _abs_profile_tail(alpha, np.maximum(np.abs(u), _SPLIT)),
-        )
+        out = -np.sign(u) * abs_profile(alpha, np.abs(u))
     return float(out) if out.ndim == 0 else out
 
 
@@ -98,20 +92,18 @@ def _gj_piece(lo: float, hi: float, n: int, exponent: float, side: str):
     return lo + h * (x + 1.0), h ** (exponent + 1.0) * w
 
 
-def _graded_edges(delta: float):
-    """Dyadic edges 1/2, 3/4, ..., 1 - delta (delta a power of two <= 1/2)."""
-    edges = [0.5]
+def _graded_pieces(n: int, delta: float):
+    """Gauss-Legendre pieces (nodes, weights) on [0, 1 - delta], delta a power
+    of two <= 1/2: n nodes on [0, 1/2], then one piece per dyadic interval
+    [1 - 2d, 1 - d] down to d = delta.  Those carry smooth integrands, so
+    fewer nodes than the endpoint pieces suffice."""
+    m = max(8, (3 * n) // 5)
+    pieces = [_gl_piece(0.0, 0.5, n)]
     d = 0.5
     while d > delta * 1.0000001:
+        pieces.append(_gl_piece(1.0 - d, 1.0 - 0.5 * d, m))
         d *= 0.5
-        edges.append(1.0 - d)
-    return edges
-
-
-def _graded_n(n: int) -> int:
-    """Node count for the dyadic interior pieces; they carry smooth
-    integrands, so fewer points than the endpoint pieces suffice."""
-    return max(8, (3 * n) // 5)
+    return pieces
 
 
 def snap_delta(delta: float) -> float:
@@ -139,9 +131,7 @@ def density_rule(gamma: float, n: int, delta: float = 0.5):
     xs, ws = _gj_piece(-1.0, 0.0, n, e, "left")
     nodes.append(xs)
     weights.append(c * ws * (1.0 - xs) ** e)
-    edges = [0.0] + _graded_edges(delta)
-    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        xs, ws = _gl_piece(lo, hi, n if i == 0 else _graded_n(n))
+    for xs, ws in _graded_pieces(n, delta):
         nodes.append(xs)
         weights.append(c * ws * (1.0 - xs * xs) ** e)
     xs, ws = _gj_piece(1.0 - delta, 1.0, n, e, "right")
@@ -161,9 +151,7 @@ def profile_rule(alpha: float, n: int, delta: float = 0.5):
     d_coef = -pi_c(alpha) * _pi_b(alpha)
     e = alpha + 0.5
     nodes, weights = [], []
-    edges = [0.0] + _graded_edges(delta)
-    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        xs, ws = _gl_piece(lo, hi, n if i == 0 else _graded_n(n))
+    for xs, ws in _graded_pieces(n, delta):
         nodes.append(xs)
         weights.append(ws * abs_profile(alpha, xs))
     xs, ws = _gj_piece(1.0 - delta, 1.0, n, e, "right")
@@ -194,9 +182,7 @@ def halfline_rule(gamma: float, n: int, delta: float = 0.5):
     e_in = gamma - 0.5
     e_out = gamma + 0.5
     nodes, weights, omu = [], [], []
-    edges = [0.0] + _graded_edges(delta)
-    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        xs, ws = _gl_piece(lo, hi, n if i == 0 else _graded_n(n))
+    for xs, ws in _graded_pieces(n, delta):
         nodes.append(xs)
         weights.append(c * ws * (1.0 - xs) ** e_out * (1.0 + xs) ** e_in)
         omu.append(1.0 - xs)
@@ -209,62 +195,12 @@ def halfline_rule(gamma: float, n: int, delta: float = 0.5):
     return np.concatenate(nodes), np.concatenate(weights), np.concatenate(omu)
 
 
-# ---------------------------------------------------------------------------
-# the measure object
-# ---------------------------------------------------------------------------
-
-DENSITY = "density"
-ATOMIC = "atomic"
-PROFILE = "profile"
-
-
-@dataclass(frozen=True)
-class PiMeasure:
-    """One member of the measure family, with its stored quadrature rule."""
-
-    alpha: float
-    kind: str
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @staticmethod
-    def for_alpha(alpha: float, n_nodes: int = DEFAULT_NODES) -> "PiMeasure":
-        if alpha <= -1.0:
-            raise ValueError(f"alpha must exceed -1, got {alpha}")
-        if alpha > -0.5:
-            nodes, weights = density_rule(alpha, n_nodes)
-            return PiMeasure(alpha, DENSITY, nodes, weights)
-        if alpha == -0.5:
-            return PiMeasure(alpha, ATOMIC, np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-        nodes, weights = profile_rule(alpha, n_nodes)
-        return PiMeasure(alpha, PROFILE, nodes, weights)
-
-
-def pi_integrate(measure: PiMeasure, f) -> float:
-    """Integral of f against the (probability or atomic) measure."""
-    if measure.kind == PROFILE:
-        raise ValueError("kind mismatch: use pi_profile_integrate for the profile regime")
-    return float(np.sum(measure.weights * f(measure.nodes)))
-
-
-def pi_profile_integrate(alpha: float, f, rtol: float = 1e-10) -> float:
-    """Integral of f over (-1, 1) against the even profile |Pi_alpha(u)| du.
-
-    Node counts double until two successive results agree to rtol.
-    """
-    if not -1.0 < alpha < -0.5:
-        raise ValueError(f"profile regime needs alpha in (-1, -1/2), got {alpha}")
-
-    def attempt(n):
-        nodes, weights = profile_rule(alpha, n)
-        return float(np.sum(weights * (f(nodes) + f(-nodes))))
-
-    n = DEFAULT_NODES
-    prev = attempt(n)
-    while n < _MAX_NODES:
-        n *= 2
-        cur = attempt(n)
-        if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    raise QuadratureError(f"profile integral for alpha={alpha} did not stabilize by n={n}")
+def axis_rule(gamma: float, n: int, delta: float):
+    """(nodes, weights) of the measure of parameter gamma on one integration
+    axis: the density rule for gamma > -1/2, the two half-atoms at +-1 for
+    gamma = -1/2, and the profile rule on (0, 1) for gamma < -1/2."""
+    if gamma > -0.5:
+        return density_rule(gamma, n, delta)
+    if gamma == -0.5:
+        return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+    return profile_rule(gamma, n, delta)

@@ -16,25 +16,11 @@ broadcastable shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from jpkernel.errors import UnsupportedOrderError
 from jpkernel.params import JacobiParams
-
-MAX_THETA_PLUS_T = 3  # N + M cap for psi_eval
-
-
-@dataclass(frozen=True)
-class QArgs:
-    """Arguments of q: angles theta, phi in [0, pi] and u, v in [-1, 1]."""
-
-    theta: float
-    phi: float
-    u: float
-    v: float
 
 
 def _dsin_half(x, k):
@@ -71,14 +57,6 @@ def _q_partial(theta, phi, u, v, du, dv, dtheta, dphi):
     return -u * _dsin_half(theta, dtheta) * _dsin_half(phi, dphi) - v * _dcos_half(
         theta, dtheta
     ) * _dcos_half(phi, dphi)
-
-
-def q_eval(args: QArgs, du: int = 0, dv: int = 0, dtheta: int = 0, dphi: int = 0):
-    """Public exact partial of q; all orders must be <= 2."""
-    for name, order in (("du", du), ("dv", dv), ("dtheta", dtheta), ("dphi", dphi)):
-        if not 0 <= order <= 2:
-            raise UnsupportedOrderError(f"{name}={order} outside supported range 0..2")
-    return _q_partial(args.theta, args.phi, args.u, args.v, du, dv, dtheta, dphi)
 
 
 # ---------------------------------------------------------------------------
@@ -196,19 +174,3 @@ def _psi_evaluator(alpha: float, beta: float) -> PsiEvaluator:
 
 def psi_evaluator(params: JacobiParams) -> PsiEvaluator:
     return _psi_evaluator(params.alpha, params.beta)
-
-
-def psi_eval(params: JacobiParams, t, args: QArgs, deriv=(0, 0, 0, 0, 0)):
-    """Exact mixed partial of Psi; deriv = (K, R, L, N, M).
-
-    K, R, L in {0, 1}; N + M <= 3.
-    """
-    K, R, L, N, M = deriv
-    if K not in (0, 1) or R not in (0, 1) or L not in (0, 1):
-        raise UnsupportedOrderError(f"K, R, L must be 0 or 1, got {(K, R, L)}")
-    if N < 0 or M < 0 or N + M > MAX_THETA_PLUS_T:
-        raise UnsupportedOrderError(f"need N + M <= {MAX_THETA_PLUS_T}, got N={N}, M={M}")
-    if np.any(np.asarray(t) <= 0):
-        raise ValueError("t must be positive")
-    out = psi_evaluator(params)(t, args.theta, args.phi, args.u, args.v, K=K, R=R, L=L, N=N, M=M)
-    return float(out) if np.ndim(out) == 0 else out

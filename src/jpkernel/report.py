@@ -32,7 +32,8 @@ class EstimateReport:
 
     columns names the row schema; every row is a tuple in that order with a
     trailing 'ratio' column; pass means max ratio <= cap (and, when a
-    two-sided cap applies, max/min <= cap).
+    two-sided cap applies, max/min <= cap).  A scan with no rows has nothing
+    to report and raises ValueError.
     """
 
     kind: str
@@ -41,6 +42,11 @@ class EstimateReport:
     cap: float
     two_sided: bool = False
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.rows:
+            raise ValueError(f"the {self.kind} scan has no points to report "
+                             "(empty grid or no admissible point)")
 
     @property
     def ratios(self):
@@ -59,8 +65,6 @@ class EstimateReport:
 
     @property
     def passed(self) -> bool:
-        if not self.rows:
-            return False
         if any(not math.isfinite(r) for r in self.ratios):
             return False
         if self.two_sided:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from jpkernel._parallel import parallel_map
-from jpkernel.basis import mu_total
 from jpkernel.kernel import jph_correction, kernel_H_batch
 from jpkernel.params import JacobiParams
 from jpkernel.report import EstimateReport
@@ -120,7 +119,3 @@ def long_time_fit(params: JacobiParams, theta: float, phi: float, t_lo: float = 
     slope, intercept = np.polyfit(t[mask], np.log(resid[mask]), 1)
     return -float(slope), float(intercept)
 
-
-def long_time_limit(params: JacobiParams) -> float:
-    """The t -> infinity value of exp(t |lam|/2) H_t, i.e. 1 / mu_total."""
-    return 1.0 / mu_total(params)

@@ -150,6 +150,16 @@ class TestScanCommand:
         assert code == 2
         assert "samples" in err
 
+    def test_diagonal_only_grid_usage_exit(self, capsys):
+        # the only grid pair lies on the diagonal, so the scan has no points
+        code, out, err = run_cli(
+            capsys, "scan", "--scan", "growth", "--kernel", "stieltjes",
+            "--alpha", "0", "--beta", "0", "--theta-grid", "1.0",
+        )
+        assert code == 2
+        assert "growth" in err
+        assert out == ""
+
 
 def capsys_last_line(out: str) -> str:
     return out.strip().splitlines()[-1]

@@ -235,6 +235,13 @@ class TestChecks:
         assert len(report.rows) == 20
         assert report.passed
 
+    def test_empty_scans_rejected(self):
+        p = JacobiParams(0.0, 0.0)
+        with pytest.raises(ValueError, match="smoothness"):
+            smoothness_check(p, "stieltjes", n_samples=0)
+        with pytest.raises(ValueError, match="growth"):
+            growth_check(p, "stieltjes", [1.0], [1.0])
+
     def test_make_kernel_registry(self):
         p = JacobiParams(0.0, 0.0)
         assert isinstance(make_kernel(p, "maximal"), MaximalKernel)

@@ -20,14 +20,14 @@ from jpkernel.errors import (
 )
 from jpkernel.kernel import (
     KernelQuery,
+    _contract,
+    _integral_terms,
     closed_form_chebyshev,
     h_script_f4,
     h_script_general,
     h_script_integral,
-    h_script_integral_parts,
     jph_correction,
     kernel_eval,
-    kernel_series,
     series_H,
 )
 from jpkernel.params import JacobiParams
@@ -92,10 +92,6 @@ class TestSeries:
         with pytest.raises(TruncationError):
             series_H(JacobiParams(0, 0), 1e-6, 1.0, 2.0)
 
-    def test_kernel_series_accepts_query(self):
-        q = KernelQuery(t=0.7, theta=2.0, phi=2.2, method="series")
-        assert_allclose(kernel_series(CHEB, q), closed_form_chebyshev(0.7, 2.0, 2.2), rtol=1e-12)
-
 
 class TestF4:
     def test_zero_argument_case(self):
@@ -143,7 +139,11 @@ class TestIntegral:
         # every double integral of the case split is individually >= 0
         for a, b in [(0.5, 0.5), (-0.75, 0.5), (0.5, -0.75), (-0.75, -0.75)]:
             p = JacobiParams(a, b)
-            parts = h_script_integral_parts(p, 0.5, math.pi / 2, math.pi / 2)
+            psi = psi_evaluator(p)
+            tc = np.array([[[0.5]]])
+            half_pi = math.pi / 2
+            parts = [float(_contract(psi(tc, half_pi, half_pi, u, v, K=K, R=R), wu, wv)[0][0])
+                     for u, v, wu, wv, K, R in _integral_terms(p, 0.5, half_pi, half_pi, 96)]
             assert all(x >= 0 for x in parts)
             assert_allclose(sum(parts), float(h_script_integral(p, 0.5, math.pi / 2, math.pi / 2)),
                             rtol=1e-9)

@@ -4,15 +4,23 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from jpkernel.pi_measures import (
-    PiMeasure,
-    abs_profile,
-    pi_cdf,
-    pi_integrate,
-    pi_profile_integrate,
-)
+from jpkernel.pi_measures import abs_profile, axis_rule, pi_cdf, profile_rule
 
 from _oracles import pi_cdf_quad, profile_integral_mp
+
+NODES = 64
+
+
+def measure_integral(gamma, f):
+    """int f against the density or atomic measure of parameter gamma."""
+    nodes, weights = axis_rule(gamma, NODES, 0.5)
+    return float(np.sum(weights * f(nodes)))
+
+
+def profile_integral(alpha, f):
+    """int_(-1)^1 f(u) |Pi_alpha(u)| du; the profile rule covers (0, 1)."""
+    nodes, weights = profile_rule(alpha, NODES)
+    return float(np.sum(weights * (f(nodes) + f(-nodes))))
 
 
 class TestPiCdf:
@@ -43,50 +51,41 @@ class TestPiCdf:
 class TestDensityAndAtoms:
     @pytest.mark.parametrize("alpha", [-0.49, -0.25, 0.0, 0.5, 2.5])
     def test_probability_mass(self, alpha):
-        m = PiMeasure.for_alpha(alpha)
-        assert_allclose(pi_integrate(m, lambda u: np.ones_like(u)), 1.0, atol=1e-12)
+        assert_allclose(measure_integral(alpha, lambda u: np.ones_like(u)), 1.0, atol=1e-12)
 
     def test_atomic_second_moment(self):
-        m = PiMeasure.for_alpha(-0.5)
-        assert m.kind == "atomic"
-        assert pi_integrate(m, lambda u: u * u) == 1.0
+        nodes, weights = axis_rule(-0.5, NODES, 0.5)
+        assert nodes.tolist() == [-1.0, 1.0] and weights.tolist() == [0.5, 0.5]
+        assert measure_integral(-0.5, lambda u: u * u) == 1.0
 
     def test_second_moment_closed_form(self):
         # int u^2 dPi_alpha = 1 / (2 alpha + 2)
-        m = PiMeasure.for_alpha(1.25)
-        assert_allclose(pi_integrate(m, lambda u: u * u), 1.0 / 4.5, rtol=1e-11)
+        assert_allclose(measure_integral(1.25, lambda u: u * u), 1.0 / 4.5, rtol=1e-11)
 
     def test_weak_limit_toward_atoms(self):
         # as alpha decreases to -1/2, moments approach the atomic values
-        atom = PiMeasure.for_alpha(-0.5)
         for f in (lambda u: np.ones_like(u), lambda u: u**2, lambda u: u**4):
-            target = pi_integrate(atom, f)
+            target = measure_integral(-0.5, f)
             gaps = []
             for alpha in (-0.499, -0.4999, -0.49999):
-                gaps.append(abs(pi_integrate(PiMeasure.for_alpha(alpha), f) - target))
+                gaps.append(abs(measure_integral(alpha, f) - target))
             assert gaps[1] <= gaps[0] + 1e-9 and gaps[2] <= gaps[1] + 1e-9
             assert gaps[2] < 1e-3
-
-    def test_profile_kind_mismatch(self):
-        m = PiMeasure.for_alpha(-0.75)
-        assert m.kind == "profile"
-        with pytest.raises(ValueError):
-            pi_integrate(m, lambda u: u)
 
 
 class TestProfile:
     def test_total_mass_against_mp(self):
-        got = pi_profile_integrate(-0.75, lambda u: np.ones_like(u))
+        got = profile_integral(-0.75, lambda u: np.ones_like(u))
         ref = profile_integral_mp(-0.75, lambda u: 1.0)
         assert_allclose(got, ref, rtol=1e-9)
 
     def test_odd_integrand_vanishes(self):
         # the profile is even, so odd integrands integrate to zero
-        got = pi_profile_integrate(-0.6, lambda u: u)
+        got = profile_integral(-0.6, lambda u: u)
         assert abs(got) < 1e-14
 
     def test_weighted_integrand_against_mp(self):
-        got = pi_profile_integrate(-0.6, lambda u: 1 - u * u)
+        got = profile_integral(-0.6, lambda u: 1 - u * u)
         ref = profile_integral_mp(-0.6, lambda u: 1 - u * u)
         assert_allclose(got, ref, rtol=1e-9)
 
@@ -108,9 +107,9 @@ class TestProfile:
         ratio = abs_profile(alpha, u) / (u * (1 - u) ** (alpha + 0.5))
         lo, hi = ratio.min(), ratio.max()
         surrogate = np.trapezoid(2 * u * (1 - u) ** (alpha + 0.5) * (1 - u * u), u)
-        got = pi_profile_integrate(alpha, lambda v: 1 - v * v)
+        got = profile_integral(alpha, lambda v: 1 - v * v)
         assert lo * surrogate * 0.98 <= got <= hi * surrogate * 1.02
 
     def test_out_of_regime(self):
         with pytest.raises(ValueError):
-            pi_profile_integrate(-0.3, lambda u: u)
+            profile_rule(-0.3, NODES)

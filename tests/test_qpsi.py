@@ -4,41 +4,26 @@ import itertools
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from jpkernel.errors import UnsupportedOrderError
 from jpkernel.params import JacobiParams
-from jpkernel.qpsi import (
-    QArgs,
-    _dcos_half,
-    _dsin_half,
-    _q_partial,
-    psi_eval,
-    psi_evaluator,
-    q_eval,
-    q_value,
-)
+from jpkernel.qpsi import _dcos_half, _dsin_half, _q_partial, psi_evaluator, q_value
 
 
 class TestQ:
     def test_vanishes_on_diagonal_corner(self):
-        assert abs(q_eval(QArgs(1.3, 1.3, 1.0, 1.0))) < 1e-14
+        assert abs(q_value(1.3, 1.3, 1.0, 1.0)) < 1e-14
 
     def test_antipodal_is_one(self):
-        assert q_eval(QArgs(0.0, math.pi, 0.7, -0.4)) == 1.0
+        assert q_value(0.0, math.pi, 0.7, -0.4) == 1.0
 
     def test_midpoint(self):
-        assert q_eval(QArgs(math.pi / 2, math.pi / 2, 0.0, 0.0)) == 1.0
+        assert q_value(math.pi / 2, math.pi / 2, 0.0, 0.0) == 1.0
 
     def test_mixed_uv_derivative_vanishes(self):
-        assert q_eval(QArgs(1.0, 2.0, 0.3, 0.4), du=1, dv=1) == 0.0
-
-    def test_order_cap(self):
-        with pytest.raises(UnsupportedOrderError):
-            q_eval(QArgs(1.0, 2.0, 0.3, 0.4), dtheta=3)
+        assert _q_partial(1.0, 2.0, 0.3, 0.4, 1, 1, 0, 0) == 0.0
 
     def test_odd_angle_derivative_is_exact_zero_at_zero(self):
         # d/dtheta cos(theta/2) = -sin(theta/2)/2 is exactly 0 at theta = 0
@@ -86,21 +71,22 @@ class TestQ:
 class TestPsi:
     def test_direct_substitution(self):
         p = JacobiParams(-0.5, -0.5)
-        val = psi_eval(p, 1.0, QArgs(0.0, 0.0, 1.0, 0.3))
+        val = psi_evaluator(p)(1.0, 0.0, 0.0, 1.0, 0.3)
         # q = 0.7, prefactor 1/pi, exponent 1
         ref = (1 / math.pi) * math.sinh(0.5) / (math.cosh(0.5) - 0.3)
         assert_allclose(val, ref, rtol=1e-14)
 
     def test_du_vanishes_at_theta_zero(self):
         p = JacobiParams(0.5, 0.0)
-        assert psi_eval(p, 0.5, QArgs(0.0, 1.3, 0.2, 0.1), (1, 0, 0, 0, 0)) == 0.0
+        assert psi_evaluator(p)(0.5, 0.0, 1.3, 0.2, 0.1, K=1) == 0.0
 
     def test_t_derivative_finite_difference(self):
         p = JacobiParams(0.5, 0.0)
-        args = QArgs(1.0, 2.0, 0.3, -0.2)
+        ev = psi_evaluator(p)
+        args = (1.0, 2.0, 0.3, -0.2)
         h = 1e-6
-        fd = (psi_eval(p, 0.4 + h, args) - psi_eval(p, 0.4 - h, args)) / (2 * h)
-        an = psi_eval(p, 0.4, args, (0, 0, 0, 0, 1))
+        fd = (ev(0.4 + h, *args) - ev(0.4 - h, *args)) / (2 * h)
+        an = ev(0.4, *args, M=1)
         assert_allclose(an, fd, rtol=1e-6)
 
     def test_all_supported_multi_indices_against_fd(self):
@@ -128,13 +114,6 @@ class TestPsi:
                         an = val(K, R, L, N, M)
                         if abs(an) > 1e-9:
                             assert_allclose(an, fd, rtol=2e-6)
-
-    def test_order_caps(self):
-        p = JacobiParams(0, 0)
-        with pytest.raises(UnsupportedOrderError):
-            psi_eval(p, 1.0, QArgs(1, 2, 0, 0), (2, 0, 0, 0, 0))
-        with pytest.raises(UnsupportedOrderError):
-            psi_eval(p, 1.0, QArgs(1, 2, 0, 0), (0, 0, 0, 2, 2))
 
     def test_broadcasting_shapes(self):
         p = JacobiParams(0.5, 0.0)

@@ -6,15 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from jpkernel.basis import mu_total
 from jpkernel.kernel import kernel_H_batch
 from jpkernel.params import JacobiParams
-from jpkernel.sharp import (
-    comparator,
-    comparator_values,
-    long_time_fit,
-    long_time_limit,
-    ratio_scan,
-)
+from jpkernel.sharp import comparator, comparator_values, long_time_fit, ratio_scan
 
 from _oracles import chebyshev_H
 
@@ -76,6 +71,13 @@ class TestRatioScan:
         t, theta, phi, kernel, comp, ratio = report.rows[0]
         assert ratio == kernel / comp > 0
 
+    def test_empty_grids_rejected(self):
+        p = JacobiParams(0.0, 0.0)
+        with pytest.raises(ValueError, match="sharp"):
+            ratio_scan(p, [], [1.0], [2.0])
+        with pytest.raises(ValueError, match="sharp"):
+            ratio_scan(p, [0.5], [], [])
+
     def test_near_minus_one_is_flagged(self):
         p = JacobiParams(-0.95, 0.0)
         report = ratio_scan(p, [0.5], [1.0], [2.0])
@@ -89,8 +91,9 @@ class TestLongTime:
         ts = np.array([5.0, 10.0, 20.0])
         h = kernel_H_batch(p, ts, 1.3, 2.0)
         ratio = h / np.exp(-0.5 * ts * abs(p.lam))
-        assert_allclose(ratio, long_time_limit(p), rtol=2e-3)
-        assert abs(ratio[2] - long_time_limit(p)) < abs(ratio[0] - long_time_limit(p))
+        limit = 1.0 / mu_total(p)
+        assert_allclose(ratio, limit, rtol=2e-3)
+        assert abs(ratio[2] - limit) < abs(ratio[0] - limit)
 
     def test_fit_rate_meets_bound(self):
         for a, b in [(0.5, 0.5), (-0.75, -0.75)]:
