@@ -44,31 +44,39 @@ class UsageError(Exception):
     pass
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _parse_grid(text: str, flag: str) -> np.ndarray:
     """Comma list '0.1,0.2' or linspace shorthand 'lo:hi:n'."""
     text = text.strip()
     if not text:
         return np.array([])
-    if ":" in text:
-        lo, hi, n = text.split(":")
-        return np.linspace(float(lo), float(hi), int(n))
-    return np.array([float(x) for x in text.split(",")])
+    try:
+        if ":" in text:
+            lo, hi, n = text.split(":")
+            return np.linspace(float(lo), float(hi), int(n))
+        return np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        raise UsageError(f"{flag} wants a comma list x,y,... or lo:hi:n, got {text!r}") from None
+
+
+def _grid(args, config, name, default=""):
+    return _parse_grid(_opt(args, config, name, default), f"--{name}")
 
 
 def _parse_deriv(text: str):
-    parts = [int(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise UsageError(f"--deriv wants M,N,L, got {text!r}")
-    return tuple(parts)
+    try:
+        M, N, L = (int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"--deriv wants M,N,L, got {text!r}") from None
+    return M, N, L
 
 
 def _parse_atoms(text: str) -> czkernels.StieltjesAtoms:
-    times, weights = [], []
-    for chunk in text.split(","):
-        t, w = chunk.split(":")
-        times.append(float(t))
-        weights.append(float(w))
-    return czkernels.StieltjesAtoms(times=tuple(times), weights=tuple(weights))
+    try:
+        times, weights = zip(*((float(t), float(w))
+                               for t, w in (chunk.split(":") for chunk in text.split(","))))
+    except ValueError:
+        raise UsageError(f"--atoms wants t:w,t:w,..., got {text!r}") from None
+    return czkernels.StieltjesAtoms(times=times, weights=weights)
 
 
 def _parse_profile(text: str) -> czkernels.LaplaceProfile:
@@ -140,10 +148,10 @@ def cmd_kernel(args) -> int:
 def cmd_compare(args) -> int:
     config = _load_config(args.config)
     params = _params(args, config)
-    t_grid = _parse_grid(_opt(args, config, "t-grid", "0.1,0.5,1.0"))
-    theta_grid = _parse_grid(_opt(args, config, "theta-grid", "0.01,0.7853981633974483,"
-                                  "1.5707963267948966,2.356194490192345,3.131592653589793"))
-    phi_grid = _parse_grid(_opt(args, config, "phi-grid", "")) if _opt(args, config, "phi-grid") else theta_grid
+    t_grid = _grid(args, config, "t-grid", "0.1,0.5,1.0")
+    theta_grid = _grid(args, config, "theta-grid", "0.01,0.7853981633974483,1.5707963267948966,"
+                       "2.356194490192345,3.131592653589793")
+    phi_grid = _grid(args, config, "phi-grid") if _opt(args, config, "phi-grid") else theta_grid
     tol = float(_opt(args, config, "tol", 1e-6))
     if tol <= 0:
         raise UsageError(f"tolerance must be positive, got {tol}")
@@ -199,10 +207,10 @@ def _scan_report(args, config, params) -> EstimateReport:
     cap = _opt(args, config, "cap")
     if cap is not None and float(cap) < 1.0:
         raise UsageError(f"cap must be at least 1, got {cap}")
-    theta_grid = _parse_grid(_opt(args, config, "theta-grid", "0.15:2.991592653589793:15"))
-    phi_grid = _parse_grid(_opt(args, config, "phi-grid", "")) if _opt(args, config, "phi-grid") else theta_grid
+    theta_grid = _grid(args, config, "theta-grid", "0.15:2.991592653589793:15")
+    phi_grid = _grid(args, config, "phi-grid") if _opt(args, config, "phi-grid") else theta_grid
     if which == "sharp":
-        t_grid = _parse_grid(_opt(args, config, "t-grid", "0.05:1.0:10"))
+        t_grid = _grid(args, config, "t-grid", "0.05:1.0:10")
         return sharp.ratio_scan(params, t_grid, theta_grid, phi_grid,
                                 which=_opt(args, config, "comparator", "H"),
                                 cap=float(cap) if cap is not None else 50.0)
@@ -267,7 +275,7 @@ def cmd_apply(args) -> int:
         evaluator = operators.riesz_apply(exp, int(_opt(args, config, "N", 1)))
         if not eval_at:
             raise UsageError("--op riesz emits sampled values; give --eval-at")
-        thetas = _parse_grid(eval_at)
+        thetas = _parse_grid(eval_at, "--eval-at")
         lines = ["theta,value"] + [
             f"{format_float(float(t))},{format_float(float(evaluator(t)))}" for t in thetas
         ]
@@ -276,7 +284,7 @@ def cmd_apply(args) -> int:
     elif op == "gfun":
         if not eval_at:
             raise UsageError("--op gfun emits sampled values; give --eval-at")
-        thetas = _parse_grid(eval_at)
+        thetas = _parse_grid(eval_at, "--eval-at")
         vals = operators.g_function(exp, int(_opt(args, config, "M", 1)), int(_opt(args, config, "N", 0)), thetas)
         lines = ["theta,value"] + [
             f"{format_float(float(t))},{format_float(float(v))}" for t, v in zip(thetas, vals)
@@ -301,7 +309,7 @@ def cmd_apply(args) -> int:
         raise UsageError(f"unknown op {op!r}")
 
     if eval_at:
-        thetas = _parse_grid(eval_at)
+        thetas = _parse_grid(eval_at, "--eval-at")
         vals = operators.synthesize(out, thetas)
         lines = ["theta,value"] + [
             f"{format_float(float(t))},{format_float(complex(v) if np.iscomplexobj(vals) else float(v))}"

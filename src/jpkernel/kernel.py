@@ -269,31 +269,36 @@ def _axis_terms(gamma: float, n: int, delta: float):
             (np.array([1.0, -1.0]), np.array([0.5, 0.5]), 0)]
 
 
-def _integral_batch_banded(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor=2.0**-40):
+def _integral_batch_banded(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor=2.0**-40,
+                           with_mass=True):
     """Split a t batch into log-bands so each band gets its own mesh
     grading; small t needs deep grading that larger t should not pay for.
     Returns (values, sum |w psi|) as _integral_batch does."""
     t_min = float(t_arr.min())
     if float(t_arr.max()) <= 4.0 * t_min:
-        return _integral_batch(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor)
+        return _integral_batch(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor,
+                               with_mass)
     out = np.empty_like(t_arr)
-    mass = np.empty_like(t_arr)
+    mass = np.empty_like(t_arr) if with_mass else None
     lo = t_min
     while True:
         hi = lo * 4.0
         mask = (t_arr >= lo) & (t_arr < hi) if hi < float(t_arr.max()) else (t_arr >= lo)
         if np.any(mask):
-            out[mask], mass[mask] = _integral_batch(
-                params, t_arr[mask], theta, phi, M, N, L, n_nodes, delta_floor
+            out[mask], band_mass = _integral_batch(
+                params, t_arr[mask], theta, phi, M, N, L, n_nodes, delta_floor, with_mass
             )
+            if with_mass:
+                mass[mask] = band_mass
         if hi >= float(t_arr.max()):
             return out, mass
         lo = hi
 
 
-def _contract(vals, u_w, v_w):
+def _contract(vals, u_w, v_w, with_mass=True):
     """(sum_ij u_w[i] v_w[j] vals[t, i, j], sum_ij |u_w[i] v_w[j] vals[t, i, j]|)
-    for each t, weighting vals (a fresh evaluator output) in place.
+    for each t, weighting vals (a fresh evaluator output) in place.  The
+    second sum is None unless with_mass.
 
     Each sum is one ndarray.sum over the flattened (i, j) axes, i.e. numpy's
     pairwise summation, whose order is fixed by the row length (left to right
@@ -303,7 +308,7 @@ def _contract(vals, u_w, v_w):
     vals *= np.outer(u_w, v_w)
     rows = vals.reshape(len(vals), -1)
     total = rows.sum(axis=1)
-    return total, np.abs(rows, out=rows).sum(axis=1)
+    return total, np.abs(rows, out=rows).sum(axis=1) if with_mass else None
 
 
 def _integral_terms(params, t_min, theta, phi, n_nodes, delta_floor=2.0**-40):
@@ -320,20 +325,24 @@ def _integral_terms(params, t_min, theta, phi, n_nodes, delta_floor=2.0**-40):
             for un, uw, K in u_terms for vn, vw, R in v_terms]
 
 
-def _integral_batch(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor=2.0**-40):
+def _integral_batch(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor=2.0**-40,
+                    with_mass=True):
     """Companion-kernel derivative over a t batch at one resolution, and the
-    sum of |w psi| over the quadrature terms of each t (its roundoff scale)."""
+    sum of |w psi| over the quadrature terms of each t (its roundoff scale),
+    or None unless with_mass."""
     psi = psi_evaluator(params)
     terms = _integral_terms(params, float(t_arr.min()), theta, phi, n_nodes, delta_floor)
     out = np.zeros_like(t_arr)
-    mass = np.zeros_like(t_arr)
+    mass = np.zeros_like(t_arr) if with_mass else None
     for lo in range(0, t_arr.size, _T_CHUNK):
         chunk = slice(lo, lo + _T_CHUNK)
         tc = t_arr[chunk].reshape(-1, 1, 1)
         for u, v, wu, wv, K, R in terms:
-            vals, absvals = _contract(psi(tc, theta, phi, u, v, K=K, R=R, L=L, N=N, M=M), wu, wv)
+            vals, absvals = _contract(psi(tc, theta, phi, u, v, K=K, R=R, L=L, N=N, M=M), wu, wv,
+                                      with_mass)
             out[chunk] += vals
-            mass[chunk] += absvals
+            if with_mass:
+                mass[chunk] += absvals
     return out, mass
 
 
@@ -364,12 +373,12 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
     route = f"integral route (alpha={params.alpha}, beta={params.beta}, deriv={deriv})"
     point = f"t_min={t_arr.min():g}, theta={theta:g}, phi={phi:g}"
 
-    def batch(n):
+    def batch(n, with_mass):
         # D underflows to 0 at the integrand's singularity (t -> 0 on the
         # diagonal); refuse the non-finite result instead of warning on it.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             vals, mass = _integral_batch_banded(params, t_arr, theta, phi, M, N, L, n,
-                                                delta_floor)
+                                                delta_floor, with_mass)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError(
                 f"{route} hit the integrand's singularity: non-finite value for {point}"
@@ -377,12 +386,12 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
         return vals, mass
 
     n = base_nodes
-    prev, _ = batch(n)
+    prev, _ = batch(n, with_mass=False)  # only a converged batch's mass is read
     if max_doublings == 0:
         return prev if np.ndim(t) else float(prev[0])
     for _ in range(max_doublings):
         n *= 2
-        cur, mass = batch(n)
+        cur, mass = batch(n, with_mass=True)
         scale = float(np.max(np.abs(cur))) or 1e-300
         if np.max(np.abs(cur - prev)) <= rtol * scale:
             cond = float(np.max(mass)) / scale

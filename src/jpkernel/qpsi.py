@@ -3,65 +3,62 @@
 Psi(t, theta, phi, u, v) = c_ab sinh(t/2) / (cosh(t/2) - 1 + q)^sigma with
 q = 1 - u sin(t1/2) sin(t2/2) - v cos(t1/2) cos(t2/2) and sigma = a + b + 2.
 
-Derivatives are assembled by Faa di Bruno's formula over set partitions of
-the requested derivative tokens: for the inner function
-D = cosh(t/2) - 1 + q one has d^k/dx^k D^(-sigma) expansions whose blocks
-are partial derivatives of D, all of which are elementary (q is bilinear in
-(u, v) and trigonometric in (theta, phi); the mixed u-v derivative of q
-vanishes identically).  No finite differences anywhere.
+Derivatives follow the product rule in t over sinh(t/2) * D^(-sigma) and
+Faa di Bruno's formula for D^(-sigma), D = cosh(t/2) - 1 + q: a partition of
+the derivative tokens into k blocks contributes (-1)^k (sigma)_k D^(-sigma-k)
+times one partial of D per block.  No block mixes t with theta, phi, u or v
+(those partials of D vanish, as does the mixed u-v partial of q), so every
+term is S^a C^b * coefficient(theta, phi, u, v) * D^(-sigma-k) with
+S, C = sinh(t/2), cosh(t/2).
 
-Everything broadcasts: t, theta, phi, u, v may be numpy arrays of mutually
-broadcastable shapes.
+The plan of a multi-index groups the terms by block count k and t factor
+S^a C^b.  Each group's coefficient is built once on the small (theta, phi,
+u, v) shape and absorbs every scalar: multiplicity, sign, (sigma)_k,
+binomial, powers of 1/2 and c_ab.  On the full (t, u, v) tensor the
+evaluator forms D once and sums the powers in place by Horner's rule in 1/D,
+from the highest k down: one divide per further k and one multiply-add per
+(t factor, k), then one pow D^(-sigma-k) for the lowest k and one multiply.
+The pure (u, v) partials (L = N = M = 0) are a single term, multiplied out
+in place in the order of the per-partition sum the engine replaced, so the
+integral route's values at deriv (0, 0, 0) keep their rounding.  The trig
+partials come from one sin/cos pair per angle by the period-4 cycle, so
+their exact zeros stay exact.  No finite differences anywhere.  Everything
+broadcasts: t, theta, phi, u, v may be arrays of broadcastable shapes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb, prod
 
 import numpy as np
 
 from jpkernel.params import JacobiParams
 
 
-def _dsin_half(x, k):
-    """d^k/dx^k sin(x/2), by the period-4 cycle sin, cos, -sin, -cos of
-    x/2, so that even orders are exactly 0 at x = 0, where the phase form
-    sin(x/2 + k pi/2) would leave sin(pi) ~ 1.2e-16."""
-    f = np.cos if k % 2 else np.sin
-    return -(0.5**k) * f(0.5 * x) if k % 4 >= 2 else 0.5**k * f(0.5 * x)
-
-
-def _dcos_half(x, k):
-    """d^k/dx^k cos(x/2), by the cycle cos, -sin, -cos, sin of x/2, so that
-    odd orders are exactly 0 at x = 0 (not cos(pi/2) ~ 6e-17)."""
-    f = np.sin if k % 2 else np.cos
-    return -(0.5**k) * f(0.5 * x) if k % 4 in (1, 2) else 0.5**k * f(0.5 * x)
+def _dsin_half(s, c, k):
+    """d^k/dx^k sin(x/2) from (s, c) = (sin(x/2), cos(x/2)), by the period-4
+    cycle sin, cos, -sin, -cos, so that even orders are exactly 0 at x = 0,
+    where the phase form sin(x/2 + k pi/2) would leave sin(pi) ~ 1.2e-16.
+    d^k/dx^k cos(x/2) is 2 d^(k+1)/dx^(k+1) sin(x/2)."""
+    return 0.5**k * (s, c, -s, -c)[k % 4]
 
 
 def q_value(theta, phi, u, v):
-    return 1.0 - u * np.sin(0.5 * theta) * np.sin(0.5 * phi) - v * np.cos(0.5 * theta) * np.cos(
-        0.5 * phi
-    )
+    return (1.0 - u * np.sin(0.5 * theta) * np.sin(0.5 * phi)
+            - v * np.cos(0.5 * theta) * np.cos(0.5 * phi))
 
 
-def _q_partial(theta, phi, u, v, du, dv, dtheta, dphi):
-    """Any-order partial of q; exact.  Zero whenever du + dv >= 2."""
-    if du + dv >= 2:
-        return 0.0
-    if du == 1:
-        return -_dsin_half(theta, dtheta) * _dsin_half(phi, dphi)
-    if dv == 1:
-        return -_dcos_half(theta, dtheta) * _dcos_half(phi, dphi)
-    if dtheta == 0 and dphi == 0:
-        return q_value(theta, phi, u, v)
-    return -u * _dsin_half(theta, dtheta) * _dsin_half(phi, dphi) - v * _dcos_half(
-        theta, dtheta
-    ) * _dcos_half(phi, dphi)
+def _q_partial(trig, u, v, dtheta, dphi, du, dv):
+    """Partial of q of order (dtheta, dphi, du, dv) != 0 with du + dv <= 1,
+    from trig = ((sin, cos) of theta/2, (sin, cos) of phi/2); exact."""
+    (st, ct), (sp, cp) = trig
+    ss = _dsin_half(st, ct, dtheta) * _dsin_half(sp, cp, dphi)
+    cc = 4.0 * _dsin_half(st, ct, dtheta + 1) * _dsin_half(sp, cp, dphi + 1)
+    if du or dv:
+        return -ss if du else -cc
+    return -ss * u - cc * v
 
-
-# ---------------------------------------------------------------------------
-# set partitions and derivative plans
-# ---------------------------------------------------------------------------
 
 def _set_partitions(items):
     """All partitions of a list, as lists of blocks (lists)."""
@@ -76,43 +73,33 @@ def _set_partitions(items):
 
 
 @lru_cache(maxsize=256)
-def _faa_plan(mt: int, nth: int, lph: int, ku: int, rv: int):
-    """Plan for the (mt, nth, lph, ku, rv) mixed partial of D^(-sigma).
+def _plan(M: int, N: int, L: int, K: int, R: int):
+    """The (K, R, L, N, M) partial of sinh(t/2) D^(-sigma), grouped by block
+    count k and t factor S^a C^b.
 
-    Returns tuples (n_blocks, block_multiset, multiplicity) where each block
-    is a count vector (bt, bth, bph, bu, bv); partitions containing an
-    identically-zero block of D are dropped.
+    Returns ((k, (((a, b), terms), ...)), ...) in ascending k.  A term is
+    (weight, uv_blocks, angle_blocks): the orders (dtheta, dphi, du, dv) of
+    its blocks that differentiate q in u or v (scalars in (u, v)) and of
+    those in theta and phi alone, and a weight that holds the multiplicity,
+    the binomial, the sign (-1)^k and 0.5^M.  Partitions with an identically
+    zero block of D are dropped.
     """
-    tokens = ["t"] * mt + ["th"] * nth + ["ph"] * lph + ["u"] * ku + ["v"] * rv
-    plans: dict[tuple, int] = {}
-    for part in _set_partitions(list(range(len(tokens)))):
-        blocks = []
-        dead = False
-        for blk in part:
-            bt = sum(1 for i in blk if tokens[i] == "t")
-            bth = sum(1 for i in blk if tokens[i] == "th")
-            bph = sum(1 for i in blk if tokens[i] == "ph")
-            bu = sum(1 for i in blk if tokens[i] == "u")
-            bv = sum(1 for i in blk if tokens[i] == "v")
-            if bt > 0 and (bth + bph + bu + bv) > 0:
-                dead = True
-                break
-            if bu + bv >= 2:
-                dead = True
-                break
-            blocks.append((bt, bth, bph, bu, bv))
-        if dead:
-            continue
-        key = (len(blocks), tuple(sorted(blocks)))
-        plans[key] = plans.get(key, 0) + 1
-    return tuple((k[0], k[1], mult) for k, mult in plans.items())
-
-
-def _pochhammer(x: float, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= x + i
-    return out
+    groups: dict = {}
+    for j in range(M + 1):  # d^j sinh(t/2) = 0.5^j (S if j is even else C)
+        tokens = list("t" * (M - j) + "h" * N + "p" * L + "u" * K + "v" * R)
+        for part in _set_partitions(tokens):
+            blocks = [tuple(map(blk.count, "thpuv")) for blk in part]
+            if any((b[0] and sum(b) > b[0]) or b[3] + b[4] > 1 for b in blocks):
+                continue
+            t_orders = [b[0] for b in blocks if b[0]]  # 0.5^bt (S if bt is odd else C)
+            a = (j % 2 == 0) + sum(bt % 2 for bt in t_orders)
+            key = tuple(tuple(sorted(b[1:] for b in blocks if not b[0] and (b[3] + b[4] > 0) == uv))
+                        for uv in (True, False))
+            terms = groups.setdefault(len(blocks), {}).setdefault((a, 1 + len(t_orders) - a), {})
+            terms[key] = terms.get(key, 0.0) + comb(M, j) * (-1) ** len(blocks) * 0.5**M
+    return tuple((k, tuple((tf, tuple((w, *key) for key, w in terms.items()))
+                           for tf, terms in sorted(by_tf.items())))
+                 for k, by_tf in sorted(groups.items()))
 
 
 class PsiEvaluator:
@@ -131,40 +118,60 @@ class PsiEvaluator:
         t = np.asarray(t, dtype=float)
         S = np.sinh(0.5 * t)
         C = np.cosh(0.5 * t)
-        q = q_value(theta, phi, u, v)
-        D = (C - 1.0) + q
+        D = np.asarray((C - 1.0) + q_value(theta, phi, u, v))
+        trig = ((np.sin(0.5 * theta), np.cos(0.5 * theta)),
+                (np.sin(0.5 * phi), np.cos(0.5 * phi)))
+        if not (L or N or M):
+            # The orders the integral route takes at deriv (0, 0, 0): one
+            # Faa di Bruno term, multiplied out in place in the order of the
+            # per-partition sum, so those kernel values keep their rounding.
+            power = D ** (-self.sigma)
+            for _ in range(K + R):
+                power /= D
+            power *= (-1.0) ** (K + R) * prod(self.sigma + i for i in range(K + R))
+            for blk in ((0, 0, 0, 1),) * R + ((0, 0, 1, 0),) * K:
+                power *= _q_partial(trig, u, v, *blk)
+            power *= S
+            power *= self.c_ab
+            return power if np.ndim(power) else power[()]
 
-        sigma = self.sigma
-        powers = {0: D ** (-sigma)}  # D^(-sigma - k), filled on demand
+        q_partials: dict = {(): 1.0}  # products of q partials, by their orders
 
-        def power(k):
-            while k not in powers:
-                j = max(powers)
-                powers[j + 1] = powers[j] / D
-            return powers[k]
+        def q_product(blocks):  # by prefix; a self-reference would keep q_partials in a cycle
+            for n in range(len(blocks)):
+                if blocks[: n + 1] not in q_partials:
+                    q_partials[blocks[: n + 1]] = (q_partials[blocks[:n]]
+                                                   * _q_partial(trig, u, v, *blocks[n]))
+            return q_partials[blocks]
 
-        def d_block(bt, bth, bph, bu, bv):
-            if bt > 0:
-                return 0.5**bt * (S if bt % 2 == 1 else C)
-            return _q_partial(theta, phi, u, v, bu, bv, bth, bph)
-
-        def f_partial(mt):
-            acc = 0.0
-            for n_blocks, blocks, mult in _faa_plan(mt, N, L, K, R):
-                term = mult * (-1.0) ** n_blocks * _pochhammer(sigma, n_blocks) * power(n_blocks)
-                for blk in blocks:
-                    term = term * d_block(*blk)
-                acc = acc + term
-            return acc
-
-        # product rule in t over sinh(t/2) * F
-        out = 0.0
-        binom = 1
-        for j in range(M + 1):
-            s_j = 0.5**j * (S if j % 2 == 0 else C)
-            out = out + binom * s_j * f_partial(M - j)
-            binom = binom * (M - j) // (j + 1)
-        return self.c_ab * out
+        # Horner in 1/D from the highest block count down.  A t factor that
+        # every term shares is applied once, with the lowest power.
+        plan = _plan(M, N, L, K, R)
+        t_factors = {tf for _, groups in plan for tf, _ in groups}
+        shared = t_factors.pop() if len(t_factors) == 1 and len(plan) > 1 else None
+        acc = tmp = None
+        for k, groups in reversed(plan):
+            if acc is not None:
+                acc /= D
+            scale = self.c_ab * prod(self.sigma + i for i in range(k))
+            for (a, b), terms in groups:
+                coef = 0.0
+                for weight, uv, angle in terms:
+                    coef = coef + (weight * scale * q_product(uv)) * q_product(angle)
+                tf = 1.0 if shared else S**a * C**b
+                if acc is None:
+                    acc = np.multiply(tf, coef, out=np.empty_like(D))
+                elif shared or np.ndim(coef) == 0:
+                    acc += tf * coef
+                else:
+                    if tmp is None:
+                        tmp = np.empty_like(D)
+                    acc += np.multiply(tf, coef, out=tmp)
+        D **= -self.sigma - plan[0][0]
+        if shared:
+            D *= S ** shared[0] * C ** shared[1]
+        acc *= D
+        return acc if acc.ndim else acc[()]
 
 
 @lru_cache(maxsize=64)

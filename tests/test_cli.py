@@ -104,6 +104,32 @@ class TestCompareCommand:
         assert code == 2
 
 
+class TestParseErrors:
+    SCAN = ("scan", "--scan", "growth", "--kernel", "stieltjes", "--alpha", "0", "--beta", "0")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (SCAN + ("--atoms", "1.0"), "--atoms"),
+        (SCAN + ("--atoms", "1:x"), "--atoms"),
+        (SCAN + ("--theta-grid", "0:1"), "--theta-grid"),
+        (SCAN + ("--theta-grid", "0.5:1:x"), "--theta-grid"),
+        (SCAN + ("--phi-grid", "0.5,y"), "--phi-grid"),
+        (("compare", "--alpha", "0", "--beta", "0", "--t-grid", "0.1:0.5"), "--t-grid"),
+        (("kernel", "--alpha", "0", "--beta", "0", "--t", "1", "--theta", "1", "--phi", "2",
+          "--deriv", "1,x,0"), "--deriv"),
+        (("apply", "--op", "riesz", "--alpha", "0", "--beta", "0", "--eval-at", "0:1"),
+         "--eval-at"),
+    ], ids=lambda v: " ".join(v[-2:]) if isinstance(v, tuple) else v)
+    def test_malformed_value_names_the_flag(self, capsys, tmp_path, argv, flag):
+        if argv[0] == "apply":
+            expansion = tmp_path / "f.json"
+            expansion.write_text('{"alpha": 0.0, "beta": 0.0, "n_max": 1, "coeffs": [1.0, 0.5]}')
+            argv = argv + ("--in", str(expansion))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert flag in err
+        assert "wants" in err
+
+
 class TestScanCommand:
     def test_cap_violation_still_emits_report(self, capsys, tmp_path):
         out_path = tmp_path / "scan.csv"

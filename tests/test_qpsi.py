@@ -2,14 +2,28 @@
 
 import itertools
 import math
+import os
+import sys
 
 import numpy as np
+import pytest
+from _psi_reference import PsiEvaluator as PsiReference
+from conftest import ACCEPTANCE_SETS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from jpkernel._parallel import parallel_map
 from jpkernel.params import JacobiParams
-from jpkernel.qpsi import _dcos_half, _dsin_half, _q_partial, psi_evaluator, q_value
+from jpkernel.qpsi import _dsin_half, _plan, _q_partial, psi_evaluator, q_value
+
+# Every multi-index the integral route asks for: K, R, L <= 1 and N + M <= 3.
+SUPPORTED_ORDERS = [(K, R, L, N, M) for K, R, L in itertools.product([0, 1], repeat=3)
+                    for N in range(4) for M in range(4 - N)]
+
+
+def _trig(theta, phi):
+    return ((np.sin(0.5 * theta), np.cos(0.5 * theta)), (np.sin(0.5 * phi), np.cos(0.5 * phi)))
 
 
 class TestQ:
@@ -23,19 +37,29 @@ class TestQ:
         assert q_value(math.pi / 2, math.pi / 2, 0.0, 0.0) == 1.0
 
     def test_mixed_uv_derivative_vanishes(self):
-        assert _q_partial(1.0, 2.0, 0.3, 0.4, 1, 1, 0, 0) == 0.0
+        # q is bilinear in (u, v), so the plans never hold a block in both
+        u, v, h = 0.3, 0.4, 0.25
+        assert abs(q_value(1.0, 2.0, u + h, v + h) - q_value(1.0, 2.0, u + h, v)
+                   - q_value(1.0, 2.0, u, v + h) + q_value(1.0, 2.0, u, v)) < 1e-15
+        for K, R, L, N, M in SUPPORTED_ORDERS:
+            for _, groups in _plan(M, N, L, K, R):
+                for _, terms in groups:
+                    for _, uv, angle in terms:
+                        assert all(du + dv == 1 for _, _, du, dv in uv)
+                        assert all(du + dv == 0 for _, _, du, dv in angle)
 
     def test_odd_angle_derivative_is_exact_zero_at_zero(self):
         # d/dtheta cos(theta/2) = -sin(theta/2)/2 is exactly 0 at theta = 0
-        assert _q_partial(0.0, 1.3, 0.4, -0.2, 0, 1, 1, 0) == 0.0
-        assert _q_partial(1.3, 0.0, 0.4, -0.2, 0, 1, 0, 3) == 0.0
+        assert _q_partial(_trig(0.0, 1.3), 0.4, -0.2, 1, 0, 0, 1) == 0.0
+        assert _q_partial(_trig(1.3, 0.0), 0.4, -0.2, 0, 3, 0, 1) == 0.0
 
     def test_trig_derivatives_match_phase_shift_form(self):
         x = np.linspace(0.0, math.pi, 181)
+        s, c = np.sin(0.5 * x), np.cos(0.5 * x)
         for k in range(5):
-            assert_allclose(_dsin_half(x, k), 0.5**k * np.sin(0.5 * x + 0.5 * k * math.pi),
+            assert_allclose(_dsin_half(s, c, k), 0.5**k * np.sin(0.5 * x + 0.5 * k * math.pi),
                             rtol=0, atol=1e-15)
-            assert_allclose(_dcos_half(x, k), 0.5**k * np.cos(0.5 * x + 0.5 * k * math.pi),
+            assert_allclose(2.0 * _dsin_half(s, c, k + 1), 0.5**k * np.cos(0.5 * x + 0.5 * k * math.pi),
                             rtol=0, atol=1e-15)
 
     @settings(max_examples=50, deadline=None)
@@ -123,3 +147,87 @@ class TestPsi:
         v = np.linspace(-1, 1, 3).reshape(1, 1, -1)
         out = ev(t, 1.0, 2.0, u, v, K=1, L=1, N=1, M=1)
         assert out.shape == (7, 5, 3)
+
+
+class TestEngineAgainstReference:
+    """The grouped engine against the per-partition evaluator it replaced
+    (tests/_psi_reference.py), over every supported multi-index: within
+    roundoff, exact zeros where it has them, and == at L = N = M = 0."""
+
+    T = np.geomspace(1e-6, 2.0, 9).reshape(1, -1, 1, 1)
+    U = np.linspace(-1.0, 1.0, 9).reshape(1, 1, -1, 1)
+    V = np.linspace(-1.0, 1.0, 7).reshape(1, 1, 1, -1)
+    ANGLES = (0.0, 0.4, 1.3, math.pi)
+
+    def _both(self, p, theta, phi, orders):
+        theta = np.asarray(theta, dtype=float).reshape(-1, 1, 1, 1)
+        phi = np.asarray(phi, dtype=float).reshape(-1, 1, 1, 1)
+        K, R, L, N, M = orders
+        kw = dict(K=K, R=R, L=L, N=N, M=M)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return (psi_evaluator(p)(self.T, theta, phi, self.U, self.V, **kw),
+                    PsiReference(p)(self.T, theta, phi, self.U, self.V, **kw))
+
+    @pytest.mark.parametrize("ab", ACCEPTANCE_SETS + [(-0.5, -0.5)],
+                             ids=lambda ab: f"a{ab[0]}_b{ab[1]}")
+    def test_off_diagonal_within_roundoff(self, ab):
+        pairs = [(th, ph) for th in self.ANGLES for ph in self.ANGLES if th != ph]
+        theta, phi = zip(*pairs)
+        for orders in SUPPORTED_ORDERS:
+            new, ref = self._both(JacobiParams(*ab), theta, phi, orders)
+            assert new.shape == ref.shape
+            scale = np.max(np.abs(ref), axis=(1, 2, 3))
+            err = np.max(np.abs(new - ref), axis=(1, 2, 3))
+            assert np.all(err <= 1e-13 * scale), (orders, err / np.where(scale, scale, 1.0))
+            assert np.all(new[ref == 0.0] == 0.0), orders
+            if not any(orders[2:]):  # the integral route's orders at deriv (0, 0, 0)
+                assert np.array_equal(new, ref)
+
+    @pytest.mark.parametrize("ab", ACCEPTANCE_SETS + [(-0.5, -0.5)],
+                             ids=lambda ab: f"a{ab[0]}_b{ab[1]}")
+    def test_diagonal_exact_zeros_and_order_zero(self, ab):
+        # On the diagonal at u or v = +-1, q = 0 and D = cosh(t/2) - 1: the
+        # Faa di Bruno terms, each of size D^(-sigma-k), cancel to a value
+        # many orders of magnitude below them (for sigma = 1/2, Psi is smooth
+        # there), so both evaluators carry that cancellation's roundoff and
+        # no order of summation agrees to 1e-13.  What stays exact is checked.
+        for orders in SUPPORTED_ORDERS:
+            new, ref = self._both(JacobiParams(*ab), self.ANGLES, self.ANGLES, orders)
+            finite = np.isfinite(ref)
+            assert np.array_equal(np.isfinite(new), finite), orders
+            assert np.all(new[ref == 0.0] == 0.0), orders
+            if not any(orders[2:]):  # the integral route's orders at deriv (0, 0, 0)
+                assert np.array_equal(new, ref)
+
+    def test_scalar_input_gives_a_scalar(self):
+        p = JacobiParams(2.0, -0.25)
+        for K, R, L, N, M in SUPPORTED_ORDERS:
+            new = psi_evaluator(p)(0.3, 0.0, 2.2, 0.2, -1.0, K=K, R=R, L=L, N=N, M=M)
+            ref = PsiReference(p)(0.3, 0.0, 2.2, 0.2, -1.0, K=K, R=R, L=L, N=N, M=M)
+            assert np.ndim(new) == 0 and type(new) is type(ref)
+            assert abs(new - ref) <= 1e-13 * abs(ref) or new == ref == 0.0
+
+    def test_shared_evaluator_across_threads_is_bitwise_serial(self, monkeypatch):
+        # more workers than cores, switching often, over one shared instance
+        psi = psi_evaluator(JacobiParams(-0.75, 0.5))
+        t = np.geomspace(0.01, 1.0, 6).reshape(-1, 1, 1)
+        u = np.linspace(-0.99, 0.99, 40).reshape(1, -1, 1)
+        v = np.linspace(-0.99, 0.99, 40).reshape(1, 1, -1)
+        items = [(orders, th) for orders in SUPPORTED_ORDERS for th in (0.0, 0.7, 2.9)]
+
+        def one(item):
+            (K, R, L, N, M), th = item
+            return psi(t, th, 1.6, u, v, K=K, R=R, L=L, N=N, M=M)
+
+        monkeypatch.setenv("JPK_THREADS", "1")
+        serial = parallel_map(one, items)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setenv("JPK_THREADS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = parallel_map(one, items)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threaded) == len(serial)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
