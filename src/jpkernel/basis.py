@@ -10,9 +10,8 @@ is what ties everything to standard Gauss-Jacobi machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,20 +20,6 @@ from jpkernel.errors import UnsupportedOrderError
 from jpkernel.params import JacobiParams
 
 MAX_DERIV_ORDER = 4
-
-
-def classical_jacobi_eval(params: JacobiParams, n: int, x):
-    """Degree-n classical Jacobi polynomial at x, by forward recurrence.
-
-    x may be a scalar or array in [-1, 1].
-    """
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + 1e-14):
-        raise ValueError("argument outside [-1, 1]")
-    out = _classical_all(params.alpha, params.beta, n, x)[n]
-    return float(out) if out.ndim == 0 else out
 
 
 def _classical_all(alpha: float, beta: float, n_max: int, x):
@@ -80,35 +65,6 @@ def norm_constant(alpha: float, beta: float, n: int) -> float:
     return math.exp(0.5 * _log_h2(alpha, beta, n))
 
 
-def _trig_eval_raw(alpha: float, beta: float, n: int, theta):
-    x = np.cos(np.asarray(theta, dtype=float))
-    vals = _classical_all(alpha, beta, n, x)[n]
-    return vals / norm_constant(alpha, beta, n)
-
-
-def _trig_deriv_raw(alpha: float, beta: float, n: int, theta, order: int):
-    """d^order/d theta^order of the orthonormal polynomial, exactly.
-
-    Uses the ladder identity
-        d/dt P_n^{a,b} = -(1/2) sqrt(n (n+a+b+1)) sin(t) P_{n-1}^{a+1,b+1}
-    (both sides orthonormal) together with the Leibniz rule.
-    """
-    if order == 0:
-        return _trig_eval_raw(alpha, beta, n, theta)
-    if n == 0:
-        return np.zeros(np.shape(theta)) if np.ndim(theta) else 0.0
-    theta = np.asarray(theta, dtype=float)
-    coeff = -0.5 * math.sqrt(n * (n + alpha + beta + 1.0))
-    k = order - 1
-    acc = 0.0
-    for j in range(k + 1):
-        sin_j = np.sin(theta + 0.5 * j * np.pi)
-        acc = acc + math.comb(k, j) * sin_j * _trig_deriv_raw(
-            alpha + 1.0, beta + 1.0, n - 1, theta, k - j
-        )
-    return coeff * acc
-
-
 @dataclass(frozen=True)
 class OrthonormalBasis:
     """The first n_max+1 orthonormal Jacobi trigonometric polynomials.
@@ -121,36 +77,10 @@ class OrthonormalBasis:
 
     params: JacobiParams
     n_max: int
-    norm_constants: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_max < 0:
             raise ValueError(f"n_max must be nonnegative, got {self.n_max}")
-        h = np.array(
-            [norm_constant(self.params.alpha, self.params.beta, n) for n in range(self.n_max + 1)]
-        )
-        object.__setattr__(self, "norm_constants", h)
-
-    def _check_index(self, n: int):
-        if not 0 <= n <= self.n_max:
-            raise IndexError(f"basis index {n} outside 0..{self.n_max}")
-
-
-def trig_poly_eval(basis: OrthonormalBasis, n: int, theta):
-    """Orthonormal P_n at theta in [0, pi]."""
-    basis._check_index(n)
-    p = basis.params
-    return _trig_eval_raw(p.alpha, p.beta, n, theta)
-
-
-def trig_poly_deriv(basis: OrthonormalBasis, n: int, theta, order: int):
-    """d^order/d theta^order of the orthonormal P_n; order <= 4."""
-    if order < 0 or order > MAX_DERIV_ORDER:
-        raise UnsupportedOrderError(f"derivative order {order} unsupported (max {MAX_DERIV_ORDER})")
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
-    p = basis.params
-    return _trig_deriv_raw(p.alpha, p.beta, n, theta, order)
 
 
 def trig_poly_table(params: JacobiParams, n_max: int, theta, order: int = 0):
@@ -186,28 +116,20 @@ def trig_poly_table(params: JacobiParams, n_max: int, theta, order: int = 0):
     return table(order, 0)
 
 
-def mu_density(params: JacobiParams, theta):
-    """Density of d(mu) at theta; +inf at the endpoints when an exponent is negative."""
-    theta = np.asarray(theta, dtype=float)
-    with np.errstate(divide="ignore"):
-        val = np.sin(0.5 * theta) ** (2.0 * params.alpha + 1.0) * np.cos(0.5 * theta) ** (
-            2.0 * params.beta + 1.0
-        )
-    return float(val) if val.ndim == 0 else val
-
-
 def mu_total(params: JacobiParams) -> float:
     """mu([0, pi]) = Beta(alpha+1, beta+1)."""
     return specfun.beta(params.alpha + 1.0, params.beta + 1.0)
 
 
-def _mu_interval(params: JacobiParams, lo: float, hi: float) -> float:
-    """Exact mu((lo, hi) /\\ [0, pi]) via the regularized incomplete Beta.
+def mu_ball(params: JacobiParams, theta: float, r: float) -> float:
+    """Exact mu((theta-r, theta+r) /\\ [0, pi]) via the regularized incomplete Beta.
 
     Substituting x = sin^2(theta/2) turns the density into x^alpha (1-x)^beta.
     """
-    lo = min(max(lo, 0.0), math.pi)
-    hi = min(max(hi, 0.0), math.pi)
+    if r < 0:
+        raise ValueError(f"radius must be nonnegative, got {r}")
+    lo = min(max(theta - r, 0.0), math.pi)
+    hi = min(max(theta + r, 0.0), math.pi)
     if hi <= lo:
         return 0.0
     a, b = params.alpha + 1.0, params.beta + 1.0
@@ -226,26 +148,6 @@ def ball_surrogate(params: JacobiParams, theta: float, phi: float) -> float:
         * (theta + phi) ** (2.0 * params.alpha + 1.0)
         * (2.0 * math.pi - theta - phi) ** (2.0 * params.beta + 1.0)
     )
-
-
-class BallMeasure(NamedTuple):
-    exact: float
-    surrogate_plus: float
-    surrogate_minus: float
-
-
-def mu_ball(params: JacobiParams, theta: float, r: float) -> BallMeasure:
-    """mu((theta-r, theta+r) /\\ [0, pi]), with the scan surrogates at phi = theta +/- r.
-
-    Surrogates are NaN when theta +/- r leaves [0, pi] (the comparability
-    statement lives on the square).
-    """
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    exact = _mu_interval(params, theta - r, theta + r)
-    sp = ball_surrogate(params, theta, theta + r) if theta + r <= math.pi else math.nan
-    sm = ball_surrogate(params, theta, theta - r) if theta - r >= 0.0 else math.nan
-    return BallMeasure(exact, sp, sm)
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,7 @@ import numpy as np
 
 from jpkernel import czkernels, operators, sharp
 from jpkernel.errors import JPKError
-from jpkernel.kernel import (
-    KernelQuery,
-    h_script_f4,
-    h_script_general,
-    h_script_integral,
-    jph_correction,
-    kernel_eval,
-    series_H,
-)
+from jpkernel.kernel import KernelQuery, kernel_eval
 from jpkernel.params import JacobiParams
 from jpkernel.report import EstimateReport, format_float
 
@@ -158,25 +150,18 @@ def cmd_compare(args) -> int:
     if t_grid.size == 0 or theta_grid.size == 0 or phi_grid.size == 0:
         raise UsageError("compare grids must be non-empty")
 
-    header = "t,theta,phi,series,f4,integral,general,max_rel_diff"
-    lines = [header]
+    routes = ("series", "f4", "integral", "general")
+    lines = ["t,theta,phi,series,f4,integral,general,max_rel_diff"]
     max_rel = 0.0
     failed = False
     for t in t_grid:
-        corr = float(jph_correction(params, float(t)))
         for theta in theta_grid:
             for phi in phi_grid:
                 vals = {}
-                for name, fn in (
-                    ("series", lambda: float(series_H(params, float(t), float(theta), float(phi)))),
-                    ("f4", lambda: h_script_f4(params, float(t), float(theta), float(phi)) + corr),
-                    ("integral", lambda: float(h_script_integral(
-                        params, float(t), float(theta), float(phi))) + corr),
-                    ("general", lambda: h_script_general(
-                        params, float(t), float(theta), float(phi)) + corr),
-                ):
+                for name in routes:
+                    query = KernelQuery(float(t), float(theta), float(phi), method=name)
                     try:
-                        vals[name] = fn()
+                        vals[name] = kernel_eval(params, query)
                     except JPKError as exc:
                         vals[name] = math.nan
                         failed = True
@@ -190,7 +175,7 @@ def cmd_compare(args) -> int:
                     max_rel = max(max_rel, rel)
                 lines.append(",".join(
                     [format_float(float(t)), format_float(float(theta)), format_float(float(phi))]
-                    + [format_float(vals[k]) for k in ("series", "f4", "integral", "general")]
+                    + [format_float(vals[k]) for k in routes]
                     + [format_float(rel)]
                 ))
     _emit("\n".join(lines) + "\n", args.out)

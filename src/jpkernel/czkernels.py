@@ -8,8 +8,12 @@ Realized kernels (theta != phi), with their Banach-space norms:
   laplace   -- -int profile(t) d_t H_t dt,                     scalar;
   stieltjes -- sum_j w_j H_{t_j},                               scalar.
 
-The t-integrals split at t = 1: below, the t-uniform integral route of the
-kernel module on a log-spaced Gauss grid; above, exact per-mode upper
+Every kernel gets its H values from kernel.kernel_H_batch: stieltjes at its
+atoms with the default resolution, the others through _KernelBase._H at the
+resolution preset's integral-route settings.  The maximal kernel's t grid
+splits between the integral and series routes at AUTO_SPLIT_T, as 'auto'
+does.  The t-integrals split at t = 1: below, all their log-spaced Gauss
+nodes take the t-uniform integral route; above, exact per-mode upper
 incomplete-Gamma closures of the spectral series (for riesz and gfun) or
 geometrically-paneled Gauss with the series route plus a certified drop of
 the exponentially small remainder (laplace).
@@ -36,7 +40,7 @@ from jpkernel import specfun
 from jpkernel._parallel import parallel_map
 from jpkernel.basis import mu_ball, mu_total, trig_poly_table
 from jpkernel.errors import TailError
-from jpkernel.kernel import AUTO_SPLIT_T, h_script_integral, jph_correction, kernel_H_batch, series_H
+from jpkernel.kernel import AUTO_SPLIT_T, kernel_H_batch, series_H
 from jpkernel.params import JacobiParams
 from jpkernel.report import EstimateReport
 
@@ -147,12 +151,10 @@ def _coef(alpha: float, beta: float, angle: float, order: int, n_cut: int = TAIL
     return trig_poly_table(params, n_cut, np.float64(angle), order=order)
 
 
-def _rates(params: JacobiParams, n_cut: int = TAIL_N_CUT):
-    return np.abs(np.arange(n_cut + 1, dtype=float) + 0.5 * params.lam)
-
-
 class _KernelBase:
-    """Shared t-quadrature plumbing at one resolution preset."""
+    """A kernel at one resolution preset: its small-t Gauss rule and its one
+    path to H values, kernel_H_batch at the preset's integral-route rtol,
+    nodes, doublings and grading floor."""
 
     def __init__(self, params: JacobiParams, quality: str = "accurate"):
         if quality not in PRESETS:
@@ -165,19 +167,16 @@ class _KernelBase:
         p = self.preset
         return _small_t_rule(p["t_lo"], p["panels"], p["t_nodes"])
 
-    def _small_H(self, ts, theta, phi, M, N, L):
-        """H-derivative values on the small-t nodes via the integral route."""
+    def _H(self, ts, theta, phi, M, N, L, split=math.inf):
+        """H-derivative values on ts at the preset's resolution: the
+        integral route below split (by default all of ts, the t < 1 nodes
+        of the t-integrals) and the series route from split on."""
         if theta == phi:
             raise ValueError(f"the {self.name} kernel is evaluated off the diagonal only")
         p = self.preset
-        vals = h_script_integral(
-            self.params, ts, theta, phi, deriv=(M, N, L), rtol=p["rtol"],
-            base_nodes=p["base_nodes"], max_doublings=p["doublings"],
-            delta_floor=p["delta_floor"],
-        )
-        if N == 0 and L == 0:
-            vals = vals + jph_correction(self.params, ts, M=M)
-        return vals
+        return kernel_H_batch(self.params, ts, theta, phi, M, N, L, rtol=p["rtol"], split=split,
+                              base_nodes=p["base_nodes"], max_doublings=p["doublings"],
+                              delta_floor=p["delta_floor"])
 
 
 # Norms of the scalar-valued kernels (Riesz, Laplace, Stieltjes), bound as
@@ -218,15 +217,6 @@ class MaximalKernel(_KernelBase):
         super().__init__(params, quality)
         self.t_grid = _maximal_t_grid(self.preset["sup_t_lo"], self.preset["sup_per_decade"])
 
-    def _eval_batch(self, ts, theta, phi, dth, dph):
-        out = np.empty_like(ts)
-        small = ts < AUTO_SPLIT_T
-        if np.any(small):
-            out[small] = self._small_H(ts[small], theta, phi, 0, dth, dph)
-        if np.any(~small):
-            out[~small] = series_H(self.params, ts[~small], theta, phi, N=dth, L=dph)
-        return out
-
     def _refined_max(self, abs_vals):
         """(grid max, refined max) of abs_vals, a map t array -> |values|:
         the t-grid maximum, then golden section between its neighbours."""
@@ -248,7 +238,7 @@ class MaximalKernel(_KernelBase):
     def norm_detail(self, theta, phi, dth=0, dph=0):
         """(grid max, refined max) per the approximation contract."""
         grid_max, refined = self._refined_max(
-            lambda ts: np.abs(self._eval_batch(ts, theta, phi, dth, dph)))
+            lambda ts: np.abs(self._H(ts, theta, phi, 0, dth, dph, split=AUTO_SPLIT_T)))
         if self.params.lam == 0.0 and dth == 0 and dph == 0:
             refined = max(refined, 1.0 / mu_total(self.params))
         return grid_max, refined
@@ -260,8 +250,9 @@ class MaximalKernel(_KernelBase):
         return self.norm_detail(theta, phi, dth=1)[1], self.norm_detail(theta, phi, dph=1)[1]
 
     def diff_norm(self, theta, theta2, phi):
-        return self._refined_max(lambda ts: np.abs(self._eval_batch(ts, theta, phi, 0, 0)
-                                                   - self._eval_batch(ts, theta2, phi, 0, 0)))[1]
+        return self._refined_max(
+            lambda ts: np.abs(self._H(ts, theta, phi, 0, 0, 0, split=AUTO_SPLIT_T)
+                              - self._H(ts, theta2, phi, 0, 0, 0, split=AUTO_SPLIT_T)))[1]
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 36) -> float:
@@ -301,9 +292,9 @@ class RieszKernel(_KernelBase):
         N = self.N
         p = self.params
         ts, ws = self._t_rule()
-        vals = self._small_H(ts, theta, phi, 0, N + dth, dph)
+        vals = self._H(ts, theta, phi, 0, N + dth, dph)
         small = float(np.sum(ws * vals * ts ** (N - 1)))
-        a = _rates(p)
+        a = p.rates(TAIL_N_CUT)
         coef = _coef(p.alpha, p.beta, theta, N + dth) * _coef(p.alpha, p.beta, phi, dph)
         nz = a > 0
         tail = float(np.sum(coef[nz] * specfun.gammaincc_times_gamma(N, a[nz]) / a[nz] ** N))
@@ -329,10 +320,9 @@ class SquareFunctionKernel(_KernelBase):
         d_theta^dth d_phi^dph derivative."""
         p = self.params
         ts, _ = self._t_rule()
-        vals = self._small_H(ts, theta, phi, self.M, self.N + dth, dph)
-        coef = (-_rates(p)) ** self.M * _coef(p.alpha, p.beta, theta, self.N + dth) * _coef(
-            p.alpha, p.beta, phi, dph
-        )
+        vals = self._H(ts, theta, phi, self.M, self.N + dth, dph)
+        coef = (-p.rates(TAIL_N_CUT)) ** self.M * _coef(
+            p.alpha, p.beta, theta, self.N + dth) * _coef(p.alpha, p.beta, phi, dph)
         return vals, coef
 
     def _l2_sq(self, vals, coef):
@@ -341,7 +331,7 @@ class SquareFunctionKernel(_KernelBase):
         W = 2 * (self.M + self.N)
         ts, ws = self._t_rule()
         small = float(np.sum(ws * vals * vals * ts ** (W - 1)))
-        a = _rates(self.params)
+        a = self.params.rates(TAIL_N_CUT)
         s = a[:, None] + a[None, :]
         cc = coef[:, None] * coef[None, :]
         mask = (s > 0) & (cc != 0.0)
@@ -374,8 +364,8 @@ class LaplaceKernel(_KernelBase):
         super().__init__(params, quality)
         self.profile = profile
         self.name = f"laplace[{profile.name}]"
-        a0 = 0.5 * abs(params.lam)
-        decay = a0 if a0 > 0 else abs(1.0 + 0.5 * params.lam)
+        a0, a1 = params.rates(1)
+        decay = float(a0 if a0 > 0 else a1)
         self.t_star = max(40.0, 34.0 / decay)
         if self.t_star > _T_STAR_CAP:
             raise TailError(
@@ -386,8 +376,8 @@ class LaplaceKernel(_KernelBase):
     def _value(self, theta, phi, dth=0, dph=0):
         p = self.params
         ts, ws = self._t_rule()
-        small = np.sum(ws * self.profile.fn(ts) * self._small_H(ts, theta, phi, 1, dth, dph))
-        a = _rates(p)
+        small = np.sum(ws * self.profile.fn(ts) * self._H(ts, theta, phi, 1, dth, dph))
+        a = p.rates(TAIL_N_CUT)
         coef = np.abs(_coef(p.alpha, p.beta, theta, dth) * _coef(p.alpha, p.beta, phi, dph))
         nz = a > 0
         t_star = self.t_star
@@ -505,7 +495,7 @@ def _pair_check(kind, probe, sep_power, params, kernel, theta_grid, phi_grid, ca
     for theta, phi in pairs:
         sep = abs(theta - phi)
         w = sep ** sep_power
-        ball = mu_ball(params, theta, sep).exact
+        ball = mu_ball(params, theta, sep)
         v = values[(theta, phi)]
         rows.append((theta, phi, v, 1.0 / (w * ball), v * w * ball))
     worst = (-math.inf, None)
@@ -560,7 +550,7 @@ def smoothness_check(params: JacobiParams, kernel, n_samples: int = 100, seed: i
         theta2 = theta + step
         if not 0.0 < theta2 < math.pi or abs(theta2 - phi) < 1e-6:
             continue
-        ball = mu_ball(params, theta, sep).exact
+        ball = mu_ball(params, theta, sep)
         diff = k.diff_norm(theta, theta2, phi)
         bound = abs(step) / (sep * ball)
         rows.append((theta, theta2, phi, diff, bound, diff / bound))

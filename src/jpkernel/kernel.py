@@ -63,8 +63,7 @@ class KernelQuery:
     method: str = "auto"
 
     def __post_init__(self):
-        if not 0 < self.t < math.inf:
-            raise ValueError(f"t must be positive and finite, got {self.t}")
+        _check_t(self.t)
         for name, val in (("theta", self.theta), ("phi", self.phi)):
             if not 0.0 <= val <= math.pi:
                 raise ValueError(f"{name} must lie in [0, pi], got {val}")
@@ -77,11 +76,13 @@ class KernelQuery:
             raise UnsupportedOrderError(f"method {self.method!r} supports values only")
 
 
-def _require_finite(t_arr):
-    """Raise ValueError naming the first non-finite entry of a t array."""
-    bad = t_arr[~np.isfinite(t_arr)]
+def _check_t(t):
+    """Raise ValueError naming the first entry of t (a scalar or an array)
+    that is not positive and finite."""
+    t_arr = np.asarray(t, dtype=float)
+    bad = t_arr[~((t_arr > 0.0) & (t_arr < math.inf))]
     if bad.size:
-        raise ValueError(f"t must be finite, got {bad[0]}")
+        raise ValueError(f"t must be positive and finite, got {bad[0]}")
 
 
 def closed_form_chebyshev(t, theta, phi):
@@ -129,11 +130,10 @@ def series_H(params: JacobiParams, t, theta: float, phi, M=0, N=0, L=0, rtol=1e-
     broadcasts to shape t.shape + phi.shape (scalar axes squeezed).
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    _require_finite(t_arr)
+    _check_t(t_arr)
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
     n_cut = _series_cut(params, float(t_arr.min()), M, N, L, rtol)
-    n = np.arange(n_cut + 1, dtype=float)
-    rates = np.abs(n + 0.5 * params.lam)
+    rates = params.rates(n_cut)
     coef = trig_poly_table(params, n_cut, np.float64(theta), order=N)[:, None] * trig_poly_table(
         params, n_cut, phi_arr, order=L
     )
@@ -163,8 +163,7 @@ def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float, rtol=1
     anti-diagonal is three vector passes (divide, multiply, dot) over
     buffers allocated once per call, so no diagonal allocates memory.
     """
-    if not 0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
+    _check_t(t)
     ch = math.cosh(0.5 * t)
     sx = math.sin(0.5 * theta) * math.sin(0.5 * phi) / ch
     sy = math.cos(0.5 * theta) * math.cos(0.5 * phi) / ch
@@ -367,9 +366,7 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
             f"integral route supports L <= 1 and N + M <= 3, got {deriv}"
         )
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    _require_finite(t_arr)
-    if np.any(t_arr <= 0):
-        raise ValueError("t must be positive")
+    _check_t(t_arr)
     route = f"integral route (alpha={params.alpha}, beta={params.beta}, deriv={deriv})"
     point = f"t_min={t_arr.min():g}, theta={theta:g}, phi={phi:g}"
 
@@ -463,8 +460,7 @@ def h_script_general(params: JacobiParams, t: float, theta: float, phi: float,
     cancellation floor: the doubly-differenced integrand loses a few digits
     when the exponent alpha + beta + 2 is large.
     """
-    if not 0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
+    _check_t(t)
     n = _BASE_NODES
     prev = _general_once(params, t, theta, phi, n)
     for _ in range(_MAX_DOUBLINGS):
@@ -524,14 +520,19 @@ def kernel_eval(params: JacobiParams, query: KernelQuery) -> float:
 
 
 def kernel_H_batch(params: JacobiParams, t_arr, theta: float, phi: float, M=0, N=0, L=0,
-                   rtol=1e-9):
-    """H derivatives over a t array, integral route below AUTO_SPLIT_T and
-    series above; the workhorse of the t-integrated kernel scans."""
+                   rtol=1e-9, split=AUTO_SPLIT_T, base_nodes=_BASE_NODES,
+                   max_doublings=_MAX_DOUBLINGS, delta_floor=2.0**-40):
+    """H derivatives over a t array, the integral route (plus the sinh
+    correction) below split and the series route from split on; the
+    workhorse of the t-integrated kernel scans.  rtol, base_nodes,
+    max_doublings and delta_floor go to h_script_integral."""
     t_arr = np.asarray(t_arr, dtype=float)
     out = np.empty_like(t_arr)
-    small = t_arr < AUTO_SPLIT_T
+    small = t_arr < split
     if np.any(small):
-        vals = h_script_integral(params, t_arr[small], theta, phi, deriv=(M, N, L), rtol=rtol)
+        vals = h_script_integral(params, t_arr[small], theta, phi, deriv=(M, N, L), rtol=rtol,
+                                 base_nodes=base_nodes, max_doublings=max_doublings,
+                                 delta_floor=delta_floor)
         if N == 0 and L == 0:
             vals = vals + jph_correction(params, t_arr[small], M=M)
         out[small] = vals

@@ -42,8 +42,7 @@ class Expansion:
         return self.basis.params
 
     def rates(self) -> np.ndarray:
-        n = np.arange(self.basis.n_max + 1, dtype=float)
-        return np.abs(n + 0.5 * self.params.lam)
+        return self.params.rates(self.basis.n_max)
 
 
 def unit_expansion(basis: OrthonormalBasis, n: int) -> Expansion:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from jpkernel import specfun
 
 
@@ -32,6 +34,10 @@ class JacobiParams:
     @property
     def lam(self) -> float:
         return self.alpha + self.beta + 1.0
+
+    def rates(self, n_max: int) -> np.ndarray:
+        """The decay rates |n + lam/2| of modes n = 0..n_max."""
+        return np.abs(np.arange(n_max + 1, dtype=float) + 0.5 * self.lam)
 
     @property
     def sigma(self) -> float:

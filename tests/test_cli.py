@@ -103,6 +103,25 @@ class TestCompareCommand:
         )
         assert code == 2
 
+    def test_theta_outside_range_usage_exit(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compare", "--alpha", "0", "--beta", "0", "--t-grid", "0.5",
+            "--theta-grid", "4.0", "--phi-grid", "1.0",
+        )
+        assert code == 2
+        assert "theta must lie in [0, pi], got 4.0" in err
+        assert out == ""
+
+    def test_nonpositive_t_usage_exit(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compare", "--alpha", "0", "--beta", "0", "--t-grid", "-0.5",
+            "--theta-grid", "1.0",
+        )
+        assert code == 2
+        assert "t must be positive and finite, got -0.5" in err
+        assert "failed" not in err
+        assert out == ""
+
 
 class TestParseErrors:
     SCAN = ("scan", "--scan", "growth", "--kernel", "stieltjes", "--alpha", "0", "--beta", "0")

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate
 
 from jpkernel._parallel import thread_count
-from jpkernel.basis import OrthonormalBasis, mu_total, theta_quad_rule, trig_poly_deriv, trig_poly_table
+from jpkernel.basis import OrthonormalBasis, mu_total, theta_quad_rule, trig_poly_table
 from jpkernel.czkernels import (
     LaplaceKernel,
     MaximalKernel,
@@ -28,6 +28,8 @@ from jpkernel.czkernels import (
 from jpkernel.errors import TailError
 from jpkernel.kernel import closed_form_chebyshev
 from jpkernel.params import JacobiParams
+
+from _basis_reference import trig_poly_deriv
 
 CHEB = JacobiParams(-0.5, -0.5)
 

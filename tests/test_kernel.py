@@ -306,7 +306,7 @@ def test_query_rejects_non_finite_t(method, t):
             KernelQuery(t=t, theta=1.0, phi=2.0, method=method)
 
 
-@pytest.mark.parametrize("t", NON_FINITE, ids=str)
+@pytest.mark.parametrize("t", NON_FINITE + [0.0, -1.0], ids=str)
 @pytest.mark.parametrize("route", [series_H, h_script_f4, h_script_integral, h_script_general],
                          ids=lambda f: f.__name__)
 def test_routes_reject_non_finite_t(route, t):
