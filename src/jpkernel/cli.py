@@ -145,8 +145,8 @@ def cmd_compare(args) -> int:
                        "2.356194490192345,3.131592653589793")
     phi_grid = _grid(args, config, "phi-grid") if _opt(args, config, "phi-grid") else theta_grid
     tol = float(_opt(args, config, "tol", 1e-6))
-    if tol <= 0:
-        raise UsageError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise UsageError(f"tol must be positive and finite, got {tol}")
     if t_grid.size == 0 or theta_grid.size == 0 or phi_grid.size == 0:
         raise UsageError("compare grids must be non-empty")
 
@@ -190,8 +190,8 @@ def cmd_compare(args) -> int:
 def _scan_report(args, config, params) -> EstimateReport:
     which = _opt(args, config, "scan")
     cap = _opt(args, config, "cap")
-    if cap is not None and float(cap) < 1.0:
-        raise UsageError(f"cap must be at least 1, got {cap}")
+    if cap is not None and not 1.0 <= float(cap) < math.inf:
+        raise UsageError(f"cap must be at least 1 and finite, got {cap}")
     theta_grid = _grid(args, config, "theta-grid", "0.15:2.991592653589793:15")
     phi_grid = _grid(args, config, "phi-grid") if _opt(args, config, "phi-grid") else theta_grid
     if which == "sharp":

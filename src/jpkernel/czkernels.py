@@ -42,6 +42,7 @@ from jpkernel.basis import mu_ball, mu_total, trig_poly_table
 from jpkernel.errors import TailError
 from jpkernel.kernel import AUTO_SPLIT_T, kernel_H_batch, series_H
 from jpkernel.params import JacobiParams
+from jpkernel.pi_measures import gauss_panels
 from jpkernel.report import EstimateReport
 
 TAIL_N_CUT = 64
@@ -51,13 +52,13 @@ _T_STAR_CAP = 4000.0
 # Resolution presets: 'accurate' for single evaluations and oracle tests,
 # 'scan' for grid scans whose caps are order-of-magnitude statements.
 PRESETS = {
-    "accurate": dict(t_lo=1e-9, panels=12, t_nodes=16, rtol=1e-9, base_nodes=24,
+    "accurate": dict(t_lo=1e-9, panels=12, t_nodes=16, base_nodes=24,
                      doublings=2, delta_floor=2.0**-40, golden_iters=36,
                      sup_t_lo=1e-4, sup_per_decade=64),
-    "scan": dict(t_lo=1e-5, panels=5, t_nodes=8, rtol=1e-5, base_nodes=10,
+    "scan": dict(t_lo=1e-5, panels=5, t_nodes=8, base_nodes=10,
                  doublings=0, delta_floor=2.0**-16, golden_iters=0,
                  sup_t_lo=1e-3, sup_per_decade=16),
-    "scan_fine": dict(t_lo=1e-8, panels=8, t_nodes=12, rtol=1e-6, base_nodes=20,
+    "scan_fine": dict(t_lo=1e-8, panels=8, t_nodes=12, base_nodes=20,
                       doublings=0, delta_floor=2.0**-20, golden_iters=12,
                       sup_t_lo=1e-3, sup_per_decade=24),
 }
@@ -119,30 +120,18 @@ def imaginary_power_profile(gamma: float) -> LaplaceProfile:
 @lru_cache(maxsize=8)
 def _small_t_rule(t_lo: float, panels: int, n: int):
     """Gauss rule for int_(t_lo)^1 f(t) dt, log-spaced panels."""
-    x, w = specfun.roots_legendre(n)
-    edges = np.linspace(math.log(t_lo), 0.0, panels + 1)
-    ts, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        h = 0.5 * (hi - lo)
-        s = lo + h * (x + 1.0)
-        ts.append(np.exp(s))
-        ws.append(h * w * np.exp(s))
-    return np.concatenate(ts), np.concatenate(ws)
+    s, w = gauss_panels(np.linspace(math.log(t_lo), 0.0, panels + 1), n)
+    ts = np.exp(s)
+    return ts, w * ts
 
 
 @lru_cache(maxsize=64)
 def _mid_t_rule(t_star: float, n: int = _MID_NODES):
     """Gauss rule for int_1^(t_star) f(t) dt, geometric panels."""
-    x, w = specfun.roots_legendre(n)
     edges = [1.0]
     while edges[-1] < t_star:
         edges.append(min(edges[-1] * 2.0, t_star))
-    ts, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        h = 0.5 * (hi - lo)
-        ts.append(lo + h * (x + 1.0))
-        ws.append(h * w)
-    return np.concatenate(ts), np.concatenate(ws)
+    return gauss_panels(edges, n)
 
 
 @lru_cache(maxsize=200_000)
@@ -153,8 +142,8 @@ def _coef(alpha: float, beta: float, angle: float, order: int, n_cut: int = TAIL
 
 class _KernelBase:
     """A kernel at one resolution preset: its small-t Gauss rule and its one
-    path to H values, kernel_H_batch at the preset's integral-route rtol,
-    nodes, doublings and grading floor."""
+    path to H values, kernel_H_batch at the preset's integral-route nodes,
+    doublings and grading floor (and kernel_H_batch's default rtol)."""
 
     def __init__(self, params: JacobiParams, quality: str = "accurate"):
         if quality not in PRESETS:
@@ -174,7 +163,7 @@ class _KernelBase:
         if theta == phi:
             raise ValueError(f"the {self.name} kernel is evaluated off the diagonal only")
         p = self.preset
-        return kernel_H_batch(self.params, ts, theta, phi, M, N, L, rtol=p["rtol"], split=split,
+        return kernel_H_batch(self.params, ts, theta, phi, M, N, L, split=split,
                               base_nodes=p["base_nodes"], max_doublings=p["doublings"],
                               delta_floor=p["delta_floor"])
 
@@ -449,12 +438,6 @@ def _pairs(theta_grid, phi_grid):
                 yield float(theta), float(phi)
 
 
-def _resolve_kernel(params, kernel, quality, options):
-    if isinstance(kernel, str):
-        return make_kernel(params, kernel, quality=quality, **options)
-    return kernel
-
-
 def _norm_probe(kernel, theta, phi):
     return kernel.norm(theta, phi)
 
@@ -467,7 +450,7 @@ def _grad_probe(kernel, theta, phi):
 def _probe_map(kernel, pairs, probe):
     """probe(kernel, theta, phi) per pair; a symmetric kernel is probed once
     per unordered pair, in the order met first."""
-    key = (lambda p: (min(p), max(p))) if getattr(kernel, "symmetric", False) else (lambda p: p)
+    key = (lambda p: (min(p), max(p))) if kernel.symmetric else (lambda p: p)
     reps = {}
     for pair in pairs:
         reps.setdefault(key(pair), pair)
@@ -477,7 +460,7 @@ def _probe_map(kernel, pairs, probe):
 
 def _stabilized(report_max, params, kernel, quality_next, options, probe, tol=0.01):
     """Re-run the worst probe point at a finer resolution; relative drift."""
-    fine = _resolve_kernel(params, kernel, quality_next, options)
+    fine = make_kernel(params, kernel, quality=quality_next, **options)
     coarse_val, point = report_max
     fine_val = probe(fine, *point)
     return abs(fine_val - coarse_val) / max(abs(fine_val), 1e-300) <= tol
@@ -488,7 +471,7 @@ def _pair_check(kind, probe, sep_power, params, kernel, theta_grid, phi_grid, ca
     """ratio = probe * |theta-phi|^sep_power * mu(B(theta, |theta-phi|)) per
     off-diagonal grid pair; the worst pair is the first strict maximum."""
     options = options or {}
-    k = _resolve_kernel(params, kernel, quality, options)
+    k = make_kernel(params, kernel, quality=quality, **options)
     pairs = list(_pairs(theta_grid, phi_grid))
     values = _probe_map(k, pairs, probe)
     rows = []
@@ -503,7 +486,7 @@ def _pair_check(kind, probe, sep_power, params, kernel, theta_grid, phi_grid, ca
         if ratio > worst[0]:
             worst = (ratio, (theta, phi, v))
     meta = {"alpha": params.alpha, "beta": params.beta, "kernel": k.name}
-    if isinstance(kernel, str) and quality == "scan" and worst[1] is not None:
+    if quality == "scan" and worst[1] is not None:
         theta, phi, v = worst[1]
         meta["stabilized"] = None if worst[0] < 1e-3 else _stabilized(
             (v, (theta, phi)), params, kernel, "scan_fine", options, probe,
@@ -516,7 +499,7 @@ def growth_check(params: JacobiParams, kernel, theta_grid, phi_grid, cap: float 
                  quality: str = "scan", options: dict | None = None) -> EstimateReport:
     """ratio = ||K|| * mu(B(theta, |theta-phi|)) per grid point.
 
-    kernel is a kernel id (see make_kernel) or a prebuilt kernel object.
+    kernel is a kernel id, built by make_kernel at quality with options.
     The worst grid point is re-evaluated at the next finer resolution and
     the report records whether it moved by less than 1%.
     """
@@ -537,7 +520,7 @@ def smoothness_check(params: JacobiParams, kernel, n_samples: int = 100, seed: i
     """Samples ||K(theta,.) - K(theta',.)|| on triples with
     |theta - phi| > 2 |theta - theta'| against the first smoothness bound."""
     options = options or {}
-    k = _resolve_kernel(params, kernel, quality, options)
+    k = make_kernel(params, kernel, quality=quality, **options)
     rng = np.random.default_rng(seed)
     rows = []
     while len(rows) < n_samples:

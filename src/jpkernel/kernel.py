@@ -85,6 +85,16 @@ def _check_t(t):
         raise ValueError(f"t must be positive and finite, got {bad[0]}")
 
 
+def _check_angles(theta, phi):
+    """Raise ValueError naming the first entry of theta or phi (each a
+    scalar or an array) that is not finite."""
+    for name, angle in (("theta", theta), ("phi", phi)):
+        arr = np.asarray(angle, dtype=float)
+        bad = arr[~np.isfinite(arr)]
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {bad[0]}")
+
+
 def closed_form_chebyshev(t, theta, phi):
     """H_t for alpha = beta = -1/2 in closed form (independent oracle).
 
@@ -131,6 +141,7 @@ def series_H(params: JacobiParams, t, theta: float, phi, M=0, N=0, L=0, rtol=1e-
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     _check_t(t_arr)
+    _check_angles(theta, phi)
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
     n_cut = _series_cut(params, float(t_arr.min()), M, N, L, rtol)
     rates = params.rates(n_cut)
@@ -164,6 +175,7 @@ def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float, rtol=1
     buffers allocated once per call, so no diagonal allocates memory.
     """
     _check_t(t)
+    _check_angles(theta, phi)
     ch = math.cosh(0.5 * t)
     sx = math.sin(0.5 * theta) * math.sin(0.5 * phi) / ch
     sy = math.cos(0.5 * theta) * math.cos(0.5 * phi) / ch
@@ -268,32 +280,6 @@ def _axis_terms(gamma: float, n: int, delta: float):
             (np.array([1.0, -1.0]), np.array([0.5, 0.5]), 0)]
 
 
-def _integral_batch_banded(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor=2.0**-40,
-                           with_mass=True):
-    """Split a t batch into log-bands so each band gets its own mesh
-    grading; small t needs deep grading that larger t should not pay for.
-    Returns (values, sum |w psi|) as _integral_batch does."""
-    t_min = float(t_arr.min())
-    if float(t_arr.max()) <= 4.0 * t_min:
-        return _integral_batch(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor,
-                               with_mass)
-    out = np.empty_like(t_arr)
-    mass = np.empty_like(t_arr) if with_mass else None
-    lo = t_min
-    while True:
-        hi = lo * 4.0
-        mask = (t_arr >= lo) & (t_arr < hi) if hi < float(t_arr.max()) else (t_arr >= lo)
-        if np.any(mask):
-            out[mask], band_mass = _integral_batch(
-                params, t_arr[mask], theta, phi, M, N, L, n_nodes, delta_floor, with_mass
-            )
-            if with_mass:
-                mass[mask] = band_mass
-        if hi >= float(t_arr.max()):
-            return out, mass
-        lo = hi
-
-
 def _contract(vals, u_w, v_w, with_mass=True):
     """(sum_ij u_w[i] v_w[j] vals[t, i, j], sum_ij |u_w[i] v_w[j] vals[t, i, j]|)
     for each t, weighting vals (a fresh evaluator output) in place.  The
@@ -324,25 +310,39 @@ def _integral_terms(params, t_min, theta, phi, n_nodes, delta_floor=2.0**-40):
             for un, uw, K in u_terms for vn, vw, R in v_terms]
 
 
-def _integral_batch(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor=2.0**-40,
-                    with_mass=True):
+def _integral_sum(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor, with_mass):
     """Companion-kernel derivative over a t batch at one resolution, and the
     sum of |w psi| over the quadrature terms of each t (its roundoff scale),
-    or None unless with_mass."""
+    or None unless with_mass.
+
+    The batch splits into log-bands [lo, 4 lo) from its smallest t on (the
+    last band takes the rest), and each band is graded by its own smallest
+    t: small t needs deep grading that larger t should not pay for.  Within
+    a band, psi runs on chunks of _T_CHUNK values of t.
+    """
     psi = psi_evaluator(params)
-    terms = _integral_terms(params, float(t_arr.min()), theta, phi, n_nodes, delta_floor)
     out = np.zeros_like(t_arr)
     mass = np.zeros_like(t_arr) if with_mass else None
-    for lo in range(0, t_arr.size, _T_CHUNK):
-        chunk = slice(lo, lo + _T_CHUNK)
-        tc = t_arr[chunk].reshape(-1, 1, 1)
-        for u, v, wu, wv, K, R in terms:
-            vals, absvals = _contract(psi(tc, theta, phi, u, v, K=K, R=R, L=L, N=N, M=M), wu, wv,
-                                      with_mass)
-            out[chunk] += vals
-            if with_mass:
-                mass[chunk] += absvals
-    return out, mass
+    t_max = float(t_arr.max())
+    lo = float(t_arr.min())
+    while True:
+        hi = lo * 4.0
+        band = np.flatnonzero((t_arr >= lo) & ((t_arr < hi) | (hi >= t_max)))
+        if band.size:
+            terms = _integral_terms(params, float(t_arr[band].min()), theta, phi, n_nodes,
+                                    delta_floor)
+            for start in range(0, band.size, _T_CHUNK):
+                chunk = band[start:start + _T_CHUNK]
+                tc = t_arr[chunk].reshape(-1, 1, 1)
+                for u, v, wu, wv, K, R in terms:
+                    vals, absvals = _contract(psi(tc, theta, phi, u, v, K=K, R=R, L=L, N=N, M=M),
+                                              wu, wv, with_mass)
+                    out[chunk] += vals
+                    if with_mass:
+                        mass[chunk] += absvals
+        if hi >= t_max:
+            return out, mass
+        lo = hi
 
 
 def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(0, 0, 0),
@@ -367,6 +367,7 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
         )
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     _check_t(t_arr)
+    _check_angles(theta, phi)
     route = f"integral route (alpha={params.alpha}, beta={params.beta}, deriv={deriv})"
     point = f"t_min={t_arr.min():g}, theta={theta:g}, phi={phi:g}"
 
@@ -374,8 +375,8 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
         # D underflows to 0 at the integrand's singularity (t -> 0 on the
         # diagonal); refuse the non-finite result instead of warning on it.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            vals, mass = _integral_batch_banded(params, t_arr, theta, phi, M, N, L, n,
-                                                delta_floor, with_mass)
+            vals, mass = _integral_sum(params, t_arr, theta, phi, M, N, L, n, delta_floor,
+                                       with_mass)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError(
                 f"{route} hit the integrand's singularity: non-finite value for {point}"
@@ -409,20 +410,16 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
 
 def _general_once(params, t, theta, phi, n_nodes):
     sigma = params.sigma
-    c_ab = params.c_ab
-    S = math.sinh(0.5 * t)
+    scale = 0.25 * params.c_ab * math.sinh(0.5 * t)
     C = math.cosh(0.5 * t)
     P, Q = _pq(theta, phi)
+    _, uw, omu = pi_measures.halfline_rule(params.alpha, n_nodes,
+                                           _grading_delta(t, theta, phi, P))
+    _, vw, omv = pi_measures.halfline_rule(params.beta, n_nodes, _grading_delta(t, theta, phi, Q))
 
-    t_min = t
-    du = _grading_delta(t_min, theta, phi, P)
-    dv = _grading_delta(t_min, theta, phi, Q)
-    un, uw, omu = pi_measures.halfline_rule(params.alpha, n_nodes, du)
-    vn, vw, omv = pi_measures.halfline_rule(params.beta, n_nodes, dv)
-
-    def d_corner(xi, eta):
-        # D at (u, v) = (xi, eta), i.e. cosh(t/2) - 1 + q(xi, eta)
-        return (C - 1.0) + (1.0 - xi * P - eta * Q)
+    def bracket(d, inc):
+        # D^(-sigma) at distance d + inc minus at d, without cancellation
+        return d ** (-sigma) * np.expm1(-sigma * np.log1p(inc / d))
 
     omu_col = omu.reshape(-1, 1)
     total_dd = 0.0
@@ -431,24 +428,17 @@ def _general_once(params, t, theta, phi, n_nodes):
     corner = 0.0
     for xi in (1.0, -1.0):
         for eta in (1.0, -1.0):
-            d11 = d_corner(xi, eta)
-            corner += 0.25 * c_ab * S * d11 ** (-sigma)
+            d11 = (C - 1.0) + (1.0 - xi * P - eta * Q)  # D at the corner (u, v) = (xi, eta)
+            corner += scale * d11 ** (-sigma)
             # single-variable brackets Psi(xi u, eta) - Psi(xi, eta), etc.
-            inc_u = xi * omu * P
-            su = d11 ** (-sigma) * np.expm1(-sigma * np.log1p(inc_u / d11))
-            total_su += 0.25 * c_ab * S * np.sum(uw * su / omu)
+            su = bracket(d11, xi * omu * P)
+            total_su += scale * np.sum(uw * su / omu)
             inc_v = eta * omv * Q
-            sv = d11 ** (-sigma) * np.expm1(-sigma * np.log1p(inc_v / d11))
-            total_sv += 0.25 * c_ab * S * np.sum(vw * sv / omv)
-            # double bracket, divided by (1-u)(1-v)
-            du_grid = d11 + xi * omu_col * P  # D(xi u, eta), column over u
-            inc_v_row = eta * omv * Q
-            term_u = du_grid ** (-sigma) * np.expm1(
-                -sigma * np.log1p(inc_v_row / du_grid)
-            )
-            term_1 = d11 ** (-sigma) * np.expm1(-sigma * np.log1p(inc_v_row / d11))
-            dd = (term_u - term_1) / (omu_col * omv)
-            total_dd += 0.25 * c_ab * S * (uw @ dd @ vw)
+            sv = bracket(d11, inc_v)
+            total_sv += scale * np.sum(vw * sv / omv)
+            # double bracket, divided by (1-u)(1-v); D(xi u, eta) is a column over u
+            dd = (bracket(d11 + xi * omu_col * P, inc_v) - sv) / (omu_col * omv)
+            total_dd += scale * (uw @ dd @ vw)
     return 4.0 * total_dd + 2.0 * total_su + 2.0 * total_sv + corner
 
 
@@ -461,6 +451,7 @@ def h_script_general(params: JacobiParams, t: float, theta: float, phi: float,
     when the exponent alpha + beta + 2 is large.
     """
     _check_t(t)
+    _check_angles(theta, phi)
     n = _BASE_NODES
     prev = _general_once(params, t, theta, phi, n)
     for _ in range(_MAX_DOUBLINGS):

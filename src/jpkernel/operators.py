@@ -73,8 +73,8 @@ def synthesize(exp: Expansion, theta, deriv: int = 0):
 
 def semigroup_apply(exp: Expansion, t: float) -> Expansion:
     """Poisson semigroup at time t >= 0 on the coefficients."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     return Expansion(exp.basis, exp.coeffs * np.exp(-t * exp.rates()))
 
 

@@ -15,6 +15,11 @@ The profile is evaluated through the exact decomposition (u > 0)
     B_gamma = Gamma(-gamma-1/2) / (2 Gamma(1/2-gamma)),
 which separates the endpoint singularity (1-u)^(gamma+1/2) from analytic
 factors, so plain Gauss-Jacobi pieces converge spectrally.
+
+Each rule is Gauss-Jacobi pieces at the singular endpoints plus one
+Gauss-Legendre mesh graded dyadically toward u = 1.  gauss_panels is the
+one Gauss-Legendre panel builder of the package; the operator kernels'
+t-rules use it too.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ def pi_cdf(alpha: float, u):
     if alpha == -0.5:
         raise ValueError("Pi_alpha has a pole at alpha = -1/2 (atomic regime)")
     u = np.asarray(u, dtype=float)
-    if np.any(np.abs(u) >= 1.0):
+    if not np.all(np.abs(u) < 1.0):
         raise ValueError("argument must lie in the open interval (-1, 1)")
     if alpha > -0.5:
         out = pi_c(alpha) * u * specfun.hyp2f1(0.5, 0.5 - alpha, 1.5, u * u)
@@ -75,10 +80,14 @@ def abs_profile(alpha: float, u):
 # quadrature pieces
 # ---------------------------------------------------------------------------
 
-def _gl_piece(lo: float, hi: float, n: int):
+def gauss_panels(edges, n: int):
+    """Gauss-Legendre rule (nodes, weights) with n nodes on each panel
+    [edges[i], edges[i+1]], concatenated in panel order."""
     x, w = specfun.roots_legendre(n)
-    h = 0.5 * (hi - lo)
-    return lo + h * (x + 1.0), h * w
+    edges = np.asarray(edges, dtype=float)
+    lo = edges[:-1, None]
+    h = 0.5 * (edges[1:, None] - lo)
+    return (lo + h * (x + 1.0)).ravel(), (h * w).ravel()
 
 
 def _gj_piece(lo: float, hi: float, n: int, exponent: float, side: str):
@@ -92,18 +101,17 @@ def _gj_piece(lo: float, hi: float, n: int, exponent: float, side: str):
     return lo + h * (x + 1.0), h ** (exponent + 1.0) * w
 
 
-def _graded_pieces(n: int, delta: float):
-    """Gauss-Legendre pieces (nodes, weights) on [0, 1 - delta], delta a power
-    of two <= 1/2: n nodes on [0, 1/2], then one piece per dyadic interval
+def _graded_mesh(n: int, delta: float):
+    """Gauss-Legendre rule (nodes, weights) on [0, 1 - delta], delta a power
+    of two <= 1/2: n nodes on [0, 1/2], then one panel per dyadic interval
     [1 - 2d, 1 - d] down to d = delta.  Those carry smooth integrands, so
     fewer nodes than the endpoint pieces suffice."""
-    m = max(8, (3 * n) // 5)
-    pieces = [_gl_piece(0.0, 0.5, n)]
-    d = 0.5
-    while d > delta * 1.0000001:
-        pieces.append(_gl_piece(1.0 - d, 1.0 - 0.5 * d, m))
-        d *= 0.5
-    return pieces
+    d = [0.5]
+    while d[-1] > delta * 1.0000001:
+        d.append(0.5 * d[-1])
+    x0, w0 = gauss_panels([0.0, 0.5], n)
+    x1, w1 = gauss_panels(1.0 - np.array(d), max(8, (3 * n) // 5))
+    return np.concatenate([x0, x1]), np.concatenate([w0, w1])
 
 
 def snap_delta(delta: float) -> float:
@@ -127,17 +135,11 @@ def density_rule(gamma: float, n: int, delta: float = 0.5):
     if delta >= 0.5:
         x, w = specfun.roots_jacobi(n, e, e)
         return x, c * w
-    nodes, weights = [], []
-    xs, ws = _gj_piece(-1.0, 0.0, n, e, "left")
-    nodes.append(xs)
-    weights.append(c * ws * (1.0 - xs) ** e)
-    for xs, ws in _graded_pieces(n, delta):
-        nodes.append(xs)
-        weights.append(c * ws * (1.0 - xs * xs) ** e)
-    xs, ws = _gj_piece(1.0 - delta, 1.0, n, e, "right")
-    nodes.append(xs)
-    weights.append(c * ws * (1.0 + xs) ** e)
-    return np.concatenate(nodes), np.concatenate(weights)
+    xl, wl = _gj_piece(-1.0, 0.0, n, e, "left")
+    xs, ws = _graded_mesh(n, delta)
+    xr, wr = _gj_piece(1.0 - delta, 1.0, n, e, "right")
+    return np.concatenate([xl, xs, xr]), np.concatenate(
+        [c * wl * (1.0 - xl) ** e, c * ws * (1.0 - xs * xs) ** e, c * wr * (1.0 + xr) ** e])
 
 
 @lru_cache(maxsize=512)
@@ -150,19 +152,13 @@ def profile_rule(alpha: float, n: int, delta: float = 0.5):
         raise ValueError(f"profile regime needs alpha in (-1, -1/2), got {alpha}")
     d_coef = -pi_c(alpha) * _pi_b(alpha)
     e = alpha + 0.5
-    nodes, weights = [], []
-    for xs, ws in _graded_pieces(n, delta):
-        nodes.append(xs)
-        weights.append(ws * abs_profile(alpha, xs))
-    xs, ws = _gj_piece(1.0 - delta, 1.0, n, e, "right")
-    z = (1.0 - xs) * (1.0 + xs)
-    sing = d_coef * xs * (1.0 + xs) ** e * specfun.hyp2f1(1.0, 1.0 + alpha, alpha + 1.5, z)
-    nodes.append(xs)
-    weights.append(ws * sing)
-    xs, ws = _gl_piece(1.0 - delta, 1.0, n)
-    nodes.append(xs)
-    weights.append(-0.5 * ws)
-    return np.concatenate(nodes), np.concatenate(weights)
+    xs, ws = _graded_mesh(n, delta)
+    xj, wj = _gj_piece(1.0 - delta, 1.0, n, e, "right")
+    sing = d_coef * xj * (1.0 + xj) ** e * specfun.hyp2f1(1.0, 1.0 + alpha, alpha + 1.5,
+                                                         (1.0 - xj) * (1.0 + xj))
+    xg, wg = gauss_panels([1.0 - delta, 1.0], n)
+    return np.concatenate([xs, xj, xg]), np.concatenate(
+        [ws * abs_profile(alpha, xs), wj * sing, -0.5 * wg])
 
 
 @lru_cache(maxsize=512)
@@ -181,18 +177,14 @@ def halfline_rule(gamma: float, n: int, delta: float = 0.5):
     c = pi_c(gamma)
     e_in = gamma - 0.5
     e_out = gamma + 0.5
-    nodes, weights, omu = [], [], []
-    for xs, ws in _graded_pieces(n, delta):
-        nodes.append(xs)
-        weights.append(c * ws * (1.0 - xs) ** e_out * (1.0 + xs) ** e_in)
-        omu.append(1.0 - xs)
+    xs, ws = _graded_mesh(n, delta)
     x, w = specfun.roots_jacobi(n, e_out, 0.0)
     h = 0.5 * delta
-    xs = (1.0 - delta) + h * (x + 1.0)
-    nodes.append(xs)
-    weights.append(c * h ** (e_out + 1.0) * w * (1.0 + xs) ** e_in)
-    omu.append(h * (1.0 - x))
-    return np.concatenate(nodes), np.concatenate(weights), np.concatenate(omu)
+    xj = (1.0 - delta) + h * (x + 1.0)
+    return (np.concatenate([xs, xj]),
+            np.concatenate([c * ws * (1.0 - xs) ** e_out * (1.0 + xs) ** e_in,
+                            c * h ** (e_out + 1.0) * w * (1.0 + xj) ** e_in]),
+            np.concatenate([1.0 - xs, h * (1.0 - x)]))
 
 
 def axis_rule(gamma: float, n: int, delta: float):

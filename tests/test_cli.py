@@ -97,6 +97,15 @@ class TestCompareCommand:
         )
         assert code == 4
 
+    def test_non_finite_tol_usage_exit(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compare", "--alpha", "0.5", "--beta", "0.5",
+            "--t-grid", "0.5", "--theta-grid", "0.4", "--tol", "nan",
+        )
+        assert code == 2
+        assert "tol" in err
+        assert out == ""
+
     def test_empty_grid_usage_exit(self, capsys):
         code, _, err = run_cli(
             capsys, "compare", "--alpha", "0.5", "--beta", "0.5", "--t-grid", "",
@@ -179,10 +188,11 @@ class TestScanCommand:
         )
         assert code == 2
 
-    def test_cap_below_one_usage_exit(self, capsys):
+    @pytest.mark.parametrize("cap", ["0.5", "nan", "inf"])
+    def test_cap_below_one_usage_exit(self, capsys, cap):
         code, _, err = run_cli(
             capsys, "scan", "--scan", "growth", "--kernel", "stieltjes",
-            "--alpha", "0", "--beta", "0", "--theta-grid", "0.6,2.0", "--cap", "0.5",
+            "--alpha", "0", "--beta", "0", "--theta-grid", "0.6,2.0", "--cap", cap,
         )
         assert code == 2
         assert "cap" in err

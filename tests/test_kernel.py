@@ -314,3 +314,36 @@ def test_routes_reject_non_finite_t(route, t):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"finite, got {t}"):
             route(JacobiParams(0.5, -0.75), t, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf], ids=str)
+@pytest.mark.parametrize("which", ["theta", "phi"])
+@pytest.mark.parametrize("route", [series_H, h_script_f4, h_script_integral, h_script_general],
+                         ids=lambda f: f.__name__)
+def test_routes_reject_non_finite_angles(route, which, angle):
+    theta, phi = (angle, 2.0) if which == "theta" else (1.0, angle)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{which} must be finite, got {angle}"):
+            route(JacobiParams(0.5, -0.75), 1.0, theta, phi)
+
+
+def test_integral_batch_equals_its_log_bands_alone():
+    # The integral route grades each log-band [t_min 4^k, t_min 4^(k+1)) of a
+    # batch by the band's own smallest t, so a band evaluated alone gives the
+    # same bits; the first band holds more than one psi chunk of t values.
+    p = JacobiParams(0.5, -0.75)
+    t_min = 1e-3
+    ts = np.concatenate([np.linspace(t_min, 4.0 * t_min, 100, endpoint=False),
+                         np.geomspace(4.0 * t_min, 0.5, 20)])
+    ts = np.random.default_rng(5).permutation(ts)
+    opts = dict(base_nodes=10, max_doublings=0)
+    whole = h_script_integral(p, ts, 1.0, 2.0, **opts)
+    lo, seen = t_min, 0
+    while lo <= ts.max():
+        band = (ts >= lo) & (ts < 4.0 * lo)
+        if np.any(band):
+            assert np.array_equal(whole[band], h_script_integral(p, ts[band], 1.0, 2.0, **opts))
+            seen += 1
+        lo *= 4.0
+    assert seen >= 4

@@ -1,6 +1,7 @@
 """Tests for spectral operator application on finite expansions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,15 @@ class TestSemigroup:
         exp = Expansion(basis, rng.normal(size=6))
         out = semigroup_apply(exp, 0.0)
         assert np.array_equal(out.coeffs, exp.coeffs)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf], ids=str)
+    def test_rejects_negative_or_non_finite_t(self, t):
+        # lam = 0 here, so t = inf would meet the zero rate as inf * 0
+        exp = Expansion(OrthonormalBasis(JacobiParams(-0.5, -0.5), 3), np.ones(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"finite, got {t}"):
+                semigroup_apply(exp, t)
 
     def test_exponent_law(self, rng):
         basis = OrthonormalBasis(JacobiParams(0.5, -0.75), 7)

@@ -1,5 +1,7 @@
 """Tests for the Pi measure family: density, atomic and profile regimes."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -46,6 +48,11 @@ class TestPiCdf:
     def test_pole_at_atomic_point(self):
         with pytest.raises(ValueError):
             pi_cdf(-0.5, 0.3)
+
+    @pytest.mark.parametrize("u", [1.0, -1.0, math.nan], ids=str)
+    def test_rejects_argument_outside_open_interval(self, u):
+        with pytest.raises(ValueError, match="open interval"):
+            pi_cdf(0.3, u)
 
 
 class TestDensityAndAtoms:
