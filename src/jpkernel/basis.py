@@ -22,26 +22,71 @@ from jpkernel.params import JacobiParams
 MAX_DERIV_ORDER = 4
 
 
+# How many (alpha, beta) pairs keep cached tables; trig_poly_table visits up
+# to MAX_DERIV_ORDER + 1 shifted pairs per parameter set.
+_CACHED_PAIRS = 64
+
+
+@lru_cache(maxsize=_CACHED_PAIRS)
+def _holder(alpha: float, beta: float) -> list:
+    """A one-slot list holding the cached tables of one (alpha, beta)."""
+    return [None]
+
+
+def _tables(alpha: float, beta: float, n_max: int):
+    """Recurrence coefficients (c0, c1, c2, c4) for n = 2..n_max and norm
+    constants h_0..h_{n_max}, as read-only arrays.
+
+    One prefix entry per (alpha, beta), grown when a larger n_max is asked
+    for and sliced on return.  A grown entry replaces the old one whole, so a
+    thread that read an entry keeps a consistent one while another grows it.
+    Each coefficient is formed elementwise in the operation order of the
+    scalar formula, and each norm is norm_constant's, so every value has the
+    bits of the per-degree loop.
+    """
+    holder = _holder(alpha, beta)
+    entry = holder[0]
+    if entry is None or len(entry[1]) <= n_max:
+        norms = [] if entry is None else entry[1].tolist()
+        norms += [norm_constant(alpha, beta, n) for n in range(len(norms), n_max + 1)]
+        n = np.arange(2, n_max + 1, dtype=float)
+        ab = alpha + beta
+        coeffs = (
+            2.0 * n * (n + ab) * (2.0 * n + ab - 2.0),
+            2.0 * n + ab - 1.0,
+            (2.0 * n + ab) * (2.0 * n + ab - 2.0),
+            2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * (2.0 * n + ab),
+        )
+        entry = (coeffs, np.array(norms))
+        for arr in (*coeffs, entry[1]):
+            arr.flags.writeable = False
+        holder[0] = entry
+    coeffs, norms = entry
+    return tuple(c[: max(n_max - 1, 0)] for c in coeffs), norms[: n_max + 1]
+
+
 def _classical_all(alpha: float, beta: float, n_max: int, x):
-    """All classical Jacobi polynomials p_0..p_{n_max} at x, shape (n_max+1,) + x.shape."""
+    """All classical Jacobi polynomials p_0..p_{n_max} at x, shape (n_max+1,) + x.shape.
+
+    The recurrence runs over Python floats, one x at a time, reading the
+    cached coefficients; it rounds exactly as the scalar formula.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty((n_max + 1,) + x.shape)
-    out[0] = 1.0
-    if n_max == 0:
-        return out
+    out = np.empty((n_max + 1, x.size))
     ab = alpha + beta
-    out[1] = 0.5 * ((ab + 2.0) * x + (alpha - beta))
-    for n in range(2, n_max + 1):
-        c0 = 2.0 * n * (n + ab) * (2.0 * n + ab - 2.0)
-        c1 = 2.0 * n + ab - 1.0
-        c2 = (2.0 * n + ab) * (2.0 * n + ab - 2.0)
-        c3 = alpha * alpha - beta * beta
-        c4 = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * (2.0 * n + ab)
-        out[n] = (c1 * (c2 * x + c3) * out[n - 1] - c4 * out[n - 2]) / c0
-    return out
+    c3 = alpha * alpha - beta * beta
+    # Iterating a memoryview yields Python floats without copying the slice.
+    coeffs = [memoryview(c) for c in _tables(alpha, beta, n_max)[0]]
+    for j, xj in enumerate(x.ravel().tolist()):
+        p0, p1 = 1.0, 0.5 * ((ab + 2.0) * xj + (alpha - beta))
+        col = [p0, p1]
+        for c0, c1, c2, c4 in zip(*coeffs):
+            p0, p1 = p1, (c1 * (c2 * xj + c3) * p1 - c4 * p0) / c0
+            col.append(p1)
+        out[:, j] = col[: n_max + 1]
+    return out.reshape((n_max + 1,) + x.shape)
 
 
-@lru_cache(maxsize=4096)
 def _log_h2(alpha: float, beta: float, n: int) -> float:
     """log of the squared d(mu)-norm of the classical polynomial p_n.
 
@@ -84,12 +129,18 @@ class OrthonormalBasis:
 
 
 def trig_poly_table(params: JacobiParams, n_max: int, theta, order: int = 0):
-    """Values of d^order P_n(theta) for all n = 0..n_max at once.
+    """Values of d^order P_n(theta) for all n = 0..n_max at once,
+    shape (n_max+1,) + theta.shape; used by the series kernel route.
 
-    Vectorized in both n and theta; used by the series kernel route.
+    The recurrence runs sequentially in n: the cost is one O(n_max) pass per
+    angle for each shifted (alpha, beta) the ladder identity visits (at most
+    max(order, 1) of them), over recurrence coefficients and norm constants
+    cached per (alpha, beta).
     """
     if order < 0 or order > MAX_DERIV_ORDER:
         raise UnsupportedOrderError(f"derivative order {order} unsupported (max {MAX_DERIV_ORDER})")
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     theta = np.asarray(theta, dtype=float)
 
     @lru_cache(maxsize=None)
@@ -99,7 +150,7 @@ def trig_poly_table(params: JacobiParams, n_max: int, theta, order: int = 0):
         if k == 0:
             x = np.cos(theta)
             vals = _classical_all(a, b, n_max, x)
-            h = np.array([norm_constant(a, b, n) for n in range(n_max + 1)])
+            h = _tables(a, b, n_max)[1]
             return vals / h.reshape((-1,) + (1,) * theta.ndim)
         prev_shape = (n_max + 1,) + theta.shape
         out = np.zeros(prev_shape)

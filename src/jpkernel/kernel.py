@@ -117,14 +117,17 @@ def closed_form_chebyshev(t, theta, phi):
 
 def _series_cut(params: JacobiParams, t_min: float, M: int, N: int, L: int, rtol: float) -> int:
     """Smallest n with a tail bound below rtol, via the crude growth bound
-    n^(alpha+beta+2) on the polynomials (+1 safety in the exponent)."""
+    n^(alpha+beta+2) on the polynomials (+1 safety in the exponent).
+
+    At large t the fixed point falls below one term, so the iteration takes
+    the log of at least 1 and the cut keeps its floor of 8 terms."""
     if t_min < T_MIN_SERIES:
         raise TruncationError(f"series route needs t >= {T_MIN_SERIES}, got {t_min}")
     p = 2.0 * params.sigma + 3.0 * (N + L) + M + 1.0
     log_goal = math.log(1.0 / rtol) + math.log(1.0 / -math.expm1(-t_min)) + 1.0
     n = 20.0 / t_min + 20.0
     for _ in range(60):
-        n = (log_goal + p * math.log(n)) / t_min
+        n = (log_goal + p * math.log(max(n, 1.0))) / t_min
     n = int(math.ceil(n))
     if n > SERIES_CAP:
         raise TruncationError(
@@ -142,6 +145,10 @@ def series_H(params: JacobiParams, t, theta: float, phi, M=0, N=0, L=0, rtol=1e-
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     _check_t(t_arr)
     _check_angles(theta, phi)
+    if not 0.0 < rtol < math.inf:
+        raise ValueError(f"rtol must be positive and finite, got {rtol}")
+    if min(M, N, L) < 0:
+        raise UnsupportedOrderError(f"derivative orders (M, N, L) must be nonnegative, got {(M, N, L)}")
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
     n_cut = _series_cut(params, float(t_arr.min()), M, N, L, rtol)
     rates = params.rates(n_cut)

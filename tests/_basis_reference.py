@@ -4,7 +4,8 @@ This is the straightforward form of `basis.trig_poly_table`: one degree n at
 a time, the value by the three-term recurrence and each theta-derivative by
 the ladder identity written out recursively in n.  Its cost grows with the
 derivative order, but every step of the formula is written out plainly.
-The tests compare `trig_poly_table` against it.
+The tests compare `trig_poly_table` against it, and `basis._classical_all`
+bit for bit against the per-degree recurrence loop `classical_all`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,27 @@ import math
 
 import numpy as np
 
-from jpkernel.basis import MAX_DERIV_ORDER, _classical_all, norm_constant
+from jpkernel.basis import MAX_DERIV_ORDER, norm_constant
 from jpkernel.errors import UnsupportedOrderError
+
+
+def classical_all(alpha: float, beta: float, n_max: int, x):
+    """All classical Jacobi polynomials p_0..p_{n_max} at x, shape (n_max+1,) + x.shape."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((n_max + 1,) + x.shape)
+    out[0] = 1.0
+    if n_max == 0:
+        return out
+    ab = alpha + beta
+    out[1] = 0.5 * ((ab + 2.0) * x + (alpha - beta))
+    for n in range(2, n_max + 1):
+        c0 = 2.0 * n * (n + ab) * (2.0 * n + ab - 2.0)
+        c1 = 2.0 * n + ab - 1.0
+        c2 = (2.0 * n + ab) * (2.0 * n + ab - 2.0)
+        c3 = alpha * alpha - beta * beta
+        c4 = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * (2.0 * n + ab)
+        out[n] = (c1 * (c2 * x + c3) * out[n - 1] - c4 * out[n - 2]) / c0
+    return out
 
 
 def classical_jacobi_eval(params, n: int, x):
@@ -27,13 +47,13 @@ def classical_jacobi_eval(params, n: int, x):
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > 1.0 + 1e-14):
         raise ValueError("argument outside [-1, 1]")
-    out = _classical_all(params.alpha, params.beta, n, x)[n]
+    out = classical_all(params.alpha, params.beta, n, x)[n]
     return float(out) if out.ndim == 0 else out
 
 
 def _trig_eval_raw(alpha: float, beta: float, n: int, theta):
     x = np.cos(np.asarray(theta, dtype=float))
-    vals = _classical_all(alpha, beta, n, x)[n]
+    vals = classical_all(alpha, beta, n, x)[n]
     return vals / norm_constant(alpha, beta, n)
 
 

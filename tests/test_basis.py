@@ -1,25 +1,32 @@
 """Tests for the orthonormal basis, measure and quadrature layer."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+from jpkernel import basis
 from jpkernel.basis import (
     OrthonormalBasis,
+    _classical_all,
+    _tables,
     ball_surrogate,
     mu_ball,
     mu_total,
+    norm_constant,
     theta_quad_rule,
     trig_poly_table,
 )
 from jpkernel.errors import UnsupportedOrderError
 from jpkernel.params import JacobiParams
 
-from _basis_reference import classical_jacobi_eval, trig_poly_deriv, trig_poly_eval
+from _basis_reference import classical_all, classical_jacobi_eval, trig_poly_deriv, trig_poly_eval
 from _oracles import jacobi_series, mu_interval_quad
+from conftest import ACCEPTANCE_SETS
 
 
 class TestClassicalEval:
@@ -51,6 +58,80 @@ class TestClassicalEval:
             classical_jacobi_eval(JacobiParams(0, 0), 2, 1.5)
         with pytest.raises(ValueError):
             classical_jacobi_eval(JacobiParams(0, 0), -1, 0.5)
+
+    def test_table_is_bitwise_the_reference_loop(self):
+        # The cached coefficients and the Python-float pass over each x must
+        # round exactly as the per-degree loop, at every prefix of the cache;
+        # 14,000 is about the largest n_cut the series route reaches in use.
+        # The loop is elementwise, so each column of its table is its table at
+        # that single x.
+        basis._holder.cache_clear()
+        n_top = 14_000
+        xs = np.append(np.cos(np.linspace(0.0, math.pi, 5)), 0.3)
+        for alpha, beta in ACCEPTANCE_SETS + [(-0.5, -0.5)]:
+            for shift in range(4):
+                a, b = alpha + shift, beta + shift
+                ref = classical_all(a, b, n_top, xs)
+                for n_max in (1, 2, 3, 40, n_top, 7, 0):
+                    assert np.array_equal(_classical_all(a, b, n_max, xs), ref[: n_max + 1])
+                    for j, x in enumerate(xs):
+                        got = _classical_all(a, b, n_max, x)
+                        assert np.array_equal(got, ref[: n_max + 1, j]), (a, b, x, n_max)
+                grid = xs.reshape(2, 3)
+                got = _classical_all(a, b, 40, grid)
+                assert np.array_equal(got, ref[:41].reshape(41, 2, 3))
+
+    def test_norm_cache_is_norm_constant_bitwise(self):
+        # Growing the cache (n, then 2n, then n again) keeps every earlier entry.
+        basis._holder.cache_clear()
+        for alpha, beta in [(0.5, 0.5), (-0.75, -0.75), (-0.5, -0.5), (2.0, -0.25)]:
+            ref = np.array([norm_constant(alpha, beta, n) for n in range(601)])
+            first = _tables(alpha, beta, 300)[1].copy()
+            grown = _tables(alpha, beta, 600)[1]
+            again = _tables(alpha, beta, 300)[1]
+            assert np.array_equal(first, ref[:301])
+            assert np.array_equal(grown, ref)
+            assert np.array_equal(again, first)
+
+    def test_cache_is_bounded(self):
+        # A sweep over many (alpha, beta) keeps at most _CACHED_PAIRS entries,
+        # and an evicted pair is rebuilt with the same bits.
+        basis._holder.cache_clear()
+        first = trig_poly_table(JacobiParams(0.0, 0.5), 50, 1.0)
+        for k in range(3 * basis._CACHED_PAIRS):
+            trig_poly_table(JacobiParams(0.01 * k, 0.5), 50, 1.0, order=2)
+        assert basis._holder.cache_info().currsize == basis._CACHED_PAIRS
+        assert np.array_equal(trig_poly_table(JacobiParams(0.0, 0.5), 50, 1.0), first)
+
+
+def test_tables_agree_under_threads():
+    # The scans build tables from worker threads while the prefix caches grow;
+    # a thread must never see a torn or shortened entry.
+    p = JacobiParams(0.5, -0.75)
+    sizes = [50, 3000, 200, 1500, 2999, 7]
+    thetas = [1.1, np.array([0.2, 2.5])]
+    want = {(n, j): trig_poly_table(p, n, th, order=1) for n in sizes for j, th in enumerate(thetas)}
+    basis._holder.cache_clear()
+    mismatches = []
+
+    def work(k):
+        for n in sizes[k % len(sizes):] + sizes[: k % len(sizes)]:
+            for j, th in enumerate(thetas):
+                if not np.array_equal(trig_poly_table(p, n, th, order=1), want[(n, j)]):
+                    mismatches.append((k, n, j))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(w.is_alive() for w in workers)
+    assert mismatches == []
 
 
 class TestTrigPolynomials:

@@ -63,6 +63,17 @@ class TestKernelCommand:
         assert code == 3
         assert "numeric failure" in err
 
+    def test_large_t_series_value(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "kernel", "--alpha", "0.5", "--beta", "0.5",
+            "--t", "1000", "--theta", "1", "--phi", "2",
+        )
+        assert code == 0
+        from jpkernel.kernel import series_H
+        from jpkernel.params import JacobiParams
+
+        assert out.strip() == f"{series_H(JacobiParams(0.5, 0.5), 1000.0, 1.0, 2.0):.15g}"
+
     def test_deriv_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "kernel", "--alpha", "0.5", "--beta", "0.5",

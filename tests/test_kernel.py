@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from jpkernel.basis import theta_quad_rule
+from jpkernel.basis import theta_quad_rule, trig_poly_table
 from jpkernel.errors import (
     QuadratureError,
     SlowConvergenceError,
@@ -91,6 +91,20 @@ class TestSeries:
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
             series_H(JacobiParams(0, 0), 1e-6, 1.0, 2.0)
+
+    @pytest.mark.parametrize("t", [50.0, 400.0, 1e3, 1e6], ids=str)
+    def test_large_t(self, t):
+        # At large t the cut's fixed-point iteration falls below one term;
+        # it must keep the floor of eight terms, not take the log of n <= 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_allclose(series_H(CHEB, t, 1.0, 2.0), closed_form_chebyshev(t, 1.0, 2.0),
+                            rtol=1e-13)
+            for ab in [(5.0, 5.0), (0.5, 0.5), (-0.5, -0.5)]:
+                for M, N, L in [(0, 0, 0), (0, 1, 0), (1, 2, 0), (1, 2, 1)]:
+                    assert np.isfinite(series_H(JacobiParams(*ab), t, 1.0, 2.0, M=M, N=N, L=L))
+            query = KernelQuery(t=t, theta=1.0, phi=2.0, deriv=(1, 2, 0))
+            assert np.isfinite(kernel_eval(JacobiParams(0.5, 0.5), query))
 
 
 class TestF4:
@@ -347,3 +361,31 @@ def test_integral_batch_equals_its_log_bands_alone():
             seen += 1
         lo *= 4.0
     assert seen >= 4
+
+
+HALF = JacobiParams(0.5, 0.5)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: series_H(HALF, 1.0, 1.0, 2.0, rtol=0.0),
+                 "rtol must be positive and finite, got 0.0", id="rtol=0"),
+    pytest.param(lambda: series_H(HALF, 1.0, 1.0, 2.0, rtol=-1e-13),
+                 "rtol must be positive and finite, got -1e-13", id="rtol<0"),
+    pytest.param(lambda: series_H(HALF, 1.0, 1.0, 2.0, rtol=math.nan),
+                 "rtol must be positive and finite, got nan", id="rtol=nan"),
+    pytest.param(lambda: series_H(HALF, 1.0, 1.0, 2.0, rtol=math.inf),
+                 "rtol must be positive and finite, got inf", id="rtol=inf"),
+    pytest.param(lambda: series_H(HALF, 1.0, 1.0, 2.0, M=-1),
+                 r"orders \(M, N, L\) must be nonnegative, got \(-1, 0, 0\)", id="M=-1"),
+    pytest.param(lambda: series_H(HALF, 1.0, 1.0, 2.0, N=-1),
+                 r"orders \(M, N, L\) must be nonnegative, got \(0, -1, 0\)", id="N=-1"),
+    pytest.param(lambda: series_H(HALF, 1.0, 1.0, 2.0, L=-1),
+                 r"orders \(M, N, L\) must be nonnegative, got \(0, 0, -1\)", id="L=-1"),
+    pytest.param(lambda: trig_poly_table(HALF, -1, 1.0),
+                 "n_max must be nonnegative, got -1", id="n_max=-1"),
+])
+def test_series_path_rejects_bad_arguments(call, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            call()
