@@ -191,16 +191,6 @@ def mu_ball(params: JacobiParams, theta: float, r: float) -> float:
     )
 
 
-def ball_surrogate(params: JacobiParams, theta: float, phi: float) -> float:
-    """|theta-phi| (theta+phi)^(2a+1) (2 pi - theta - phi)^(2b+1), the
-    comparability surrogate for mu(B(theta, |theta-phi|))."""
-    return (
-        abs(theta - phi)
-        * (theta + phi) ** (2.0 * params.alpha + 1.0)
-        * (2.0 * math.pi - theta - phi) ** (2.0 * params.beta + 1.0)
-    )
-
-
 @dataclass(frozen=True)
 class ThetaQuadRule:
     """Gauss rule integrating f(theta) against d(mu) on (0, pi).
@@ -212,10 +202,6 @@ class ThetaQuadRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    degree: int
-
-    def integrate(self, f) -> float:
-        return float(np.sum(self.weights * f(self.nodes)))
 
 
 def theta_quad_rule(params: JacobiParams, n_nodes: int) -> ThetaQuadRule:
@@ -224,4 +210,4 @@ def theta_quad_rule(params: JacobiParams, n_nodes: int) -> ThetaQuadRule:
     x, w = specfun.roots_jacobi(n_nodes, params.alpha, params.beta)
     theta = np.arccos(x)[::-1].copy()
     weights = w[::-1].copy() * 2.0 ** (-(params.alpha + params.beta + 1.0))
-    return ThetaQuadRule(nodes=theta, weights=weights, degree=2 * n_nodes - 1)
+    return ThetaQuadRule(nodes=theta, weights=weights)

@@ -45,6 +45,8 @@ T_MIN_SERIES = 5e-4
 SERIES_CAP = 100_000
 F4_EPS_CONV = 5e-4
 F4_MAX_DIAGONALS = 80_000
+F4_WINDOW_START = 1_024
+_EPS = float(np.finfo(float).eps)
 
 _METHODS = ("series", "f4", "integral", "general", "auto")
 
@@ -93,6 +95,12 @@ def _check_angles(theta, phi):
         bad = arr[~np.isfinite(arr)]
         if bad.size:
             raise ValueError(f"{name} must be finite, got {bad[0]}")
+
+
+def _check_rtol(rtol):
+    """Raise ValueError unless 0 < rtol < inf."""
+    if not 0.0 < rtol < math.inf:
+        raise ValueError(f"rtol must be positive and finite, got {rtol}")
 
 
 def closed_form_chebyshev(t, theta, phi):
@@ -145,8 +153,7 @@ def series_H(params: JacobiParams, t, theta: float, phi, M=0, N=0, L=0, rtol=1e-
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     _check_t(t_arr)
     _check_angles(theta, phi)
-    if not 0.0 < rtol < math.inf:
-        raise ValueError(f"rtol must be positive and finite, got {rtol}")
+    _check_rtol(rtol)
     if min(M, N, L) < 0:
         raise UnsupportedOrderError(f"derivative orders (M, N, L) must be nonnegative, got {(M, N, L)}")
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -172,17 +179,57 @@ def series_H(params: JacobiParams, t, theta: float, phi, M=0, N=0, L=0, rtol=1e-
 def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float, rtol=1e-11) -> float:
     """Companion kernel via the Appell-F4 double series.
 
-    Sums along anti-diagonals m + n = s; all terms are nonnegative, and the
+    Sums the terms T(m, n) = (a1)_s (a2)_s x^m y^n / ((b1)_m (b2)_n m! n!),
+    s = m + n, along anti-diagonals s; all terms are nonnegative, and the
     block sums eventually decay geometrically with ratio
     rho^2 = (sqrt x + sqrt y)^2, which drives the stopping rule.
 
-    Cost: S anti-diagonals take O(S^2) flops, which the double sum itself
-    requires; S grows like log(rtol) / log(rho^2) as rho -> 1.  Each
-    anti-diagonal is three vector passes (divide, multiply, dot) over
-    buffers allocated once per call, so no diagonal allocates memory.
+    Window.  Each diagonal is summed over a window of columns [lo, hi] only
+    (column m holds x^m).  On diagonal s + 1 the columns lo..hi are the
+    y-steps of diagonal s, and column hi + 1 is the x-step of its column hi,
+    so between trims the right edge stays on one y-power n0 = s - hi.  From
+    diagonal F4_WINDOW_START on, each renormalization (every 32 diagonals)
+    trims both edges with one vectorized test: the window shrinks to the
+    span from the first to the last entry whose weighted value exceeds tau
+    times the diagonal's largest, tau = eps rtol / F4_MAX_DIAGONALS.  Below
+    F4_WINDOW_START the window is the whole diagonal and the arithmetic is
+    that of tests/_f4_reference.py.
+
+    Why a dropped entry stays negligible.  The ratio of neighbours on
+    diagonal s,
+        q_s(m) = T(m+1, s-m-1) / T(m, s-m)
+               = x (b2 + s-m-1) (s-m) / (y (b1 + m) (m + 1)),
+    falls with m (b1, b2 > 0), so each diagonal is log-concave with one
+    peak.  At fixed m, q_s(m) rises with s: from one diagonal to the next,
+    column m loses ground against column m + 1, hence against every column
+    right of it.  At fixed n = s-m-1, q_s(m) falls with s: the y-power n
+    loses ground against n + 1, hence against every larger y-power.  So a
+    column m left of the largest entry T(p, s-p) and below tau T(p, s-p) on
+    diagonal s has T(m, s'-m) <= tau T(p, s'-p) <= tau B_s' on every later
+    diagonal s' (B_s' the full block), and so has a y-power n < s-p with
+    T(s-n, n) below tau T(p, s-p).  Left trimming is therefore one-way, and
+    the rebuilt right column leaves out only y-powers below n0, each
+    trimmed on this or an earlier renormalization.  (With x = 0 the columns
+    right of the first are exact zeros.)  A diagonal s drops at most s
+    entries, each at most tau B_s, so the dropped mass is at most
+    F4_MAX_DIAGONALS tau sum_s B_s = eps rtol H for the full sum H: below
+    the last bit of the result.
+
+    Cost: below F4_WINDOW_START a diagonal s costs O(s) flops, and S
+    diagonals O(S^2).  Past it the window holds the peak out to about 12
+    standard deviations of its O(sqrt s) width on each side (tau ~ 3e-32
+    at rtol 1e-11), so the cost grows like S^1.5, and near rho -> 1 the
+    floor is the interpreter: about 8 microseconds per diagonal on a 2-core
+    VM, even for a window of one column.  S grows like log(rtol) /
+    log(rho^2) as rho -> 1.  The start constant keeps every call of fewer
+    diagonals (the goldens take at most 419) bit-identical to the full
+    sweep; below it the rows are too short for the window to save much.
+    Each diagonal is three vector passes (divide, multiply, dot) over
+    buffers allocated once per call.
     """
     _check_t(t)
     _check_angles(theta, phi)
+    _check_rtol(rtol)
     ch = math.cosh(0.5 * t)
     sx = math.sin(0.5 * theta) * math.sin(0.5 * phi) / ch
     sy = math.cos(0.5 * theta) * math.cos(0.5 * phi) / ch
@@ -203,40 +250,51 @@ def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float, rtol=1
     # Row s holds (a1)_s (a2)_s x^m y^n / ((b1)_m (b2)_n m! n!), m + n = s, as
     # mantissa * exp(logw) per entry: the pure-x edge underflows double range
     # long before its column stops mattering, so magnitudes are carried in
-    # log space and mantissas are renormalized periodically.
+    # log space and mantissas are renormalized periodically.  A new column
+    # takes its left neighbour's logw, so the renormalization fills logw and
+    # ew for the columns the next renorm_every diagonals add.
     # The buffers are allocated untouched, so only the pages of the live
-    # prefix s + 2 are ever used.  den[n] = (b2 + n)(n + 1) is the y-step
-    # denominator of column n, read reversed as den[s::-1].  Each entry is
-    # rounded as row[m] * ((fac y) / den[s - m]); folding fac into den or
-    # multiplying by 1/den would change the last bit against the plain
-    # per-diagonal loop that tests/_f4_reference.py keeps.
-    row, nxt, tmp, logw, ew, den = np.empty((6, F4_MAX_DIAGONALS + 2))
-    row[0], logw[0], ew[0] = 1.0, 0.0, 1.0  # ew = exp(logw), refreshed at renormalization
+    # columns are ever used.  den[K - n] = (b2 + n)(n + 1), K =
+    # F4_MAX_DIAGONALS, is the y-step denominator of y-power n, stored
+    # backwards so that the window reads den[K - (s - m)] forwards.  Each
+    # entry is rounded as row[m] * ((fac y) / den[K - (s - m)]); folding fac
+    # into den or multiplying by 1/den would change the last bit against the
+    # plain per-diagonal loop that tests/_f4_reference.py keeps.
+    renorm_every = 32
+    K = F4_MAX_DIAGONALS
+    row, nxt, tmp, logw, ew, den = np.empty((6, K + 2))
+    row[0] = 1.0
+    logw[: renorm_every + 1], ew[: renorm_every + 1] = 0.0, 1.0  # ew = exp(logw)
+    log_tau = math.log(_EPS * rtol / K)
+    lo = hi = 0  # the live window of the current diagonal
     total = 1.0
     prev_block = 1.0
-    renorm_every = 32
-    for s in range(F4_MAX_DIAGONALS):
+    for s in range(K):
         fac = (a1 + s) * (a2 + s)
-        den[s] = (b2 + s) * (s + 1.0)
-        np.divide(fac * y, den[s::-1], out=tmp[: s + 1])
-        np.multiply(row[: s + 1], tmp[: s + 1], out=nxt[: s + 1])
-        nxt[s + 1] = row[s] * (fac * x / ((b1 + s) * (s + 1.0)))
-        logw[s + 1] = logw[s]
-        ew[s + 1] = ew[s]
-        block = float(np.dot(nxt[: s + 2], ew[: s + 2]))
+        den[K - s] = (b2 + s) * (s + 1.0)
+        step = tmp[lo: hi + 1]
+        np.divide(fac * y, den[K - s + lo: K - s + hi + 1], out=step)
+        np.multiply(row[lo: hi + 1], step, out=nxt[lo: hi + 1])
+        nxt[hi + 1] = row[hi] * (fac * x / ((b1 + hi) * (hi + 1.0)))
+        hi += 1
+        block = float(np.dot(nxt[lo: hi + 1], ew[lo: hi + 1]))
         total += block
         if s >= 4 and block <= prev_block and block * geo <= rtol * total:
             break
         prev_block = block
         row, nxt = nxt, row
         if (s + 1) % renorm_every == 0:
-            live = row[: s + 2]
+            live, lw = row[lo: hi + 1], logw[lo: hi + 1]
             pos = live > 0.0
-            np.add(logw[: s + 2], np.log(live, where=pos, out=tmp[: s + 2]),
-                   out=logw[: s + 2], where=pos)
+            np.add(lw, np.log(live, where=pos, out=tmp[lo: hi + 1]), out=lw, where=pos)
             np.copyto(live, pos)
+            if s + 1 >= F4_WINDOW_START:
+                keep = np.flatnonzero(pos & (lw > lw.max(where=pos, initial=-math.inf) + log_tau))
+                lo, hi = lo + int(keep[0]), lo + int(keep[-1])
             with np.errstate(under="ignore"):
-                np.exp(logw[: s + 2], out=ew[: s + 2])
+                np.exp(logw[lo: hi + 1], out=ew[lo: hi + 1])
+            logw[hi + 1: hi + renorm_every + 1] = logw[hi]
+            ew[hi + 1: hi + renorm_every + 1] = ew[hi]
     else:
         raise SlowConvergenceError(f"F4 series did not converge in {F4_MAX_DIAGONALS} blocks")
     return params.c_ab * math.sinh(0.5 * t) / ch**params.sigma * total
@@ -249,7 +307,6 @@ def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float, rtol=1
 _BASE_NODES = 24
 _MAX_DOUBLINGS = 2
 _T_CHUNK = 64
-_EPS = float(np.finfo(float).eps)
 
 
 def _pq(theta: float, phi: float):
@@ -375,6 +432,7 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     _check_t(t_arr)
     _check_angles(theta, phi)
+    _check_rtol(rtol)
     route = f"integral route (alpha={params.alpha}, beta={params.beta}, deriv={deriv})"
     point = f"t_min={t_arr.min():g}, theta={theta:g}, phi={phi:g}"
 
@@ -459,6 +517,7 @@ def h_script_general(params: JacobiParams, t: float, theta: float, phi: float,
     """
     _check_t(t)
     _check_angles(theta, phi)
+    _check_rtol(rtol)
     n = _BASE_NODES
     prev = _general_once(params, t, theta, phi, n)
     for _ in range(_MAX_DOUBLINGS):

@@ -1,9 +1,12 @@
 """Reference loop of the F4 route, kept to pin the production sweep bit for bit.
 
-This is the straightforward form of `kernel.h_script_f4`: each anti-diagonal
-is built with fresh arrays (`np.arange`, `np.append`), so its cost has a
-large constant factor, but every rounding step is written out plainly.
-`h_script_f4` must return exactly (==) what this returns.
+This is the straightforward form of `kernel.h_script_f4` without its window:
+each anti-diagonal is built whole with fresh arrays (`np.arange`,
+`np.append`), so its cost is O(S^2) with a large constant factor, but every
+rounding step is written out plainly.  `h_script_f4` must return exactly
+(==) what this returns for every call that ends before
+`kernel.F4_WINDOW_START` anti-diagonals; past it the window sums fewer
+entries, in another order, and the two agree to about 1e-13.
 """
 
 from __future__ import annotations

@@ -42,15 +42,24 @@ NON_FINITE = [math.inf, -math.inf, math.nan]
 with open(Path(__file__).parent / "golden" / "compare_cheb.csv", newline="") as _fh:
     _COMPARE_POINTS = [(CHEB, float(r["t"]), float(r["theta"]), float(r["phi"]))
                        for r in csv.DictReader(_fh)]
-# (params, t, theta, phi) where the F4 sweep must equal the reference loop:
-# the compare golden; theta = 0 (x = 0) and phi = pi (y ~ 4e-33), whose zero
-# and underflowing entries meet the renormalization mask; and rho =
-# 1/cosh(0.05) ~ 0.99875, which takes about ten thousand anti-diagonals.
+# (params, t, theta, phi) where the F4 sweep is checked against the reference
+# loop: the compare golden (at most 419 anti-diagonals); theta = 0 (x = 0,
+# 1,267 diagonals) and phi = pi (y ~ 4e-33, 1,927 diagonals), whose zero and
+# underflowing entries meet the renormalization mask; the theta = 0, phi = pi
+# corner; 801 diagonals at alpha = beta = 0, whose last bit a window trimmed
+# from the first diagonal would change; and rho = 1/cosh(0.05) ~ 0.99875
+# (10,426 diagonals).  All but the last must be equal bit for bit: the
+# golden and the 801-diagonal points end before F4_WINDOW_START, and past it
+# the edges' window drops only exact zeros (x = 0) or entries below half an
+# ulp of their block (y ~ 4e-33).  The last point's window drops entries
+# below eps rtol of the sum, so it sums in another order and agrees to 1e-13.
+F4_WINDOWED_POINT = (JacobiParams(2.0, -0.25), 0.1, 1.2, 1.2)
 F4_SWEEP_POINTS = _COMPARE_POINTS + [
     (JacobiParams(0.5, -0.75), 0.05, 0.0, 0.3),
     (JacobiParams(-0.75, 0.5), 0.05, 2.9, math.pi),
     (JacobiParams(0.0, 0.0), 0.7, 0.0, math.pi),
-    (JacobiParams(2.0, -0.25), 0.1, 1.2, 1.2),
+    (JacobiParams(0.0, 0.0), 0.3, 1.5, 1.3),
+    F4_WINDOWED_POINT,
 ]
 
 
@@ -138,7 +147,27 @@ class TestF4:
         ids=lambda v: f"{v:g}" if isinstance(v, float) else f"a{v.alpha}_b{v.beta}",
     )
     def test_sweep_is_bitwise_the_reference_loop(self, p, t, th, ph):
-        assert h_script_f4(p, t, th, ph) == h_script_f4_reference(p, t, th, ph)
+        got, ref = h_script_f4(p, t, th, ph), h_script_f4_reference(p, t, th, ph)
+        if (p, t, th, ph) == F4_WINDOWED_POINT:
+            assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+        else:
+            assert got == ref
+
+    # About 23,000 anti-diagonals each (rho ~ 0.99944), where the full
+    # reference loop would take seconds: checked against independent values.
+    # theta = 0 (x = 0) and phi = pi (y ~ 4e-33) leave one live column.
+    @pytest.mark.parametrize("p, t, th, ph", [
+        (CHEB, 0.0269, 2.698, 2.759),
+        (JacobiParams(-0.75, 0.5), 0.0445, 1.351, 1.401),
+        (CHEB, 0.0269, 0.0, 0.0613),
+        (CHEB, 0.0269, math.pi - 0.0613, math.pi),
+    ], ids=["cheb", "a-0.75_b0.5", "theta0", "phipi"])
+    def test_long_sweep_against_independent_value(self, p, t, th, ph):
+        if p == CHEB:
+            ref = closed_form_chebyshev(t, th, ph)
+        else:
+            ref = series_H(p, t, th, ph) - jph_correction(p, t)
+        assert_allclose(h_script_f4(p, t, th, ph), ref, rtol=1e-10)
 
 
 class TestIntegral:
@@ -328,6 +357,16 @@ def test_routes_reject_non_finite_t(route, t):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"finite, got {t}"):
             route(JacobiParams(0.5, -0.75), t, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("rtol", [0.0, -1.0, math.nan, math.inf], ids=str)
+@pytest.mark.parametrize("route", [h_script_f4, h_script_integral, h_script_general],
+                         ids=lambda f: f.__name__)
+def test_routes_reject_bad_rtol(route, rtol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"rtol must be positive and finite, got {rtol}"):
+            route(JacobiParams(0.5, -0.75), 0.1, 1.0, 2.0, rtol=rtol)
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf], ids=str)
