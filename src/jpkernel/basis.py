@@ -41,14 +41,14 @@ def _tables(alpha: float, beta: float, n_max: int):
     for and sliced on return.  A grown entry replaces the old one whole, so a
     thread that read an entry keeps a consistent one while another grows it.
     Each coefficient is formed elementwise in the operation order of the
-    scalar formula, and each norm is norm_constant's, so every value has the
-    bits of the per-degree loop.
+    scalar formula, and each norm is norm_constant's (from array gammaln
+    calls), so every value has the bits of the per-degree loop.
     """
     holder = _holder(alpha, beta)
     entry = holder[0]
     if entry is None or len(entry[1]) <= n_max:
         norms = [] if entry is None else entry[1].tolist()
-        norms += [norm_constant(alpha, beta, n) for n in range(len(norms), n_max + 1)]
+        norms += _norm_constants(alpha, beta, len(norms), n_max)
         n = np.arange(2, n_max + 1, dtype=float)
         ab = alpha + beta
         coeffs = (
@@ -108,6 +108,27 @@ def _log_h2(alpha: float, beta: float, n: int) -> float:
 def norm_constant(alpha: float, beta: float, n: int) -> float:
     """h_n such that p_n(cos theta)/h_n has unit L^2(d mu) norm."""
     return math.exp(0.5 * _log_h2(alpha, beta, n))
+
+
+def _norm_constants(alpha: float, beta: float, n_lo: int, n_max: int) -> list:
+    """norm_constant(alpha, beta, n) for n = n_lo..n_max, bit for bit.
+
+    _log_h2's four gammaln terms are four array calls over the degrees and
+    are combined in its order; the log and the exp stay math.log and
+    math.exp per degree, because np.log and np.exp may differ from libm by
+    an ulp.
+    """
+    out = [norm_constant(alpha, beta, 0)] if n_lo == 0 else []
+    n = np.arange(max(n_lo, 1), n_max + 1, dtype=float)
+    ab1 = alpha + beta + 1.0
+    log_h2 = (
+        np.array([-math.log(x) for x in (2.0 * n + ab1).tolist()])
+        + specfun.gammaln(n + alpha + 1.0)
+        + specfun.gammaln(n + beta + 1.0)
+        - specfun.gammaln(n + ab1)
+        - specfun.gammaln(n + 1.0)
+    )
+    return out + [math.exp(0.5 * x) for x in log_h2.tolist()]
 
 
 @dataclass(frozen=True)

@@ -306,7 +306,9 @@ def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float, rtol=1
 
 _BASE_NODES = 24
 _MAX_DOUBLINGS = 2
-_T_CHUNK = 64
+# Psi is evaluated in pieces of about this many elements (1 MB, inside a
+# core's L2 cache): blocks of whole t rows, or slices of one row.
+_BLOCK_ELEMS = 2**17
 
 
 def _pq(theta: float, phi: float):
@@ -344,17 +346,17 @@ def _axis_terms(gamma: float, n: int, delta: float):
             (np.array([1.0, -1.0]), np.array([0.5, 0.5]), 0)]
 
 
-def _contract(vals, u_w, v_w, with_mass=True):
-    """(sum_ij u_w[i] v_w[j] vals[t, i, j], sum_ij |u_w[i] v_w[j] vals[t, i, j]|)
-    for each t, weighting vals (a fresh evaluator output) in place.  The
-    second sum is None unless with_mass.
+def _row_sums(vals, with_mass):
+    """(sum_ij vals[t, i, j], sum_ij |vals[t, i, j]|) for each t row of vals
+    (weighted evaluator output, overwritten); the second is None unless
+    with_mass.
 
-    Each sum is one ndarray.sum over the flattened (i, j) axes, i.e. numpy's
-    pairwise summation, whose order is fixed by the row length (left to right
-    below eight terms).  einsum picks its order inside numpy, so its last bit
+    Each sum is one ndarray.sum over a row's flattened (i, j) axes, i.e.
+    numpy's pairwise summation, whose order is fixed by the row length (left
+    to right below eight terms), so a row's sums do not depend on how many
+    rows vals holds.  einsum picks its order inside numpy, so its last bit
     depends on the build.
     """
-    vals *= np.outer(u_w, v_w)
     rows = vals.reshape(len(vals), -1)
     total = rows.sum(axis=1)
     return total, np.abs(rows, out=rows).sum(axis=1) if with_mass else None
@@ -381,29 +383,56 @@ def _integral_sum(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor, with
 
     The batch splits into log-bands [lo, 4 lo) from its smallest t on (the
     last band takes the rest), and each band is graded by its own smallest
-    t: small t needs deep grading that larger t should not pay for.  Within
-    a band, psi runs on chunks of _T_CHUNK values of t.
+    t: small t needs deep grading that larger t should not pay for.
+
+    Within a band, each term's weighted psi fills blocks of whole t rows;
+    a row of more than _BLOCK_ELEMS elements is a block alone and is filled
+    in slices of u nodes.  Psi and the weighting run on pieces of about
+    _BLOCK_ELEMS elements, in psi's out and work buffers, views of one
+    workspace that the call allocates (and grows when a term needs more)
+    and every block reuses.  So memory stays bounded by the largest row,
+    and blocks do not page-fault in fresh memory: allocating per term or
+    per block would, as the allocator hands equal-size arrays back to the
+    system.  Every element is computed as on the full tensor, each t sums
+    its terms in the same order and each row sum is over the whole row, so
+    the values do not depend on the blocking.  The workspace belongs to the
+    call: the evaluator is shared between threads.
     """
     psi = psi_evaluator(params)
     out = np.zeros_like(t_arr)
     mass = np.zeros_like(t_arr) if with_mass else None
     t_max = float(t_arr.max())
     lo = float(t_arr.min())
+    space = np.empty(0)
     while True:
         hi = lo * 4.0
         band = np.flatnonzero((t_arr >= lo) & ((t_arr < hi) | (hi >= t_max)))
         if band.size:
-            terms = _integral_terms(params, float(t_arr[band].min()), theta, phi, n_nodes,
+            t_band = t_arr[band].reshape(-1, 1, 1)
+            terms = _integral_terms(params, float(t_band.min()), theta, phi, n_nodes,
                                     delta_floor)
-            for start in range(0, band.size, _T_CHUNK):
-                chunk = band[start:start + _T_CHUNK]
-                tc = t_arr[chunk].reshape(-1, 1, 1)
-                for u, v, wu, wv, K, R in terms:
-                    vals, absvals = _contract(psi(tc, theta, phi, u, v, K=K, R=R, L=L, N=N, M=M),
-                                              wu, wv, with_mass)
-                    out[chunk] += vals
+            for u, v, wu, wv, K, R in terms:
+                weights = wu[:, None] * wv  # np.outer's products, without its call overhead
+                rows = min(band.size, max(1, _BLOCK_ELEMS // weights.size))
+                cols = u.size if rows > 1 else min(u.size, max(1, _BLOCK_ELEMS // v.size))
+                n_buf, n_work = rows * weights.size, rows * cols * v.size
+                if space.size < n_buf + n_work:
+                    space = np.empty(n_buf + n_work)
+                buf = space[:n_buf].reshape((rows,) + weights.shape)
+                work = space[n_buf:n_buf + n_work].reshape(rows, cols, v.size)
+                for start in range(0, band.size, rows):
+                    tb = t_band[start:start + rows]
+                    vals = buf[:len(tb)]
+                    for i in range(0, u.size, cols):
+                        piece = vals[:, i:i + cols]
+                        psi(tb, theta, phi, u[:, i:i + cols], v, K=K, R=R, L=L, N=N, M=M,
+                            out=piece, work=work[:len(tb), :piece.shape[1]])
+                        piece *= weights[i:i + cols]
+                    sums, abs_sums = _row_sums(vals, with_mass)
+                    block = band[start:start + rows]
+                    out[block] += sums
                     if with_mass:
-                        mass[chunk] += absvals
+                        mass[block] += abs_sums
         if hi >= t_max:
             return out, mass
         lo = hi

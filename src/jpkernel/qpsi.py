@@ -23,7 +23,8 @@ in place in the order of the per-partition sum the engine replaced, so the
 integral route's values at deriv (0, 0, 0) keep their rounding.  The trig
 partials come from one sin/cos pair per angle by the period-4 cycle, so
 their exact zeros stay exact.  No finite differences anywhere.  Everything
-broadcasts: t, theta, phi, u, v may be arrays of broadcastable shapes.
+broadcasts: t, theta, phi, u, v may be arrays of broadcastable shapes, and
+the result can be written into a caller's array (out=, as numpy's ufuncs).
 """
 
 from __future__ import annotations
@@ -44,9 +45,20 @@ def _dsin_half(s, c, k):
     return 0.5**k * (s, c, -s, -c)[k % 4]
 
 
+def _half_trig(theta, phi):
+    """((sin, cos) of theta/2, (sin, cos) of phi/2), the trig of q."""
+    return ((np.sin(0.5 * theta), np.cos(0.5 * theta)),
+            (np.sin(0.5 * phi), np.cos(0.5 * phi)))
+
+
+def _q(trig, u, v):
+    """q from trig = _half_trig(theta, phi)."""
+    (st, ct), (sp, cp) = trig
+    return 1.0 - u * st * sp - v * ct * cp
+
+
 def q_value(theta, phi, u, v):
-    return (1.0 - u * np.sin(0.5 * theta) * np.sin(0.5 * phi)
-            - v * np.cos(0.5 * theta) * np.cos(0.5 * phi))
+    return _q(_half_trig(theta, phi), u, v)
 
 
 def _q_partial(trig, u, v, dtheta, dphi, du, dv):
@@ -113,19 +125,26 @@ class PsiEvaluator:
         self.sigma = params.sigma
         self.c_ab = params.c_ab
 
-    def __call__(self, t, theta, phi, u, v, K=0, R=0, L=0, N=0, M=0):
-        """partial_u^K partial_v^R partial_phi^L partial_theta^N partial_t^M Psi."""
+    def __call__(self, t, theta, phi, u, v, K=0, R=0, L=0, N=0, M=0, out=None, work=None):
+        """partial_u^K partial_v^R partial_phi^L partial_theta^N partial_t^M Psi.
+
+        out, as in numpy's ufuncs, is an array of the arguments' broadcast
+        shape that receives the result and is returned; work, of the same
+        shape, holds D and is overwritten.  Either may be None, to allocate
+        it; a caller that evaluates many tensors of one shape passes both,
+        so that no call allocates (and page-faults in) a full-size array.
+        The values do not depend on them.
+        """
         t = np.asarray(t, dtype=float)
         S = np.sinh(0.5 * t)
         C = np.cosh(0.5 * t)
-        D = np.asarray((C - 1.0) + q_value(theta, phi, u, v))
-        trig = ((np.sin(0.5 * theta), np.cos(0.5 * theta)),
-                (np.sin(0.5 * phi), np.cos(0.5 * phi)))
+        trig = _half_trig(theta, phi)
+        D = np.asarray(np.add(C - 1.0, _q(trig, u, v), out=work))
         if not (L or N or M):
             # The orders the integral route takes at deriv (0, 0, 0): one
             # Faa di Bruno term, multiplied out in place in the order of the
             # per-partition sum, so those kernel values keep their rounding.
-            power = D ** (-self.sigma)
+            power = np.power(D, -self.sigma, out=out)
             for _ in range(K + R):
                 power /= D
             power *= (-1.0) ** (K + R) * prod(self.sigma + i for i in range(K + R))
@@ -160,7 +179,7 @@ class PsiEvaluator:
                     coef = coef + (weight * scale * q_product(uv)) * q_product(angle)
                 tf = 1.0 if shared else S**a * C**b
                 if acc is None:
-                    acc = np.multiply(tf, coef, out=np.empty_like(D))
+                    acc = np.multiply(tf, coef, out=np.empty_like(D) if out is None else out)
                 elif shared or np.ndim(coef) == 0:
                     acc += tf * coef
                 else:

@@ -3,7 +3,7 @@
 Floats are serialized with repr (shortest round-trip decimal).  Goldens are
 reproducible across platforms because of that and because the values
 themselves are: the integral route sums its quadrature terms in a fixed
-order (kernel._contract), not in one the numpy build picks.
+order (kernel._row_sums), not in one the numpy build picks.
 """
 
 from __future__ import annotations

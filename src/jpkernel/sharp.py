@@ -65,24 +65,38 @@ def comparator(params: JacobiParams, t: float, theta: float, phi: float, which: 
 
 def ratio_scan(params: JacobiParams, t_grid, theta_grid, phi_grid, which: str = "H",
                cap: float = 50.0, rtol: float = 1e-7) -> EstimateReport:
-    """Per-point ratio kernel / comparator over the grid; pass iff max/min <= cap."""
+    """Per-point ratio kernel / comparator over the grid; pass iff max/min <= cap.
+
+    The kernel is symmetric in (theta, phi), so each unordered pair is
+    evaluated once, in the order theta <= phi, and both of its rows take
+    that batch; each row keeps its own comparator, and the rows keep the
+    grid's order.
+    """
+    if which not in ("H", "Hscript"):
+        raise ValueError(f"which must be 'H' or 'Hscript', got {which!r}")
+    if not 0.0 < cap < math.inf:
+        raise ValueError(f"cap must be positive and finite, got {cap}")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     theta_grid = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     phi_grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
 
-    def one(pair):
-        theta, phi = pair
-        h_vals = kernel_H_batch(params, t_grid, theta, phi, rtol=rtol)
+    def kernel_vals(pair):
+        h_vals = kernel_H_batch(params, t_grid, *pair, rtol=rtol)
         if which == "Hscript":
             h_vals = h_vals - jph_correction(params, t_grid)
-        out = []
-        for t, h in zip(t_grid, h_vals):
-            comp = comparator(params, float(t), theta, phi, which=which)
-            out.append((float(t), theta, phi, float(h), comp, float(h) / comp))
-        return out
+        return h_vals
 
     pairs = [(float(th), float(ph)) for th in theta_grid for ph in phi_grid]
-    rows = [row for chunk in parallel_map(one, pairs) for row in chunk]
+    # Swap only a pair that is strictly out of order, so a NaN stays in its
+    # pair (where the kernel rejects it) instead of being ordered away.
+    keys = [(ph, th) if ph < th else (th, ph) for th, ph in pairs]
+    batches = list(dict.fromkeys(keys))
+    h_by_key = dict(zip(batches, parallel_map(kernel_vals, batches)))
+    rows = []
+    for (theta, phi), key in zip(pairs, keys):
+        for t, h in zip(t_grid, h_by_key[key]):
+            comp = comparator(params, float(t), theta, phi, which=which)
+            rows.append((float(t), theta, phi, float(h), comp, float(h) / comp))
     meta = {
         "alpha": params.alpha,
         "beta": params.beta,

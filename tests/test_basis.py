@@ -102,6 +102,16 @@ class TestClassicalEval:
             assert np.array_equal(grown, ref)
             assert np.array_equal(again, first)
 
+    def test_norm_fill_is_norm_constant_bitwise_over_a_sweep(self):
+        # The array fill against the scalar formula over 27 (alpha, beta),
+        # among them alpha + beta + 1 = 0 and both sides of -1/2, at the
+        # degrees 0..20,000 the series route can reach.
+        for alpha in (-0.99, -0.75, -0.5, -0.25, 0.0, 0.5, 1.0, 2.5, 10.0):
+            for beta in (-0.75, -0.5, 0.5):
+                ref = [norm_constant(alpha, beta, n) for n in range(20_001)]
+                assert basis._norm_constants(alpha, beta, 0, 20_000) == ref, (alpha, beta)
+                assert basis._norm_constants(alpha, beta, 301, 600) == ref[301:601]
+
     def test_cache_is_bounded(self):
         # A sweep over many (alpha, beta) keeps at most _CACHED_PAIRS entries,
         # and an evicted pair is rebuilt with the same bits.

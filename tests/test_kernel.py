@@ -2,6 +2,8 @@
 
 import csv
 import math
+import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from jpkernel import kernel
 from jpkernel.basis import theta_quad_rule, trig_poly_table
 from jpkernel.errors import (
     QuadratureError,
@@ -20,7 +23,6 @@ from jpkernel.errors import (
 )
 from jpkernel.kernel import (
     KernelQuery,
-    _contract,
     _integral_terms,
     closed_form_chebyshev,
     h_script_f4,
@@ -34,6 +36,7 @@ from jpkernel.params import JacobiParams
 from jpkernel.qpsi import psi_evaluator
 
 from _f4_reference import h_script_f4_reference
+from _integral_reference import contract, integral_sum
 from _oracles import chebyshev_H
 
 CHEB = JacobiParams(-0.5, -0.5)
@@ -185,7 +188,7 @@ class TestIntegral:
             psi = psi_evaluator(p)
             tc = np.array([[[0.5]]])
             half_pi = math.pi / 2
-            parts = [float(_contract(psi(tc, half_pi, half_pi, u, v, K=K, R=R), wu, wv)[0][0])
+            parts = [float(contract(psi(tc, half_pi, half_pi, u, v, K=K, R=R), wu, wv)[0][0])
                      for u, v, wu, wv, K, R in _integral_terms(p, 0.5, half_pi, half_pi, 96)]
             assert all(x >= 0 for x in parts)
             assert_allclose(sum(parts), float(h_script_integral(p, 0.5, math.pi / 2, math.pi / 2)),
@@ -384,7 +387,7 @@ def test_routes_reject_non_finite_angles(route, which, angle):
 def test_integral_batch_equals_its_log_bands_alone():
     # The integral route grades each log-band [t_min 4^k, t_min 4^(k+1)) of a
     # batch by the band's own smallest t, so a band evaluated alone gives the
-    # same bits; the first band holds more than one psi chunk of t values.
+    # same bits; the first band's 100 t fill several blocks of t rows.
     p = JacobiParams(0.5, -0.75)
     t_min = 1e-3
     ts = np.concatenate([np.linspace(t_min, 4.0 * t_min, 100, endpoint=False),
@@ -400,6 +403,84 @@ def test_integral_batch_equals_its_log_bands_alone():
             seen += 1
         lo *= 4.0
     assert seen >= 4
+
+
+# Every derivative order (M, N, L) the integral route takes: L <= 1, N + M <= 3.
+ROUTE_DERIVS = [(M, N, L) for L in (0, 1) for N in range(4) for M in range(4 - N)]
+
+
+@pytest.mark.parametrize("with_mass", [False, True], ids=["values", "mass"])
+@pytest.mark.parametrize("n_t, block_rows", [
+    pytest.param(1, 3, id="one-t"),
+    pytest.param(3, 3, id="one-block"),
+    pytest.param(7, 3, id="short-last-block"),
+    pytest.param(64, 3, id="64-t"),
+    pytest.param(5, 0.4, id="row-in-slices"),
+    pytest.param(1, 0, id="row-in-single-nodes"),
+])
+def test_blocked_sum_is_the_full_tensor_sum(monkeypatch, n_t, block_rows, with_mass):
+    # At alpha = beta = -3/4 both axes are profiles, so the terms take every
+    # (K, R).  The budget holds block_rows rows of the largest term: below
+    # one row, a row is filled in slices of u nodes (at 0.4, three slices,
+    # the last one short; at 0, one node each).  The 64 t span two log-bands.
+    p = JacobiParams(-0.75, -0.75)
+    theta, phi, n_nodes, floor = 1.0, 1.3, 6, 2.0**-40
+    ts = np.linspace(0.02, 0.3 if n_t == 64 else 0.06, n_t)
+    largest = max(u.size * v.size for u, v, *_ in _integral_terms(p, 0.02, theta, phi, n_nodes))
+    monkeypatch.setattr(kernel, "_BLOCK_ELEMS", max(1, int(block_rows * largest)))
+    for M, N, L in ROUTE_DERIVS:
+        got = kernel._integral_sum(p, ts, theta, phi, M, N, L, n_nodes, floor, with_mass)
+        want = integral_sum(p, ts, theta, phi, M, N, L, n_nodes, floor, with_mass)
+        assert np.array_equal(got[0], want[0]), (M, N, L)
+        assert (got[1] is None) if not with_mass else np.array_equal(got[1], want[1]), (M, N, L)
+
+
+def test_blocked_sum_at_full_size():
+    # The default budget: the profile term's rows hold about 26,000
+    # elements at the smallest t, five to a block; the atoms' rows fit the
+    # whole band in one block.
+    p = JacobiParams(0.5, -0.75)
+    ts = np.geomspace(0.01, 0.19, 64)
+    for M, N, L in [(0, 0, 0), (1, 1, 0), (0, 2, 1)]:
+        got = kernel._integral_sum(p, ts, 1.0, 2.0, M, N, L, 24, 2.0**-40, True)
+        want = integral_sum(p, ts, 1.0, 2.0, M, N, L, 24, 2.0**-40, True)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (M, N, L)
+
+
+def test_concurrent_calls_keep_their_buffers(monkeypatch):
+    # The evaluator is shared through its cache, so each call must own its
+    # block buffers.  Four threads (more than the cores) at two (alpha, beta)
+    # and two points each, blocks of a few rows, a short switch interval.
+    monkeypatch.setattr(kernel, "_BLOCK_ELEMS", 2048)
+    jobs = [(JacobiParams(a, b), th, ph) for a, b in [(0.5, -0.75), (-0.75, 0.5)]
+            for th, ph in [(1.0, 2.0), (0.7, 2.5)]]
+    ts = np.linspace(0.02, 0.15, 40)
+    opts = dict(base_nodes=8, max_doublings=0)
+    serial = [h_script_integral(p, ts, th, ph, **opts) for p, th, ph in jobs]
+    results = [None] * len(jobs)
+    barrier = threading.Barrier(len(jobs))
+
+    def run(i):
+        barrier.wait(timeout=30)
+        p, th, ph = jobs[i]
+        for _ in range(3):
+            results[i] = h_script_integral(p, ts, th, ph, **opts)
+            if not np.array_equal(results[i], serial[i]):
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(results, serial):
+        assert np.array_equal(got, want)
 
 
 HALF = JacobiParams(0.5, 0.5)

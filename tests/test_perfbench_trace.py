@@ -6,11 +6,14 @@ each kernel class defines itself.
 A rename or a move into a base class would break only `perfbench/run.py
 --trace 1`, so the install/uninstall round trip is checked here, and so is
 that `run.clear_caches` empties the basis tables' cache, which makes each
-traced pass start cold.
+traced pass start cold.  The integral route evaluates psi in blocks of t
+rows, and the `qpsi` spans must still count every element once.
 """
 
 import pathlib
 import sys
+
+import numpy as np
 
 from jpkernel import basis, czkernels, kernel, operators
 from jpkernel.params import JacobiParams
@@ -54,3 +57,20 @@ def test_clear_caches_empties_the_basis_cache():
     assert basis._holder.cache_info().currsize > 0
     run.clear_caches()
     assert basis._holder.cache_info().currsize == 0
+
+
+def test_qpsi_spans_count_every_element_of_a_blocked_call():
+    p = JacobiParams(0.5, -0.75)
+    ts = np.linspace(0.02, 0.06, 64)  # one log-band
+    theta, phi, base = 1.0, 1.05, 24
+    terms = [kernel._integral_terms(p, float(ts.min()), theta, phi, n) for n in (base, 2 * base)]
+    want = sum(ts.size * u.size * v.size for resolution in terms for u, v, *_ in resolution)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        kernel.h_script_integral(p, ts, theta, phi, rtol=1e-3, base_nodes=base, max_doublings=1)
+    finally:
+        tracer.uninstall()
+    elems = [s[7]["elems"] for s in tracer.spans if s[1] == "qpsi"]
+    assert len(elems) > sum(len(resolution) for resolution in terms)  # several blocks per term
+    assert sum(elems) == want

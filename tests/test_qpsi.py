@@ -231,3 +231,17 @@ class TestEngineAgainstReference:
             sys.setswitchinterval(interval)
         assert len(threaded) == len(serial)
         assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
+
+    def test_out_and_work_buffers_give_the_same_bits(self):
+        # Slices of larger buffers, as the integral route's blocks pass them.
+        psi = psi_evaluator(JacobiParams(-0.75, 0.5))
+        t = np.geomspace(0.01, 1.0, 3).reshape(-1, 1, 1)
+        u = np.linspace(-0.99, 0.99, 7).reshape(1, -1, 1)
+        v = np.linspace(-0.99, 0.99, 5).reshape(1, 1, -1)
+        out, work = np.full((2, 4, 9, 5), np.nan)
+        for K, R, L, N, M in SUPPORTED_ORDERS:
+            ref = psi(t, 0.7, 1.6, u, v, K=K, R=R, L=L, N=N, M=M)
+            got = psi(t, 0.7, 1.6, u, v, K=K, R=R, L=L, N=N, M=M,
+                      out=out[:3, 1:8], work=work[:3, 1:8])
+            assert np.shares_memory(got, out) and got.shape == ref.shape
+            assert np.array_equal(got, ref), (K, R, L, N, M)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from jpkernel import sharp
 from jpkernel.basis import mu_total
-from jpkernel.kernel import kernel_H_batch
+from jpkernel.kernel import jph_correction, kernel_H_batch
 from jpkernel.params import JacobiParams
 from jpkernel.sharp import comparator, comparator_values, long_time_fit, ratio_scan
 
@@ -82,6 +83,87 @@ class TestRatioScan:
         p = JacobiParams(-0.95, 0.0)
         report = ratio_scan(p, [0.5], [1.0], [2.0])
         assert report.meta["excluded_from_pass"] is True
+
+
+@pytest.fixture
+def batch_calls(monkeypatch):
+    """The (theta, phi) of every kernel_H_batch call ratio_scan makes."""
+    calls = []
+
+    def counted(params, t_arr, theta, phi, *args, **kwargs):
+        calls.append((theta, phi))
+        return kernel_H_batch(params, t_arr, theta, phi, *args, **kwargs)
+
+    monkeypatch.setattr(sharp, "kernel_H_batch", counted)
+    return calls
+
+
+def per_pair_rows(p, t_grid, theta_grid, phi_grid, which="H"):
+    """The kernel column as one batch per ordered pair computes it."""
+    out = []
+    for th in theta_grid:
+        for ph in phi_grid:
+            h = kernel_H_batch(p, np.asarray(t_grid), th, ph, rtol=1e-7)
+            if which == "Hscript":
+                h = h - jph_correction(p, np.asarray(t_grid))
+            out.extend(h)
+    return np.array(out)
+
+
+class TestMirrorPairs:
+    T_GRID = [0.05, 0.5]
+
+    def test_square_grid_evaluates_each_unordered_pair_once(self, batch_calls):
+        p = JacobiParams(0.5, -0.75)
+        grid = np.linspace(0.3, 2.8, 5)
+        report = ratio_scan(p, self.T_GRID, grid, grid)
+        assert len(batch_calls) == 15
+        assert all(th <= ph for th, ph in batch_calls)
+        assert len(report.rows) == 5 * 5 * len(self.T_GRID)
+        expected = [(t, th, ph) for th in grid for ph in grid for t in self.T_GRID]
+        assert [row[:3] for row in report.rows] == expected
+        by_point = {row[:3]: row for row in report.rows}
+        for t, th, ph in expected:
+            mirror = by_point[(t, ph, th)]
+            assert by_point[(t, th, ph)][3] == mirror[3]
+            assert by_point[(t, th, ph)][4] == comparator(p, t, th, ph)
+
+    @pytest.mark.parametrize("which", ["H", "Hscript"])
+    @pytest.mark.parametrize("theta_grid, phi_grid", [
+        pytest.param([0.4, 1.7, 2.9], [1.1, 2.2], id="rectangular"),
+        pytest.param([0.4, 1.7, 2.9], [2.9, 1.7, 0.9, 2.2], id="overlapping"),
+    ])
+    def test_grids_match_per_pair_evaluation(self, batch_calls, theta_grid, phi_grid, which):
+        p = JacobiParams(-0.75, -0.75)  # lam < 0: Hscript differs from H
+        report = ratio_scan(p, self.T_GRID, theta_grid, phi_grid, which=which)
+        unordered = {tuple(sorted(pair)) for pair in
+                     [(th, ph) for th in theta_grid for ph in phi_grid]}
+        assert len(batch_calls) == len(unordered)
+        kernel_col = np.array([row[3] for row in report.rows])
+        assert_allclose(kernel_col, per_pair_rows(p, self.T_GRID, theta_grid, phi_grid, which),
+                        rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("theta_grid, phi_grid", [
+        ([1.0], [math.nan]), ([math.nan], [1.0]), ([1.0, math.nan], [1.0, math.nan]),
+    ])
+    def test_nan_in_a_grid_raises(self, theta_grid, phi_grid):
+        with pytest.raises(ValueError, match="must be finite, got nan"):
+            ratio_scan(JacobiParams(0.0, 0.0), [0.05], theta_grid, phi_grid)
+
+
+class TestScanValidation:
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(which="bogus"), "which must be 'H' or 'Hscript', got 'bogus'"),
+        (dict(cap=math.nan), "cap must be positive and finite, got nan"),
+        (dict(cap=math.inf), "cap must be positive and finite, got inf"),
+        (dict(cap=0.0), "cap must be positive and finite, got 0.0"),
+        (dict(cap=-5.0), "cap must be positive and finite, got -5.0"),
+    ])
+    def test_rejected_before_any_kernel_evaluation(self, batch_calls, kwargs, match):
+        grid = np.linspace(0.3, 2.8, 5)
+        with pytest.raises(ValueError, match=match):
+            ratio_scan(JacobiParams(0.0, 0.0), [0.05, 0.5], grid, grid, **kwargs)
+        assert batch_calls == []
 
 
 class TestLongTime:
