@@ -318,14 +318,19 @@ def _pq(theta: float, phi: float):
 
 
 def _grading_delta(t_min: float, theta: float, phi: float, coupling: float,
-                   floor: float = 2.0**-40) -> float:
+                   floor: float = 2.0**-40, corner=(1.0, 1.0)) -> float:
     """Mesh grading scale toward the node 1 of one integration axis.
 
-    The integrand varies on scale d_min / coupling in (1 - u), where
-    d_min = cosh(t/2) - 1 + 2 sin^2((theta-phi)/4) is the distance to the
-    singularity at the corner.
+    The integrand varies on scale d / coupling in (1 - u), where d is D at
+    the corner (u, v) = corner = (xi, eta) that the axis runs toward:
+    d = cosh(t/2) - 1 + (1 - xi p - eta c), which is 2 sin^2((theta-phi)/4)
+    at (+, +), 2 cos^2((theta-phi)/4) at (-, -), 2 cos^2((theta+phi)/4) at
+    (+, -) and 2 sin^2((theta+phi)/4) at (-, +), plus cosh(t/2) - 1.  The
+    integral route grades toward (+, +), where d is smallest.
     """
-    d_min = (math.cosh(0.5 * t_min) - 1.0) + 2.0 * math.sin(0.25 * (theta - phi)) ** 2
+    xi, eta = corner
+    trig = math.sin if eta > 0.0 else math.cos
+    d_min = (math.cosh(0.5 * t_min) - 1.0) + 2.0 * trig(0.25 * (theta - xi * eta * phi)) ** 2
     if coupling <= 0.0:
         return 0.5
     return pi_measures.snap_delta(max(0.25 * d_min / coupling, floor))
@@ -502,63 +507,115 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
 # general (symmetrized one-formula) route
 # ---------------------------------------------------------------------------
 
-def _general_once(params, t, theta, phi, n_nodes):
+# The corners (xi, eta) of the symmetrized representation, in the order their
+# corner terms are summed: at alpha = beta = -1/2 that sum is the whole value.
+_CORNERS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+
+
+def _general_once(params, t, theta, phi, n_nodes, with_mass):
+    """The symmetrized representation at one resolution, and the sum of the
+    absolute values of its terms (its roundoff scale), or None unless
+    with_mass.
+
+    Each corner (xi, eta) contributes its value at D(xi, eta) = d, the
+    single-axis brackets Psi(xi u, eta) - Psi(xi, eta) and
+    Psi(xi, eta v) - Psi(xi, eta) against one half-line rule each, and the
+    double bracket against their product, all divided by the (1 - u) and
+    (1 - v) that the rules take out of the measures.  With
+    D(xi u, eta v) = d + xi (1-u) p + eta (1-v) c, each corner grades its
+    axes by its own d (see _grading_delta).  d is small at (+, +) near the
+    diagonal, at (-, +) and (+, -) only as theta + phi nears 0 or 2 pi, and
+    never at (-, -), so most corners take shallow rules.
+
+    The division is folded into the weights, uw / (1-u) and vw / (1-v), and
+    a corner's (nu x nv) double bracket is formed in place in one workspace
+    per call, grown when a corner needs more: the ratio
+    eta (1-v) c / D(xi u, eta), log1p, the factor -sigma, expm1, the row
+    factor D(xi u, eta)^(-sigma), and the single bracket over v subtracted.
+    Each single bracket comes from expm1/log1p without cancellation; what
+    cancels is the subtraction and the sum of the terms, which the mass
+    measures.  The cost is one elementwise pass of six operations per node
+    pair of each corner, plus the two matrix-vector products of the
+    contraction (and one abs pass and two more with_mass).
+    """
     sigma = params.sigma
     scale = 0.25 * params.c_ab * math.sinh(0.5 * t)
     C = math.cosh(0.5 * t)
     P, Q = _pq(theta, phi)
-    _, uw, omu = pi_measures.halfline_rule(params.alpha, n_nodes,
-                                           _grading_delta(t, theta, phi, P))
-    _, vw, omv = pi_measures.halfline_rule(params.beta, n_nodes, _grading_delta(t, theta, phi, Q))
-
-    def bracket(d, inc):
-        # D^(-sigma) at distance d + inc minus at d, without cancellation
-        return d ** (-sigma) * np.expm1(-sigma * np.log1p(inc / d))
-
-    omu_col = omu.reshape(-1, 1)
-    total_dd = 0.0
-    total_su = 0.0
-    total_sv = 0.0
-    corner = 0.0
-    for xi in (1.0, -1.0):
-        for eta in (1.0, -1.0):
-            d11 = (C - 1.0) + (1.0 - xi * P - eta * Q)  # D at the corner (u, v) = (xi, eta)
-            corner += scale * d11 ** (-sigma)
-            # single-variable brackets Psi(xi u, eta) - Psi(xi, eta), etc.
-            su = bracket(d11, xi * omu * P)
-            total_su += scale * np.sum(uw * su / omu)
-            inc_v = eta * omv * Q
-            sv = bracket(d11, inc_v)
-            total_sv += scale * np.sum(vw * sv / omv)
-            # double bracket, divided by (1-u)(1-v); D(xi u, eta) is a column over u
-            dd = (bracket(d11 + xi * omu_col * P, inc_v) - sv) / (omu_col * omv)
-            total_dd += scale * (uw @ dd @ vw)
-    return 4.0 * total_dd + 2.0 * total_su + 2.0 * total_sv + corner
+    space = np.empty(0)
+    value = corner = mass = 0.0
+    for xi, eta in _CORNERS:
+        d11 = (C - 1.0) + (1.0 - xi * P - eta * Q)  # D at the corner (u, v) = (xi, eta)
+        d_pow = d11 ** (-sigma)
+        corner += scale * d_pow
+        _, uw, omu = pi_measures.halfline_rule(
+            params.alpha, n_nodes, _grading_delta(t, theta, phi, P, corner=(xi, eta)))
+        _, vw, omv = pi_measures.halfline_rule(
+            params.beta, n_nodes, _grading_delta(t, theta, phi, Q, corner=(xi, eta)))
+        a, b = uw / omu, vw / omv
+        inc_u, inc_v = xi * P * omu, eta * Q * omv
+        su = d_pow * np.expm1(-sigma * np.log1p(inc_u / d11))
+        sv = d_pow * np.expm1(-sigma * np.log1p(inc_v / d11))
+        if space.size < a.size * b.size:
+            space = np.empty(a.size * b.size)
+        work = space[:a.size * b.size].reshape(a.size, b.size)
+        d_u = (d11 + inc_u).reshape(-1, 1)  # D(xi u, eta), a column over u
+        np.divide(inc_v, d_u, out=work)
+        np.log1p(work, out=work)
+        work *= -sigma
+        np.expm1(work, out=work)
+        work *= d_u ** (-sigma)
+        work -= sv
+        value += scale * (4.0 * (a @ work @ b) + 2.0 * (a @ su) + 2.0 * (b @ sv))
+        if with_mass:
+            abs_a, abs_b = np.abs(a), np.abs(b)
+            mass += abs(scale * d_pow) + abs(scale) * (
+                4.0 * (abs_a @ np.abs(work, out=work) @ abs_b)
+                + 2.0 * (abs_a @ np.abs(su)) + 2.0 * (abs_b @ np.abs(sv)))
+    return value + corner, mass if with_mass else None
 
 
 def h_script_general(params: JacobiParams, t: float, theta: float, phi: float,
                      rtol=5e-8) -> float:
     """Companion kernel via the symmetrized representation over (0, 1]^2.
 
-    Serves as an independent cross-check of h_script_integral; value only.  The default rtol sits at the route's
-    cancellation floor: the doubly-differenced integrand loses a few digits
-    when the exponent alpha + beta + 2 is large.
+    The independent cross-check of h_script_integral; value only.  Each of
+    the four corners of the representation is graded by its own distance
+    to the singularity and formed in one workspace per call (see
+    _general_once).  A resolution costs one elementwise pass over the
+    (nu x nv) node pairs of each corner, nu and nv the sizes of its
+    half-line rules, which grow with the depth of the corner's grading:
+    at (+, +) near the diagonal at small t, and at one of the other
+    corners only as theta + phi nears 0 or 2 pi.
+
+    Node counts double from _BASE_NODES until two successive values agree
+    to rtol.  Agreement below the roundoff floor is refused: when
+    eps * sum |terms| / |value| exceeds rtol (the value is a cancellation of
+    far larger terms, as for large alpha + beta + 2 close to the
+    diagonal), QuadratureError is raised instead of a value whose digits
+    are noise.  The default rtol sits at the route's cancellation floor.
     """
     _check_t(t)
     _check_angles(theta, phi)
     _check_rtol(rtol)
     n = _BASE_NODES
-    prev = _general_once(params, t, theta, phi, n)
+    prev, _ = _general_once(params, t, theta, phi, n, with_mass=False)
+    point = f"t={t:g}, theta={theta:g}, phi={phi:g}"
     for _ in range(_MAX_DOUBLINGS):
         n *= 2
-        cur = _general_once(params, t, theta, phi, n)
-        if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
+        cur, mass = _general_once(params, t, theta, phi, n, with_mass=True)
+        scale = max(abs(cur), 1e-300)
+        if abs(cur - prev) <= rtol * scale:
+            cond = mass / scale
+            if _EPS * cond > rtol:
+                raise QuadratureError(
+                    f"general route cannot reach rtol={rtol:g}: condition number "
+                    f"sum|terms|/|value| = {cond:.3g} puts its roundoff floor at "
+                    f"{_EPS * cond:.3g}, for {point}"
+                )
             return cur
         prev = cur
-    raise QuadratureError(
-        f"general route did not stabilize at {n} nodes per piece "
-        f"for t={t:g}, theta={theta:g}, phi={phi:g}"
-    )
+    raise QuadratureError(f"general route did not stabilize at {n} nodes per piece for {point}")
 
 
 # ---------------------------------------------------------------------------

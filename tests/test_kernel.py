@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from jpkernel import kernel
+from jpkernel import kernel, pi_measures
 from jpkernel.basis import theta_quad_rule, trig_poly_table
 from jpkernel.errors import (
     QuadratureError,
@@ -64,6 +64,23 @@ F4_SWEEP_POINTS = _COMPARE_POINTS + [
     (JacobiParams(0.0, 0.0), 0.3, 1.5, 1.3),
     F4_WINDOWED_POINT,
 ]
+
+# The general route's sweep: the acceptance sets at angle pairs near 0, near
+# pi, mid-range and 1e-3 off the diagonal.  Near the diagonal (or the
+# antipode) at small t the route's terms cancel past its rtol for the larger
+# alpha + beta + 2, and it refuses with QuadratureError at these points;
+# without its roundoff floor it returned values 4.7e-7 and 1.4e-4 off at the
+# first and third.
+GENERAL_SWEEP_SETS = [(0.5, 0.5), (-0.75, 0.5), (0.5, -0.75), (-0.75, -0.75), (0.0, 0.0),
+                      (2.0, -0.25)]
+GENERAL_SWEEP_ANGLES = [(0.02, 0.05), (math.pi - 0.05, math.pi - 0.02), (1.0, 2.0), (1.2, 1.201)]
+GENERAL_SWEEP_REFUSED = {
+    ((0.5, 0.5), 0.01, 1.2, 1.201),
+    ((2.0, -0.25), 0.01, math.pi - 0.05, math.pi - 0.02),
+    ((2.0, -0.25), 0.01, 1.2, 1.201),
+    ((2.0, -0.25), 0.03, math.pi - 0.05, math.pi - 0.02),
+    ((2.0, -0.25), 0.03, 1.2, 1.201),
+}
 
 
 class TestClosedForm:
@@ -272,6 +289,46 @@ class TestGeneral:
         got = h_script_general(p, t, 0.0, math.pi)
         ref = p.c_ab * math.sinh(0.5 * t) / math.cosh(0.5 * t) ** p.sigma
         assert_allclose(got, ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("t, theta, phi", [(0.3, 1.0, 2.0), (0.01, 1.2, 1.201),
+                                               (0.05, 0.02, 3.1), (1.0, 3.0, 3.1)])
+    def test_each_corner_grades_by_its_own_distance(self, t, theta, phi):
+        # _grading_delta forms each corner's d as cosh(t/2) - 1 plus 2 sin^2
+        # or 2 cos^2 of a quarter angle; it is D at (u, v) = (xi, eta)
+        p_c, q_c = kernel._pq(theta, phi)
+        for xi, eta in kernel._CORNERS:
+            d = (math.cosh(0.5 * t) - 1.0) + (1.0 - xi * p_c - eta * q_c)
+            for coupling in (p_c, q_c):
+                want = pi_measures.snap_delta(max(0.25 * d / coupling, 2.0**-40))
+                got = kernel._grading_delta(t, theta, phi, coupling, corner=(xi, eta))
+                assert got == want
+
+    # (t, theta, phi) at alpha = beta = 1.5 where the value is a cancellation
+    # beyond rtol = 5e-8 of terms up to 5e15 times larger.  Without the
+    # floor, the doubling check passes on 160.0 and 36.375 (series 170.6633,
+    # 36.3475).
+    @pytest.mark.parametrize("t, theta, phi", [(0.03, 1.5, 1.501), (0.01, 1.0, 1.05)])
+    def test_refuses_values_below_its_roundoff_floor(self, t, theta, phi):
+        with pytest.raises(QuadratureError):
+            h_script_general(JacobiParams(1.5, 1.5), t, theta, phi)
+
+    @pytest.mark.parametrize("t", [0.01, 0.03, 0.1, 0.5])
+    @pytest.mark.parametrize("ab", GENERAL_SWEEP_SETS, ids=lambda ab: f"a{ab[0]}_b{ab[1]}")
+    def test_sweep_matches_integral(self, ab, t):
+        # the integral route is the reference, an independent representation:
+        # the series is limited by roundoff where H is small (alpha = beta =
+        # 1.5, t = 0.01, theta = 0.05, phi = 3.1: 3e-5 off)
+        p = JacobiParams(*ab)
+        checked = 0
+        for theta, phi in GENERAL_SWEEP_ANGLES:
+            if (ab, t, theta, phi) in GENERAL_SWEEP_REFUSED:
+                with pytest.raises(QuadratureError):
+                    h_script_general(p, t, theta, phi)
+                continue
+            ref = float(h_script_integral(p, t, theta, phi))
+            assert_allclose(h_script_general(p, t, theta, phi), ref, rtol=1e-7)
+            checked += 1
+        assert checked >= 2
 
 
 class TestKernelEval:
