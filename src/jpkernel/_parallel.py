@@ -27,3 +27,18 @@ def parallel_map(fn, items):
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))
+
+
+def pair_map(fn, pairs, symmetric):
+    """fn(theta, phi) for each (theta, phi) of pairs, in order, each distinct
+    pair evaluated once through parallel_map.
+
+    With symmetric (fn symmetric in its arguments), each unordered pair is
+    evaluated once, at theta <= phi, and every row of it takes that value.
+    Only a pair strictly out of order is swapped, so a NaN stays in its pair
+    (where fn rejects it) instead of being ordered away.
+    """
+    keys = [(ph, th) if symmetric and ph < th else (th, ph) for th, ph in pairs]
+    distinct = list(dict.fromkeys(keys))
+    vals = dict(zip(distinct, parallel_map(lambda key: fn(*key), distinct)))
+    return [vals[key] for key in keys]

@@ -117,6 +117,14 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _emit_samples(thetas, vals, out_path):
+    """Sampled values as "theta,value" CSV rows; a complex value (a numpy
+    complex scalar) keeps its imaginary part."""
+    lines = ["theta,value"] + [f"{format_float(float(t))},{format_float(v)}"
+                               for t, v in zip(thetas, vals)]
+    _emit("\n".join(lines) + "\n", out_path)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -261,20 +269,14 @@ def cmd_apply(args) -> int:
         if not eval_at:
             raise UsageError("--op riesz emits sampled values; give --eval-at")
         thetas = _parse_grid(eval_at, "--eval-at")
-        lines = ["theta,value"] + [
-            f"{format_float(float(t))},{format_float(float(evaluator(t)))}" for t in thetas
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit_samples(thetas, [evaluator(t) for t in thetas], args.out)
         return EXIT_OK
     elif op == "gfun":
         if not eval_at:
             raise UsageError("--op gfun emits sampled values; give --eval-at")
         thetas = _parse_grid(eval_at, "--eval-at")
         vals = operators.g_function(exp, int(_opt(args, config, "M", 1)), int(_opt(args, config, "N", 0)), thetas)
-        lines = ["theta,value"] + [
-            f"{format_float(float(t))},{format_float(float(v))}" for t, v in zip(thetas, vals)
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit_samples(thetas, vals, args.out)
         return EXIT_OK
     elif op == "multiplier":
         profile_text = _opt(args, config, "laplace-profile")
@@ -295,12 +297,7 @@ def cmd_apply(args) -> int:
 
     if eval_at:
         thetas = _parse_grid(eval_at, "--eval-at")
-        vals = operators.synthesize(out, thetas)
-        lines = ["theta,value"] + [
-            f"{format_float(float(t))},{format_float(complex(v) if np.iscomplexobj(vals) else float(v))}"
-            for t, v in zip(thetas, vals)
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit_samples(thetas, operators.synthesize(out, thetas), args.out)
     else:
         _emit(json.dumps(operators.expansion_to_dict(out)) + "\n", args.out)
     return EXIT_OK

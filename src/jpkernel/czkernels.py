@@ -23,21 +23,22 @@ Scans check the growth bound against 1/mu(ball), the gradient bound against
 admissible triples; caps are artifact constants, reports carry the
 empirical extremes.  Growth and gradient scans run one pair driver,
 _pair_check, with a probe(kernel, theta, phi): kernel.norm for growth, the
-sum of kernel.grad_norms for gradient; the same probe re-checks the worst
-pair at the finer preset.
+sum of kernel.grad_norms for gradient.  A symmetric kernel is probed once
+per unordered pair, at theta <= phi (_parallel.pair_map); the same probe
+re-checks the worst pair at the finer preset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
 from jpkernel import specfun
-from jpkernel._parallel import parallel_map
+from jpkernel._parallel import pair_map
 from jpkernel.basis import mu_ball, mu_total, trig_poly_table
 from jpkernel.errors import TailError
 from jpkernel.kernel import AUTO_SPLIT_T, kernel_H_batch, series_H
@@ -447,17 +448,6 @@ def _grad_probe(kernel, theta, phi):
     return sum(kernel.grad_norms(theta, phi))
 
 
-def _probe_map(kernel, pairs, probe):
-    """probe(kernel, theta, phi) per pair; a symmetric kernel is probed once
-    per unordered pair, in the order met first."""
-    key = (lambda p: (min(p), max(p))) if kernel.symmetric else (lambda p: p)
-    reps = {}
-    for pair in pairs:
-        reps.setdefault(key(pair), pair)
-    vals = dict(zip(reps, parallel_map(lambda p: probe(kernel, *p), list(reps.values()))))
-    return {pair: vals[key(pair)] for pair in pairs}
-
-
 def _stabilized(report_max, params, kernel, quality_next, options, probe, tol=0.01):
     """Re-run the worst probe point at a finer resolution; relative drift."""
     fine = make_kernel(params, kernel, quality=quality_next, **options)
@@ -473,13 +463,12 @@ def _pair_check(kind, probe, sep_power, params, kernel, theta_grid, phi_grid, ca
     options = options or {}
     k = make_kernel(params, kernel, quality=quality, **options)
     pairs = list(_pairs(theta_grid, phi_grid))
-    values = _probe_map(k, pairs, probe)
+    values = pair_map(partial(probe, k), pairs, k.symmetric)
     rows = []
-    for theta, phi in pairs:
+    for (theta, phi), v in zip(pairs, values):
         sep = abs(theta - phi)
         w = sep ** sep_power
         ball = mu_ball(params, theta, sep)
-        v = values[(theta, phi)]
         rows.append((theta, phi, v, 1.0 / (w * ball), v * w * ball))
     worst = (-math.inf, None)
     for theta, phi, v, _, ratio in rows:

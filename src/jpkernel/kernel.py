@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 import numpy as np
 
 from jpkernel import pi_measures
@@ -38,7 +39,7 @@ from jpkernel.errors import (
     UnsupportedOrderError,
 )
 from jpkernel.params import JacobiParams
-from jpkernel.qpsi import psi_evaluator
+from jpkernel.qpsi import psi_evaluator, q_value
 
 AUTO_SPLIT_T = 0.2
 T_MIN_SERIES = 5e-4
@@ -443,20 +444,71 @@ def _integral_sum(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor, with
         lo = hi
 
 
+def _refine(once, rtol, route, point, terms, base_nodes=_BASE_NODES,
+            max_doublings=_MAX_DOUBLINGS):
+    """The acceptance rule of both quadrature routes.  once(n, with_mass)
+    evaluates a route at n base nodes: (values, sum|terms| or None unless
+    with_mass).  max_doublings = 0 trusts n = base_nodes alone; otherwise n
+    doubles until two successive values agree to rtol times their largest
+    magnitude.  Agreement is refused when eps * sum|terms| exceeds that
+    bound (the value is a cancellation of far larger terms: its roundoff
+    floor lies above rtol), and so is a non-finite value (D underflows to 0
+    at the singularity), without a RuntimeWarning.  route, point and terms
+    word the messages.
+    """
+    def resolve(n, with_mass):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            vals, mass = once(n, with_mass)
+        if not np.isfinite(vals).all():
+            raise QuadratureError(
+                f"{route} hit the integrand's singularity: non-finite value for {point}"
+            )
+        return vals, mass
+
+    n = base_nodes
+    prev, _ = resolve(n, with_mass=False)
+    if max_doublings == 0:
+        return prev
+    for _ in range(max_doublings):
+        n *= 2
+        cur, mass = resolve(n, with_mass=True)
+        scale = float(np.abs(cur).max()) or 1e-300
+        if np.abs(cur - prev).max() <= rtol * scale:
+            cond = float(np.max(mass)) / scale
+            if _EPS * cond > rtol:
+                raise QuadratureError(
+                    f"{route} cannot reach rtol={rtol:g}: condition number "
+                    f"sum|{terms}|/|value| = {cond:.3g} puts its roundoff floor at "
+                    f"{_EPS * cond:.3g}, for {point}"
+                )
+            return cur
+        prev = cur
+    raise QuadratureError(f"{route} did not stabilize at {n} nodes per piece for {point}")
+
+
+def _refuse_negative_d(d, route, point):
+    """Refuse a corner D that rounds below zero (p + c rounds above 1 at tiny
+    t): the float integrand has no singularity left, and its values are
+    garbage that the doubling check can pass."""
+    if d < 0.0:
+        raise QuadratureError(
+            f"{route} cannot resolve the singularity: D at a corner rounds to {d:.3g} < 0 "
+            f"for {point}"
+        )
+
+
 def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(0, 0, 0),
                       rtol=1e-9, base_nodes=_BASE_NODES, max_doublings=_MAX_DOUBLINGS,
                       delta_floor=2.0**-40):
     """Companion kernel (and derivatives) via the integral representation.
 
     deriv = (M, N, L); N + M <= 3 and L <= 1 are supported.  Node counts
-    double until two successive evaluations agree to rtol (scaled by the
-    largest batch magnitude); max_doublings = 0 trusts a single resolution
-    (scan mode, order-of-magnitude targets).  Agreement below the roundoff
-    floor of the quadrature sum is refused: when eps * sum |w psi| exceeds
-    rtol times that scale (the value is a cancellation of far larger terms),
-    QuadratureError is raised instead of a value whose digits are noise.
-    The terms are summed in a fixed order, so values do not depend on the
-    numpy build.
+    double from base_nodes, at most max_doublings times, under the
+    acceptance rule of _refine; max_doublings = 0 trusts a single
+    resolution (scan mode, order-of-magnitude targets).  A batch whose D at
+    the corner (u, v) = (1, 1) rounds below zero at its smallest t is
+    refused.  The terms are summed in a fixed order, so values do not
+    depend on the numpy build.
     """
     M, N, L = deriv
     if L not in (0, 1) or N < 0 or M < 0 or N + M > 3:
@@ -469,38 +521,16 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
     _check_rtol(rtol)
     route = f"integral route (alpha={params.alpha}, beta={params.beta}, deriv={deriv})"
     point = f"t_min={t_arr.min():g}, theta={theta:g}, phi={phi:g}"
+    # D at the corner (u, v) = (1, 1) as the integrand forms it (np.cosh and
+    # qpsi's q; math.cosh rounds cosh(t/2) up where np.cosh gives 1.0)
+    _refuse_negative_d(float(np.cosh(0.5 * t_arr.min()) - 1.0 + q_value(theta, phi, 1.0, 1.0)),
+                       route, point)
 
-    def batch(n, with_mass):
-        # D underflows to 0 at the integrand's singularity (t -> 0 on the
-        # diagonal); refuse the non-finite result instead of warning on it.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            vals, mass = _integral_sum(params, t_arr, theta, phi, M, N, L, n, delta_floor,
-                                       with_mass)
-        if not np.all(np.isfinite(vals)):
-            raise QuadratureError(
-                f"{route} hit the integrand's singularity: non-finite value for {point}"
-            )
-        return vals, mass
+    def once(n, with_mass):
+        return _integral_sum(params, t_arr, theta, phi, M, N, L, n, delta_floor, with_mass)
 
-    n = base_nodes
-    prev, _ = batch(n, with_mass=False)  # only a converged batch's mass is read
-    if max_doublings == 0:
-        return prev if np.ndim(t) else float(prev[0])
-    for _ in range(max_doublings):
-        n *= 2
-        cur, mass = batch(n, with_mass=True)
-        scale = float(np.max(np.abs(cur))) or 1e-300
-        if np.max(np.abs(cur - prev)) <= rtol * scale:
-            cond = float(np.max(mass)) / scale
-            if _EPS * cond > rtol:
-                raise QuadratureError(
-                    f"{route} cannot reach rtol={rtol:g}: condition number "
-                    f"sum|w psi|/|value| = {cond:.3g} puts its roundoff floor at "
-                    f"{_EPS * cond:.3g}, for {point}"
-                )
-            return cur if np.ndim(t) else float(cur[0])
-        prev = cur
-    raise QuadratureError(f"{route} did not stabilize at {n} nodes per piece for {point}")
+    vals = _refine(once, rtol, route, point, "w psi", base_nodes, max_doublings)
+    return vals if np.ndim(t) else float(vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +542,13 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
 _CORNERS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
-def _general_once(params, t, theta, phi, n_nodes, with_mass):
+def _general_once(params, t, theta, phi, corner_ds, n_nodes, with_mass):
     """The symmetrized representation at one resolution, and the sum of the
     absolute values of its terms (its roundoff scale), or None unless
     with_mass.
 
-    Each corner (xi, eta) contributes its value at D(xi, eta) = d, the
+    corner_ds holds D at each corner (u, v) = (xi, eta) of _CORNERS.  Each
+    corner contributes its value at D(xi, eta) = d, the
     single-axis brackets Psi(xi u, eta) - Psi(xi, eta) and
     Psi(xi, eta v) - Psi(xi, eta) against one half-line rule each, and the
     double bracket against their product, all divided by the (1 - u) and
@@ -540,12 +571,10 @@ def _general_once(params, t, theta, phi, n_nodes, with_mass):
     """
     sigma = params.sigma
     scale = 0.25 * params.c_ab * math.sinh(0.5 * t)
-    C = math.cosh(0.5 * t)
     P, Q = _pq(theta, phi)
     space = np.empty(0)
     value = corner = mass = 0.0
-    for xi, eta in _CORNERS:
-        d11 = (C - 1.0) + (1.0 - xi * P - eta * Q)  # D at the corner (u, v) = (xi, eta)
+    for (xi, eta), d11 in zip(_CORNERS, corner_ds):
         d_pow = d11 ** (-sigma)
         corner += scale * d_pow
         _, uw, omu = pi_measures.halfline_rule(
@@ -579,43 +608,24 @@ def h_script_general(params: JacobiParams, t: float, theta: float, phi: float,
                      rtol=5e-8) -> float:
     """Companion kernel via the symmetrized representation over (0, 1]^2.
 
-    The independent cross-check of h_script_integral; value only.  Each of
-    the four corners of the representation is graded by its own distance
-    to the singularity and formed in one workspace per call (see
-    _general_once).  A resolution costs one elementwise pass over the
-    (nu x nv) node pairs of each corner, nu and nv the sizes of its
-    half-line rules, which grow with the depth of the corner's grading:
-    at (+, +) near the diagonal at small t, and at one of the other
-    corners only as theta + phi nears 0 or 2 pi.
-
-    Node counts double from _BASE_NODES until two successive values agree
-    to rtol.  Agreement below the roundoff floor is refused: when
-    eps * sum |terms| / |value| exceeds rtol (the value is a cancellation of
-    far larger terms, as for large alpha + beta + 2 close to the
-    diagonal), QuadratureError is raised instead of a value whose digits
-    are noise.  The default rtol sits at the route's cancellation floor.
+    The independent cross-check of h_script_integral; value only.  Each
+    corner is graded by its own distance to the singularity (see
+    _general_once), and node counts double from _BASE_NODES under the
+    acceptance rule of _refine, which the integral route shares; a corner
+    whose D rounds below zero is refused.  The default rtol sits at the
+    route's cancellation floor (large alpha + beta + 2 near the diagonal).
     """
     _check_t(t)
     _check_angles(theta, phi)
     _check_rtol(rtol)
-    n = _BASE_NODES
-    prev, _ = _general_once(params, t, theta, phi, n, with_mass=False)
-    point = f"t={t:g}, theta={theta:g}, phi={phi:g}"
-    for _ in range(_MAX_DOUBLINGS):
-        n *= 2
-        cur, mass = _general_once(params, t, theta, phi, n, with_mass=True)
-        scale = max(abs(cur), 1e-300)
-        if abs(cur - prev) <= rtol * scale:
-            cond = mass / scale
-            if _EPS * cond > rtol:
-                raise QuadratureError(
-                    f"general route cannot reach rtol={rtol:g}: condition number "
-                    f"sum|terms|/|value| = {cond:.3g} puts its roundoff floor at "
-                    f"{_EPS * cond:.3g}, for {point}"
-                )
-            return cur
-        prev = cur
-    raise QuadratureError(f"general route did not stabilize at {n} nodes per piece for {point}")
+    route, point = "general route", f"t={t:g}, theta={theta:g}, phi={phi:g}"
+    C = math.cosh(0.5 * t)
+    P, Q = _pq(theta, phi)
+    corner_ds = [(C - 1.0) + (1.0 - xi * P - eta * Q) for xi, eta in _CORNERS]
+    for d in corner_ds:
+        _refuse_negative_d(d, route, point)
+    return _refine(partial(_general_once, params, t, theta, phi, corner_ds), rtol, route, point,
+                   "terms")
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,8 @@ def semigroup_apply(exp: Expansion, t: float) -> Expansion:
 
 
 def riesz_apply(exp: Expansion, N: int):
-    """Order-N transform; returns the pointwise evaluator theta -> value.
+    """Order-N transform; returns the pointwise evaluator theta -> value
+    (a numpy scalar for scalar theta, complex for complex coefficients).
 
     The sum starts at n = 1 (well defined also when the bottom rate is 0).
     """
@@ -94,7 +95,7 @@ def riesz_apply(exp: Expansion, N: int):
         theta_arr = np.asarray(theta, dtype=float)
         table = trig_poly_table(exp.params, exp.basis.n_max, theta_arr, order=N)
         out = np.tensordot(scaled, table, axes=(0, 0))
-        return float(out) if out.ndim == 0 else out
+        return out if out.ndim else out[()]
 
     return evaluate
 
@@ -102,9 +103,10 @@ def riesz_apply(exp: Expansion, N: int):
 def g_function(exp: Expansion, M: int, N: int, theta_points):
     """Mixed square function g_{M,N}(f) at the given points, exactly.
 
-    g^2(theta) = sum_{n,m} c_n c_m (a_n a_m)^M T_n(theta) T_m(theta)
+    g^2(theta) = Re sum_{n,m} c_n conj(c_m) (a_n a_m)^M T_n(theta) T_m(theta)
                  * Gamma(W) / (a_n + a_m)^W,   W = 2M + 2N,
-    with T = the N-th basis derivative; pairs with a_n + a_m = 0 carry a
+    with T = the N-th basis derivative (real); the sum is real up to
+    roundoff for complex coefficients.  Pairs with a_n + a_m = 0 carry a
     zero numerator factor and are dropped.
     """
     if M < 0 or N < 0 or not 1 <= M + N <= 2:
@@ -118,8 +120,8 @@ def g_function(exp: Expansion, M: int, N: int, theta_points):
     gamma_w = np.zeros_like(s)
     nz = s > 0
     gamma_w[nz] = math.gamma(w_exp) / s[nz] ** w_exp
-    cross = (c[:, None] * c[None, :]) * gamma_w
-    g_sq = np.einsum("nm,ni,mi->i", cross, table, table)
+    cross = (c[:, None] * np.conj(c)[None, :]) * gamma_w
+    g_sq = np.einsum("nm,ni,mi->i", cross, table, table).real
     return np.sqrt(np.maximum(g_sq, 0.0))
 
 

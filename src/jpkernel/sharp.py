@@ -12,11 +12,10 @@ against a configurable cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from jpkernel._parallel import parallel_map
+from jpkernel._parallel import pair_map
 from jpkernel.kernel import jph_correction, kernel_H_batch
 from jpkernel.params import JacobiParams
 from jpkernel.report import EstimateReport
@@ -24,43 +23,23 @@ from jpkernel.report import EstimateReport
 EXCLUDE_NEAR_MINUS_ONE = -0.9  # scans beyond this are reported, not gated
 
 
-@dataclass(frozen=True)
-class ComparatorValue:
-    z_short: float
-    z_long_H: float
-    z_long_script: float
-
-
-def comparator_values(params: JacobiParams, t: float, theta: float, phi: float) -> ComparatorValue:
+def comparator(params: JacobiParams, t: float, theta: float, phi: float, which: str = "H") -> float:
+    """Short-time comparator for t <= 1, long-time for t > 1 (both regimes
+    are valid at t = 1 exactly)."""
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
+    if which not in ("H", "Hscript"):
+        raise ValueError(f"which must be 'H' or 'Hscript', got {which!r}")
+    if t > 1.0:
+        lam = params.lam
+        return math.exp(-0.5 * t * (abs(lam) if which == "H" else lam))
     a, b = params.alpha, params.beta
-    lam = params.lam
-    z_short = (
+    return (
         (t * t + theta * theta + phi * phi) ** (-a - 0.5)
         * (t * t + (math.pi - theta) ** 2 + (math.pi - phi) ** 2) ** (-b - 0.5)
         * t
         / (t * t + (theta - phi) ** 2)
     )
-    return ComparatorValue(
-        z_short=z_short,
-        z_long_H=math.exp(-0.5 * t * abs(lam)),
-        z_long_script=math.exp(-0.5 * t * lam),
-    )
-
-
-def comparator(params: JacobiParams, t: float, theta: float, phi: float, which: str = "H") -> float:
-    """Short-time comparator for t <= 1, long-time for t > 1.
-
-    Both regimes are valid at t = 1 exactly; scans that care record both
-    through comparator_values.
-    """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if which not in ("H", "Hscript"):
-        raise ValueError(f"which must be 'H' or 'Hscript', got {which!r}")
-    vals = comparator_values(params, t, theta, phi)
-    if t <= 1.0:
-        return vals.z_short
-    return vals.z_long_H if which == "H" else vals.z_long_script
 
 
 def ratio_scan(params: JacobiParams, t_grid, theta_grid, phi_grid, which: str = "H",
@@ -80,21 +59,16 @@ def ratio_scan(params: JacobiParams, t_grid, theta_grid, phi_grid, which: str = 
     theta_grid = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     phi_grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
 
-    def kernel_vals(pair):
-        h_vals = kernel_H_batch(params, t_grid, *pair, rtol=rtol)
+    def kernel_vals(theta, phi):
+        h_vals = kernel_H_batch(params, t_grid, theta, phi, rtol=rtol)
         if which == "Hscript":
             h_vals = h_vals - jph_correction(params, t_grid)
         return h_vals
 
     pairs = [(float(th), float(ph)) for th in theta_grid for ph in phi_grid]
-    # Swap only a pair that is strictly out of order, so a NaN stays in its
-    # pair (where the kernel rejects it) instead of being ordered away.
-    keys = [(ph, th) if ph < th else (th, ph) for th, ph in pairs]
-    batches = list(dict.fromkeys(keys))
-    h_by_key = dict(zip(batches, parallel_map(kernel_vals, batches)))
     rows = []
-    for (theta, phi), key in zip(pairs, keys):
-        for t, h in zip(t_grid, h_by_key[key]):
+    for (theta, phi), h_vals in zip(pairs, pair_map(kernel_vals, pairs, symmetric=True)):
+        for t, h in zip(t_grid, h_vals):
             comp = comparator(params, float(t), theta, phi, which=which)
             rows.append((float(t), theta, phi, float(h), comp, float(h) / comp))
     meta = {

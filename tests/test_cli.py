@@ -9,8 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+from jpkernel import operators
 from jpkernel.cli import main
 from jpkernel.kernel import closed_form_chebyshev
+from jpkernel.report import format_float
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -249,6 +251,20 @@ class TestApplyCommand:
         assert code == 0
         value = float(out.strip().splitlines()[1].split(",")[1])
         assert value == pytest.approx(-math.sqrt(2 / math.pi) * math.sin(0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("op", ["riesz", "gfun"])
+    def test_complex_expansion_samples(self, capsys, tmp_path, op):
+        src = tmp_path / "c.json"
+        src.write_text('{"alpha": 0.5, "beta": 0.5, "n_max": 3, '
+                       '"coeffs": [[1, 0.5], [0.2, 0], [0, 1], [0.1, 0.1]]}')
+        code, out, _ = run_cli(capsys, "apply", "--op", op, "--in", str(src),
+                               "--eval-at", "0.5,1.0")
+        assert code == 0
+        exp = operators.expansion_from_dict(json.loads(src.read_text()))
+        want = ([operators.riesz_apply(exp, 1)(th) for th in (0.5, 1.0)] if op == "riesz"
+                else operators.g_function(exp, 1, 0, [0.5, 1.0]))
+        assert out.splitlines() == ["theta,value"] + [
+            f"{th!r},{format_float(v)}" for th, v in zip((0.5, 1.0), want)]
 
     def test_multiplier_const_echoes_input(self, capsys, tmp_path):
         src = tmp_path / "e.json"

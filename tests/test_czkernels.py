@@ -231,6 +231,24 @@ class TestChecks:
         for theta, phi in norms:
             assert norms[(phi, theta)] == norms[(theta, phi)]
 
+    def test_symmetric_scan_probes_each_unordered_pair_once(self, monkeypatch):
+        calls = []
+        norm = StieltjesKernel.norm
+
+        def counted(self, theta, phi):
+            calls.append((theta, phi))
+            return norm(self, theta, phi)
+
+        monkeypatch.setattr(StieltjesKernel, "norm", counted)
+        grid = [2.5, 1.5, 0.5]  # decreasing: each pair meets its mirror first at theta > phi
+        report = growth_check(JacobiParams(0.5, 0.5), "stieltjes", grid, grid,
+                              quality="accurate")
+        assert sorted(calls) == [(0.5, 1.5), (0.5, 2.5), (1.5, 2.5)]
+        norms = {(r[0], r[1]): r[2] for r in report.rows}
+        assert len(norms) == 6
+        for theta, phi in norms:
+            assert norms[(phi, theta)] == norms[(theta, phi)]
+
     def test_smoothness_sampling(self):
         report = smoothness_check(JacobiParams(0.5, 0.5), "riesz", n_samples=20,
                                   options={"N": 1})

@@ -441,6 +441,40 @@ def test_routes_reject_non_finite_angles(route, which, angle):
             route(JacobiParams(0.5, -0.75), 1.0, theta, phi)
 
 
+# Where p + c rounds above 1, D at the corner (u, v) = (1, 1) rounds below
+# zero at tiny t.  Unrefused, the integral route returns H = -286,708 at
+# t = 1e-9 and -8.6e6 at t = 3e-8 (the closed form gives about 3.2e8 and
+# 1.1e7), and the general route's D^(-sigma) turns complex (numpy's
+# UFuncTypeError).
+@pytest.mark.parametrize("route, ab, t, angle", [
+    (h_script_integral, (-0.5, -0.5), 1e-9, 2.1),
+    (h_script_integral, (-0.5, -0.5), 3e-8, 2.1),
+    (h_script_general, (0.3, 0.2), 1e-9, 1.3),
+], ids=["integral-1e-9", "integral-3e-8", "general-1e-9"])
+def test_routes_refuse_a_negative_corner_d(route, ab, t, angle):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match=r"D at a corner rounds to -\S+ < 0"):
+            route(JacobiParams(*ab), t, angle, angle)
+
+
+def test_general_route_refuses_non_finite_values_without_warnings(monkeypatch):
+    # The general route shares the integral route's acceptance rule, so it
+    # refuses without a RuntimeWarning: here at a negative corner D, where
+    # log1p would otherwise turn its brackets into NaN.
+    p = JacobiParams(0.5, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError):
+            h_script_general(p, 1e-9, 2.1, 2.1)
+        # a NaN from the corner sums themselves is refused as non-finite
+        monkeypatch.setattr(kernel, "_general_once",
+                            lambda *args: (np.log1p(np.float64(-2.0)), None))
+        with pytest.raises(QuadratureError, match="general route hit the integrand's "
+                                                  "singularity: non-finite value"):
+            h_script_general(p, 0.5, 1.0, 2.0)
+
+
 def test_integral_batch_equals_its_log_bands_alone():
     # The integral route grades each log-band [t_min 4^k, t_min 4^(k+1)) of a
     # batch by the band's own smallest t, so a band evaluated alone gives the

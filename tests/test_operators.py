@@ -120,6 +120,14 @@ class TestRiesz:
         a_n = abs(n + 0.5 * p.lam)
         assert_allclose(out(0.8), a_n ** (-2.0) * trig_poly_deriv(basis, n, 0.8, 2), rtol=1e-12)
 
+    def test_complex_coefficients(self):
+        basis = OrthonormalBasis(JacobiParams(0.5, 0.5), 3)
+        coeffs = np.array([1 + 0.5j, 0.2, 1j, 0.1 + 0.1j])
+        got = riesz_apply(Expansion(basis, coeffs), 1)(0.5)
+        re, im = (riesz_apply(Expansion(basis, part), 1)(0.5)
+                  for part in (coeffs.real, coeffs.imag))
+        assert_allclose(got, complex(re, im), rtol=1e-14)
+
     def test_chebyshev_first_mode(self):
         basis = OrthonormalBasis(CHEB, 3)
         out = riesz_apply(unit_expansion(basis, 1), 1)
@@ -135,6 +143,17 @@ class TestGFunction:
             got = g_function(unit_expansion(basis, n), 1, 0, thetas)
             ref = np.abs([trig_poly_eval(basis, n, t) for t in thetas]) / 2
             assert_allclose(got, ref, atol=1e-13)
+
+    def test_complex_coefficients_add_the_squares_of_their_parts(self):
+        # g(f)^2 integrates |d P_t f|^2, and P_t and the derivatives are real
+        basis = OrthonormalBasis(JacobiParams(0.5, 0.5), 3)
+        coeffs = np.array([1 + 0.5j, 0.2, 1j, 0.1 + 0.1j])
+        thetas = np.linspace(0.2, 3.0, 7)
+        for M, N in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+            got = g_function(Expansion(basis, coeffs), M, N, thetas)
+            re, im = (g_function(Expansion(basis, part), M, N, thetas)
+                      for part in (coeffs.real, coeffs.imag))
+            assert_allclose(got**2, re**2 + im**2, rtol=1e-13)
 
     def test_zero_rate_mode_annihilated(self):
         basis = OrthonormalBasis(CHEB, 3)

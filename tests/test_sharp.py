@@ -10,7 +10,7 @@ from jpkernel import sharp
 from jpkernel.basis import mu_total
 from jpkernel.kernel import jph_correction, kernel_H_batch
 from jpkernel.params import JacobiParams
-from jpkernel.sharp import comparator, comparator_values, long_time_fit, ratio_scan
+from jpkernel.sharp import comparator, long_time_fit, ratio_scan
 
 from _oracles import chebyshev_H
 
@@ -37,12 +37,14 @@ class TestComparator:
     def test_value_ordering_invariant(self):
         for a, b in [(0.5, 0.5), (-0.75, -0.75), (0.0, 0.0)]:
             p = JacobiParams(a, b)
-            v = comparator_values(p, 3.0, 1.0, 1.5)
-            assert v.z_short > 0 and v.z_long_H > 0 and v.z_long_script > 0
+            short = comparator(p, 0.5, 1.0, 1.5, "H")
+            assert short > 0 and short == comparator(p, 0.5, 1.0, 1.5, "Hscript")
+            long_h, long_script = (comparator(p, 3.0, 1.0, 1.5, w) for w in ("H", "Hscript"))
+            assert long_h > 0 and long_script > 0
             if p.lam >= 0:
-                assert v.z_long_H == v.z_long_script
+                assert long_h == long_script
             else:
-                assert v.z_long_H < v.z_long_script
+                assert long_h < long_script
 
     def test_validation(self):
         p = JacobiParams(0, 0)
@@ -127,6 +129,14 @@ class TestMirrorPairs:
             mirror = by_point[(t, ph, th)]
             assert by_point[(t, th, ph)][3] == mirror[3]
             assert by_point[(t, th, ph)][4] == comparator(p, t, th, ph)
+
+    def test_reversed_grid_evaluates_each_unordered_pair_once(self, batch_calls):
+        grid = np.linspace(2.8, 0.3, 5)
+        report = ratio_scan(JacobiParams(0.5, -0.75), self.T_GRID, grid, grid)
+        assert len(batch_calls) == 15 and all(th <= ph for th, ph in batch_calls)
+        kernel_col = {row[:3]: row[3] for row in report.rows}
+        assert all(kernel_col[(t, th, ph)] == kernel_col[(t, ph, th)]
+                   for t, th, ph in kernel_col)
 
     @pytest.mark.parametrize("which", ["H", "Hscript"])
     @pytest.mark.parametrize("theta_grid, phi_grid", [
