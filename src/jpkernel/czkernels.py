@@ -21,11 +21,12 @@ the exponentially small remainder (laplace).
 Scans check the growth bound against 1/mu(ball), the gradient bound against
 1/(|theta-phi| mu(ball)), and sample the first smoothness bound directly on
 admissible triples; caps are artifact constants, reports carry the
-empirical extremes.  Growth and gradient scans run one pair driver,
-_pair_check, with a probe(kernel, theta, phi): kernel.norm for growth, the
-sum of kernel.grad_norms for gradient.  A symmetric kernel is probed once
-per unordered pair, at theta <= phi (_parallel.pair_map); the same probe
-re-checks the worst pair at the finer preset.
+empirical extremes.  Every scan runs at the 'scan' preset.  Growth and
+gradient scans run one pair driver, _pair_check, with a probe(kernel,
+theta, phi): kernel.norm for growth, the sum of kernel.grad_norms for
+gradient.  A symmetric kernel is probed once per unordered pair, at
+theta <= phi (_parallel.pair_map); the same probe re-checks the worst pair
+at 'scan_fine'.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from jpkernel import specfun
 from jpkernel._parallel import pair_map
 from jpkernel.basis import mu_ball, mu_total, trig_poly_table
 from jpkernel.errors import TailError
-from jpkernel.kernel import AUTO_SPLIT_T, kernel_H_batch, series_H
+from jpkernel.kernel import AUTO_SPLIT_T, check_angle_range, kernel_H_batch, series_H
 from jpkernel.params import JacobiParams
 from jpkernel.pi_measures import gauss_panels
 from jpkernel.report import EstimateReport
@@ -92,8 +93,10 @@ class StieltjesAtoms:
     def __post_init__(self):
         if len(self.times) != len(self.weights) or not self.times:
             raise ValueError("need equally many (at least one) times and weights")
-        if any(t <= 0 for t in self.times):
-            raise ValueError("atom locations must be positive")
+        if not all(0.0 < t < math.inf for t in self.times):
+            raise ValueError(f"atom locations must be positive and finite, got {self.times}")
+        if not np.isfinite(self.weights).all():
+            raise ValueError(f"atom weights must be finite, got {self.weights}")
 
 
 def constant_profile() -> LaplaceProfile:
@@ -103,6 +106,8 @@ def constant_profile() -> LaplaceProfile:
 
 def imaginary_power_profile(gamma: float) -> LaplaceProfile:
     """t^(-i gamma) / Gamma(1 - i gamma); realizes the spectral symbol z^(i gamma)."""
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     if gamma == 0:
         return constant_profile()
     norm = specfun.gamma(1.0 - 1j * gamma)
@@ -127,24 +132,25 @@ def _small_t_rule(t_lo: float, panels: int, n: int):
 
 
 @lru_cache(maxsize=64)
-def _mid_t_rule(t_star: float, n: int = _MID_NODES):
+def _mid_t_rule(t_star: float):
     """Gauss rule for int_1^(t_star) f(t) dt, geometric panels."""
     edges = [1.0]
     while edges[-1] < t_star:
         edges.append(min(edges[-1] * 2.0, t_star))
-    return gauss_panels(edges, n)
+    return gauss_panels(edges, _MID_NODES)
 
 
 @lru_cache(maxsize=200_000)
-def _coef(alpha: float, beta: float, angle: float, order: int, n_cut: int = TAIL_N_CUT):
-    params = JacobiParams(alpha, beta)
-    return trig_poly_table(params, n_cut, np.float64(angle), order=order)
+def _coef(alpha: float, beta: float, angle: float, order: int):
+    return trig_poly_table(JacobiParams(alpha, beta), TAIL_N_CUT, np.float64(angle), order=order)
 
 
 class _KernelBase:
     """A kernel at one resolution preset: its small-t Gauss rule and its one
     path to H values, kernel_H_batch at the preset's integral-route nodes,
     doublings and grading floor (and kernel_H_batch's default rtol)."""
+
+    _split = math.inf  # the t-integrals' t < 1 nodes all take the integral route
 
     def __init__(self, params: JacobiParams, quality: str = "accurate"):
         if quality not in PRESETS:
@@ -157,14 +163,13 @@ class _KernelBase:
         p = self.preset
         return _small_t_rule(p["t_lo"], p["panels"], p["t_nodes"])
 
-    def _H(self, ts, theta, phi, M, N, L, split=math.inf):
+    def _H(self, ts, theta, phi, M, N, L):
         """H-derivative values on ts at the preset's resolution: the
-        integral route below split (by default all of ts, the t < 1 nodes
-        of the t-integrals) and the series route from split on."""
+        integral route below self._split and the series route from it on."""
         if theta == phi:
             raise ValueError(f"the {self.name} kernel is evaluated off the diagonal only")
         p = self.preset
-        return kernel_H_batch(self.params, ts, theta, phi, M, N, L, split=split,
+        return kernel_H_batch(self.params, ts, theta, phi, M, N, L, split=self._split,
                               base_nodes=p["base_nodes"], max_doublings=p["doublings"],
                               delta_floor=p["delta_floor"])
 
@@ -202,50 +207,44 @@ class MaximalKernel(_KernelBase):
 
     symmetric = True
     name = "maximal"
+    _split = AUTO_SPLIT_T  # as 'auto' does
 
     def __init__(self, params: JacobiParams, quality: str = "accurate"):
         super().__init__(params, quality)
         self.t_grid = _maximal_t_grid(self.preset["sup_t_lo"], self.preset["sup_per_decade"])
 
-    def _refined_max(self, abs_vals):
-        """(grid max, refined max) of abs_vals, a map t array -> |values|:
-        the t-grid maximum, then golden section between its neighbours."""
-        vals = abs_vals(self.t_grid)
+    def _sup(self, h_vals):
+        """sup over t of |h_vals(ts)|, h_vals a map t array -> values: the
+        t-grid maximum, then golden section between its neighbours."""
+        vals = np.abs(h_vals(self.t_grid))
         i = int(np.argmax(vals))
-        grid_max = float(vals[i])
-        refined = grid_max
+        best = float(vals[i])
         if self.preset["golden_iters"] > 0:
             lo = self.t_grid[max(i - 1, 0)]
             hi = self.t_grid[min(i + 1, len(self.t_grid) - 1)]
 
             def f(log_t):
-                return float(abs_vals(np.array([math.exp(log_t)]))[0])
+                return float(np.abs(h_vals(np.array([math.exp(log_t)])))[0])
 
-            refined = max(grid_max, _golden_max(f, math.log(lo), math.log(hi),
-                                                iters=self.preset["golden_iters"]))
-        return grid_max, refined
-
-    def norm_detail(self, theta, phi, dth=0, dph=0):
-        """(grid max, refined max) per the approximation contract."""
-        grid_max, refined = self._refined_max(
-            lambda ts: np.abs(self._H(ts, theta, phi, 0, dth, dph, split=AUTO_SPLIT_T)))
-        if self.params.lam == 0.0 and dth == 0 and dph == 0:
-            refined = max(refined, 1.0 / mu_total(self.params))
-        return grid_max, refined
+            best = max(best, _golden_max(f, math.log(lo), math.log(hi),
+                                         iters=self.preset["golden_iters"]))
+        return best
 
     def norm(self, theta, phi):
-        return self.norm_detail(theta, phi)[1]
+        sup = self._sup(lambda ts: self._H(ts, theta, phi, 0, 0, 0))
+        # for lam = 0 the t -> infinity limit 1/mu_total is part of the sup
+        return max(sup, 1.0 / mu_total(self.params)) if self.params.lam == 0.0 else sup
 
     def grad_norms(self, theta, phi):
-        return self.norm_detail(theta, phi, dth=1)[1], self.norm_detail(theta, phi, dph=1)[1]
+        return (self._sup(lambda ts: self._H(ts, theta, phi, 0, 1, 0)),
+                self._sup(lambda ts: self._H(ts, theta, phi, 0, 0, 1)))
 
     def diff_norm(self, theta, theta2, phi):
-        return self._refined_max(
-            lambda ts: np.abs(self._H(ts, theta, phi, 0, 0, 0, split=AUTO_SPLIT_T)
-                              - self._H(ts, theta2, phi, 0, 0, 0, split=AUTO_SPLIT_T)))[1]
+        return self._sup(lambda ts: self._H(ts, theta, phi, 0, 0, 0)
+                         - self._H(ts, theta2, phi, 0, 0, 0))
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 36) -> float:
+def _golden_max(f, lo: float, hi: float, iters: int) -> float:
     """Golden-section maximization of f on [lo, hi]."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -448,20 +447,20 @@ def _grad_probe(kernel, theta, phi):
     return sum(kernel.grad_norms(theta, phi))
 
 
-def _stabilized(report_max, params, kernel, quality_next, options, probe, tol=0.01):
-    """Re-run the worst probe point at a finer resolution; relative drift."""
-    fine = make_kernel(params, kernel, quality=quality_next, **options)
-    coarse_val, point = report_max
-    fine_val = probe(fine, *point)
-    return abs(fine_val - coarse_val) / max(abs(fine_val), 1e-300) <= tol
+def _stabilized(params, kernel, options, probe, theta, phi, coarse_val):
+    """Re-run the worst probe point at 'scan_fine'; relative drift <= 1%."""
+    fine_val = probe(make_kernel(params, kernel, quality="scan_fine", **options), theta, phi)
+    return abs(fine_val - coarse_val) / max(abs(fine_val), 1e-300) <= 0.01
 
 
-def _pair_check(kind, probe, sep_power, params, kernel, theta_grid, phi_grid, cap, quality,
+def _pair_check(kind, probe, sep_power, params, kernel, theta_grid, phi_grid, cap,
                 options) -> EstimateReport:
     """ratio = probe * |theta-phi|^sep_power * mu(B(theta, |theta-phi|)) per
-    off-diagonal grid pair; the worst pair is the first strict maximum."""
+    off-diagonal grid pair, at the 'scan' preset; the worst pair is the
+    first strict maximum, re-checked by _stabilized."""
+    check_angle_range(theta_grid, phi_grid)
     options = options or {}
-    k = make_kernel(params, kernel, quality=quality, **options)
+    k = make_kernel(params, kernel, quality="scan", **options)
     pairs = list(_pairs(theta_grid, phi_grid))
     values = pair_map(partial(probe, k), pairs, k.symmetric)
     rows = []
@@ -475,41 +474,39 @@ def _pair_check(kind, probe, sep_power, params, kernel, theta_grid, phi_grid, ca
         if ratio > worst[0]:
             worst = (ratio, (theta, phi, v))
     meta = {"alpha": params.alpha, "beta": params.beta, "kernel": k.name}
-    if quality == "scan" and worst[1] is not None:
-        theta, phi, v = worst[1]
+    if worst[1] is not None:
         meta["stabilized"] = None if worst[0] < 1e-3 else _stabilized(
-            (v, (theta, phi)), params, kernel, "scan_fine", options, probe,
-        )
+            params, kernel, options, probe, *worst[1])
     return EstimateReport(kind=kind, columns=("theta", "phi", "norm", "bound", "ratio"),
                           rows=rows, cap=cap, meta=meta)
 
 
 def growth_check(params: JacobiParams, kernel, theta_grid, phi_grid, cap: float = 1e3,
-                 quality: str = "scan", options: dict | None = None) -> EstimateReport:
+                 options: dict | None = None) -> EstimateReport:
     """ratio = ||K|| * mu(B(theta, |theta-phi|)) per grid point.
 
-    kernel is a kernel id, built by make_kernel at quality with options.
-    The worst grid point is re-evaluated at the next finer resolution and
-    the report records whether it moved by less than 1%.
+    kernel is a kernel id, built by make_kernel at the 'scan' preset with
+    options.  The worst grid point is re-evaluated at 'scan_fine' and the
+    report records whether it moved by at most 1%.
     """
     return _pair_check("growth", _norm_probe, 0, params, kernel, theta_grid, phi_grid, cap,
-                       quality, options)
+                       options)
 
 
 def gradient_check(params: JacobiParams, kernel, theta_grid, phi_grid, cap: float = 1e3,
-                   quality: str = "scan", options: dict | None = None) -> EstimateReport:
+                   options: dict | None = None) -> EstimateReport:
     """ratio = (||d_theta K|| + ||d_phi K||) |theta-phi| mu(B) per grid point."""
     return _pair_check("gradient", _grad_probe, 1, params, kernel, theta_grid, phi_grid, cap,
-                       quality, options)
+                       options)
 
 
 def smoothness_check(params: JacobiParams, kernel, n_samples: int = 100, seed: int = 7,
-                     cap: float = 1e3, quality: str = "scan",
-                     options: dict | None = None) -> EstimateReport:
+                     cap: float = 1e3, options: dict | None = None) -> EstimateReport:
     """Samples ||K(theta,.) - K(theta',.)|| on triples with
-    |theta - phi| > 2 |theta - theta'| against the first smoothness bound."""
+    |theta - phi| > 2 |theta - theta'| against the first smoothness bound,
+    at the 'scan' preset."""
     options = options or {}
-    k = make_kernel(params, kernel, quality=quality, **options)
+    k = make_kernel(params, kernel, quality="scan", **options)
     rng = np.random.default_rng(seed)
     rows = []
     while len(rows) < n_samples:

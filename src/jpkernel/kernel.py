@@ -67,9 +67,7 @@ class KernelQuery:
 
     def __post_init__(self):
         _check_t(self.t)
-        for name, val in (("theta", self.theta), ("phi", self.phi)):
-            if not 0.0 <= val <= math.pi:
-                raise ValueError(f"{name} must lie in [0, pi], got {val}")
+        check_angle_range(self.theta, self.phi)
         M, N, L = self.deriv
         if min(M, N, L) < 0 or M + N + L > 3:
             raise UnsupportedOrderError(f"derivative orders {self.deriv} exceed M+N+L <= 3")
@@ -96,6 +94,16 @@ def _check_angles(theta, phi):
         bad = arr[~np.isfinite(arr)]
         if bad.size:
             raise ValueError(f"{name} must be finite, got {bad[0]}")
+
+
+def check_angle_range(theta, phi):
+    """_check_angles, then refuse the first theta or phi entry outside [0, pi]."""
+    _check_angles(theta, phi)
+    for name, angle in (("theta", theta), ("phi", phi)):
+        arr = np.asarray(angle, dtype=float)
+        bad = arr[(arr < 0.0) | (arr > math.pi)]
+        if bad.size:
+            raise ValueError(f"{name} must lie in [0, pi], got {bad[0]}")
 
 
 def _check_rtol(rtol):
@@ -486,15 +494,16 @@ def _refine(once, rtol, route, point, terms, base_nodes=_BASE_NODES,
     raise QuadratureError(f"{route} did not stabilize at {n} nodes per piece for {point}")
 
 
-def _refuse_negative_d(d, route, point):
-    """Refuse a corner D that rounds below zero (p + c rounds above 1 at tiny
-    t): the float integrand has no singularity left, and its values are
-    garbage that the doubling check can pass."""
-    if d < 0.0:
-        raise QuadratureError(
-            f"{route} cannot resolve the singularity: D at a corner rounds to {d:.3g} < 0 "
-            f"for {point}"
-        )
+def _refuse_negative_d(t, theta, phi, corners, route, point):
+    """Refuse a D that rounds below zero at t and a corner (xi, eta) of
+    corners, formed as the integrand forms it (np.cosh, where math.cosh rounds
+    up, and qpsi's q): p + c rounds above 1 at tiny t, and the float integrand's
+    values, with no singularity left, are garbage the doubling check can pass."""
+    for xi, eta in corners:
+        d = float(np.cosh(0.5 * t) - 1.0 + q_value(theta, phi, xi, eta))
+        if d < 0.0:
+            raise QuadratureError(f"{route} cannot resolve the singularity: D at a corner "
+                                  f"rounds to {d:.3g} < 0 for {point}")
 
 
 def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(0, 0, 0),
@@ -521,10 +530,7 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
     _check_rtol(rtol)
     route = f"integral route (alpha={params.alpha}, beta={params.beta}, deriv={deriv})"
     point = f"t_min={t_arr.min():g}, theta={theta:g}, phi={phi:g}"
-    # D at the corner (u, v) = (1, 1) as the integrand forms it (np.cosh and
-    # qpsi's q; math.cosh rounds cosh(t/2) up where np.cosh gives 1.0)
-    _refuse_negative_d(float(np.cosh(0.5 * t_arr.min()) - 1.0 + q_value(theta, phi, 1.0, 1.0)),
-                       route, point)
+    _refuse_negative_d(t_arr.min(), theta, phi, ((1.0, 1.0),), route, point)
 
     def once(n, with_mass):
         return _integral_sum(params, t_arr, theta, phi, M, N, L, n, delta_floor, with_mass)
@@ -611,19 +617,21 @@ def h_script_general(params: JacobiParams, t: float, theta: float, phi: float,
     The independent cross-check of h_script_integral; value only.  Each
     corner is graded by its own distance to the singularity (see
     _general_once), and node counts double from _BASE_NODES under the
-    acceptance rule of _refine, which the integral route shares; a corner
-    whose D rounds below zero is refused.  The default rtol sits at the
+    acceptance rule of _refine, which the integral route shares.  A corner
+    whose D rounds below zero, in the integrand's form or in the route's
+    own, is refused.  The default rtol sits at the
     route's cancellation floor (large alpha + beta + 2 near the diagonal).
     """
     _check_t(t)
     _check_angles(theta, phi)
     _check_rtol(rtol)
     route, point = "general route", f"t={t:g}, theta={theta:g}, phi={phi:g}"
+    _refuse_negative_d(t, theta, phi, _CORNERS, route, point)
     C = math.cosh(0.5 * t)
     P, Q = _pq(theta, phi)
     corner_ds = [(C - 1.0) + (1.0 - xi * P - eta * Q) for xi, eta in _CORNERS]
-    for d in corner_ds:
-        _refuse_negative_d(d, route, point)
+    if min(corner_ds) < 0.0:  # raised to the power -sigma below
+        raise QuadratureError(f"{route}: D at a corner rounds below zero for {point}")
     return _refine(partial(_general_once, params, t, theta, phi, corner_ds), rtol, route, point,
                    "terms")
 
@@ -654,30 +662,25 @@ def resolve_method(method: str, t: float) -> str:
 
 
 def kernel_eval(params: JacobiParams, query: KernelQuery) -> float:
-    """H_t (or a derivative) by the requested route, correction included."""
-    M, N, L = query.deriv
-    method = resolve_method(query.method, query.t)
-    if method == "series":
-        return float(series_H(params, query.t, query.theta, query.phi, M=M, N=N, L=L))
-    if method == "f4":
-        base = h_script_f4(params, query.t, query.theta, query.phi)
-    elif method == "integral":
-        base = float(h_script_integral(params, query.t, query.theta, query.phi, deriv=query.deriv))
-    elif method == "general":
-        base = h_script_general(params, query.t, query.theta, query.phi)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown method {method!r}")
-    if N == 0 and L == 0:
-        base += float(jph_correction(params, query.t, M=M))
-    return base
+    """H_t (or a derivative) by the requested route, correction included:
+    a one-point kernel_H_batch split at 0 (series), inf (integral) or
+    AUTO_SPLIT_T (auto); f4 and general give values only."""
+    if query.method in ("f4", "general"):
+        route = h_script_f4 if query.method == "f4" else h_script_general
+        base = float(route(params, query.t, query.theta, query.phi))
+        return base + float(jph_correction(params, query.t))
+    split = {"series": 0.0, "integral": math.inf, "auto": AUTO_SPLIT_T}[query.method]
+    return float(kernel_H_batch(params, [query.t], query.theta, query.phi, *query.deriv,
+                                split=split)[0])
 
 
 def kernel_H_batch(params: JacobiParams, t_arr, theta: float, phi: float, M=0, N=0, L=0,
                    rtol=1e-9, split=AUTO_SPLIT_T, base_nodes=_BASE_NODES,
                    max_doublings=_MAX_DOUBLINGS, delta_floor=2.0**-40):
     """H derivatives over a t array, the integral route (plus the sinh
-    correction) below split and the series route from split on; the
-    workhorse of the t-integrated kernel scans.  rtol, base_nodes,
+    correction) below split and the series route from split on; the path
+    of every series, integral and auto evaluation (kernel_eval's one point
+    as the scans' t batches).  rtol, base_nodes,
     max_doublings and delta_floor go to h_script_integral."""
     t_arr = np.asarray(t_arr, dtype=float)
     out = np.empty_like(t_arr)

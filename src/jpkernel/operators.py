@@ -7,7 +7,8 @@ order-N transforms by a_n^(-N) (composed with N theta-derivatives of the
 basis functions and dropping n = 0), multipliers by m(a_n), where
 a_n = |n + (alpha+beta+1)/2|.  The square function has an exact closed
 form: the L^2(t-weight) integrals of exponential cross terms are Gamma
-integrals, so no t-quadrature enters.
+integrals, so no t-quadrature enters.  analyze uses one Gauss rule of
+n_max + 32 nodes; synthesize gives point values.
 """
 
 from __future__ import annotations
@@ -51,23 +52,20 @@ def unit_expansion(basis: OrthonormalBasis, n: int) -> Expansion:
     return Expansion(basis, coeffs)
 
 
-def analyze(basis: OrthonormalBasis, f, n_nodes: int | None = None) -> Expansion:
-    """Fourier-Jacobi coefficients of f by Gauss quadrature against d(mu)."""
-    if n_nodes is None:
-        n_nodes = basis.n_max + 32
-    if 2 * n_nodes - 1 < 2 * basis.n_max:
-        raise ValueError("quadrature degree below 2 n_max")
-    rule = theta_quad_rule(basis.params, n_nodes)
+def analyze(basis: OrthonormalBasis, f) -> Expansion:
+    """Fourier-Jacobi coefficients of f by Gauss quadrature against d(mu) at
+    n_max + 32 nodes (exact to degree 2 n_max + 63 in cos(theta))."""
+    rule = theta_quad_rule(basis.params, basis.n_max + 32)
     table = trig_poly_table(basis.params, basis.n_max, rule.nodes)
     fvals = f(rule.nodes)
     coeffs = table @ (rule.weights * fvals)
     return Expansion(basis, coeffs)
 
 
-def synthesize(exp: Expansion, theta, deriv: int = 0):
-    """Pointwise values (or a theta-derivative) of the expansion."""
+def synthesize(exp: Expansion, theta):
+    """Pointwise values of the expansion."""
     theta = np.asarray(theta, dtype=float)
-    table = trig_poly_table(exp.params, exp.basis.n_max, theta, order=deriv)
+    table = trig_poly_table(exp.params, exp.basis.n_max, theta)
     return np.tensordot(exp.coeffs, table, axes=(0, 0))
 
 

@@ -5,8 +5,8 @@ Short time (t <= 1) the kernel is comparable with
     * (t^2 + (pi-theta)^2 + (pi-phi)^2)^(-beta-1/2) * t / (t^2 + (theta-phi)^2),
 long time (t >= 1) with exp(-t |lam| / 2) for H and exp(-t lam / 2) for the
 companion kernel.  The comparability constants are not specified by the
-theory, so scans record the empirical min/max ratio and check max/min
-against a configurable cap.
+theory, so scans record the empirical min/max ratio (the kernel by
+kernel_H_batch at SCAN_RTOL) and check max/min against a configurable cap.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ import math
 import numpy as np
 
 from jpkernel._parallel import pair_map
-from jpkernel.kernel import jph_correction, kernel_H_batch
+from jpkernel.kernel import check_angle_range, jph_correction, kernel_H_batch
 from jpkernel.params import JacobiParams
 from jpkernel.report import EstimateReport
 
 EXCLUDE_NEAR_MINUS_ONE = -0.9  # scans beyond this are reported, not gated
+SCAN_RTOL = 1e-7  # the integral route's rtol in ratio scans
 
 
 def comparator(params: JacobiParams, t: float, theta: float, phi: float, which: str = "H") -> float:
@@ -43,13 +44,13 @@ def comparator(params: JacobiParams, t: float, theta: float, phi: float, which: 
 
 
 def ratio_scan(params: JacobiParams, t_grid, theta_grid, phi_grid, which: str = "H",
-               cap: float = 50.0, rtol: float = 1e-7) -> EstimateReport:
+               cap: float = 50.0) -> EstimateReport:
     """Per-point ratio kernel / comparator over the grid; pass iff max/min <= cap.
 
     The kernel is symmetric in (theta, phi), so each unordered pair is
     evaluated once, in the order theta <= phi, and both of its rows take
     that batch; each row keeps its own comparator, and the rows keep the
-    grid's order.
+    grid's order.  Grid angles outside [0, pi] are refused up front.
     """
     if which not in ("H", "Hscript"):
         raise ValueError(f"which must be 'H' or 'Hscript', got {which!r}")
@@ -58,9 +59,10 @@ def ratio_scan(params: JacobiParams, t_grid, theta_grid, phi_grid, which: str = 
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     theta_grid = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     phi_grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
+    check_angle_range(theta_grid, phi_grid)
 
     def kernel_vals(theta, phi):
-        h_vals = kernel_H_batch(params, t_grid, theta, phi, rtol=rtol)
+        h_vals = kernel_H_batch(params, t_grid, theta, phi, rtol=SCAN_RTOL)
         if which == "Hscript":
             h_vals = h_vals - jph_correction(params, t_grid)
         return h_vals
@@ -89,21 +91,20 @@ def ratio_scan(params: JacobiParams, t_grid, theta_grid, phi_grid, which: str = 
     )
 
 
-def long_time_fit(params: JacobiParams, theta: float, phi: float, t_lo: float = 5.0,
-                  t_hi: float = 20.0, n_points: int = 16):
-    """Fit exp(t |lam|/2) H_t -> 2^lam c_ab residual decay on [t_lo, t_hi].
+def long_time_fit(params: JacobiParams, theta: float, phi: float):
+    """Fit exp(t |lam|/2) H_t -> 2^lam c_ab residual decay on 16 equally
+    spaced t in [5, 20].
 
     Returns (rate, log_amplitude) from a log-linear regression of the
     absolute residual; rate is the decay exponent (positive).
     """
-    t = np.linspace(t_lo, t_hi, n_points)
+    t = np.linspace(5.0, 20.0, 16)
     h = kernel_H_batch(params, t, theta, phi)
     limit = 2.0**params.lam * params.c_ab  # = 1 / mu_total
     resid = np.abs(np.exp(0.5 * t * abs(params.lam)) * h - limit)
     floor = 1e-15 * limit
     mask = resid > floor
     if mask.sum() < 4:
-        raise ValueError("long-time residual at machine floor; widen the t range")
+        raise ValueError(f"long-time residual at machine floor on {16 - mask.sum()} of 16 points")
     slope, intercept = np.polyfit(t[mask], np.log(resid[mask]), 1)
     return -float(slope), float(intercept)
-

@@ -5,6 +5,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,16 @@ class TestScanCommand:
         assert code == 2
         assert "samples" in err
 
+    @pytest.mark.parametrize("scan", ["sharp", "growth"])
+    def test_grid_angle_outside_range_usage_exit(self, capsys, scan):
+        code, out, err = run_cli(
+            capsys, "scan", "--scan", scan, "--kernel", "stieltjes", "--alpha", "0",
+            "--beta", "0", "--theta-grid", "4,5", "--t-grid", "0.5",
+        )
+        assert code == 2
+        assert "theta must lie in [0, pi], got 4.0" in err
+        assert out == ""
+
     def test_diagonal_only_grid_usage_exit(self, capsys):
         # the only grid pair lies on the diagonal, so the scan has no points
         code, out, err = run_cli(
@@ -276,6 +287,20 @@ class TestApplyCommand:
         assert code == 0
         got = json.loads(out)["coeffs"]
         assert got == pytest.approx([0.5, 1.0, -0.25], abs=1e-10)
+
+    @pytest.mark.parametrize("flag, value, match", [
+        ("--atoms", "1:nan", "atom weights must be finite"),
+        ("--atoms", "inf:1", "atom locations must be positive and finite"),
+        ("--laplace-profile", "imaginary:nan", "gamma must be finite, got nan"),
+    ], ids=["atom-weight-nan", "atom-time-inf", "gamma-nan"])
+    def test_non_finite_multiplier_usage_exit(self, capsys, flag, value, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "apply", "--op", "multiplier", flag, value,
+                                     "--in", str(GOLDEN / "expansion_in.json"))
+        assert code == 2
+        assert match in err
+        assert out == ""
 
     def test_malformed_expansion_usage_exit(self, capsys, tmp_path):
         src = tmp_path / "bad.json"

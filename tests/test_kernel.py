@@ -445,12 +445,15 @@ def test_routes_reject_non_finite_angles(route, which, angle):
 # zero at tiny t.  Unrefused, the integral route returns H = -286,708 at
 # t = 1e-9 and -8.6e6 at t = 3e-8 (the closed form gives about 3.2e8 and
 # 1.1e7), and the general route's D^(-sigma) turns complex (numpy's
-# UFuncTypeError).
+# UFuncTypeError).  At t = 3e-8 the general route's own math.cosh D stays
+# positive (8.3e-17) while the integrand's form rounds to -1.4e-16; unrefused
+# there, it returns 1.43e7, 35% off, and passes its doubling check.
 @pytest.mark.parametrize("route, ab, t, angle", [
     (h_script_integral, (-0.5, -0.5), 1e-9, 2.1),
     (h_script_integral, (-0.5, -0.5), 3e-8, 2.1),
     (h_script_general, (0.3, 0.2), 1e-9, 1.3),
-], ids=["integral-1e-9", "integral-3e-8", "general-1e-9"])
+    (h_script_general, (-0.5, -0.5), 3e-8, 2.1),
+], ids=["integral-1e-9", "integral-3e-8", "general-1e-9", "general-3e-8"])
 def test_routes_refuse_a_negative_corner_d(route, ab, t, angle):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

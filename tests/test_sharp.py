@@ -162,6 +162,16 @@ class TestMirrorPairs:
 
 
 class TestScanValidation:
+    @pytest.mark.parametrize("theta_grid, phi_grid, match", [
+        ([1.0, 4.0], [1.0], r"theta must lie in \[0, pi\], got 4.0"),
+        ([1.0], [-0.5, 2.0], r"phi must lie in \[0, pi\], got -0.5"),
+    ], ids=["theta-above-pi", "phi-below-0"])
+    def test_angle_outside_range_rejected_before_any_evaluation(self, batch_calls, theta_grid,
+                                                                 phi_grid, match):
+        with pytest.raises(ValueError, match=match):
+            ratio_scan(JacobiParams(0.0, 0.0), [0.05], theta_grid, phi_grid)
+        assert batch_calls == []
+
     @pytest.mark.parametrize("kwargs, match", [
         (dict(which="bogus"), "which must be 'H' or 'Hscript', got 'bogus'"),
         (dict(cap=math.nan), "cap must be positive and finite, got nan"),
