@@ -227,6 +227,10 @@ def _scan_report(args, config, params) -> EstimateReport:
         return czkernels.gradient_check(params, kernel_id, theta_grid, phi_grid, cap=cap_val,
                                         options=options)
     if which == "smoothness":
+        for name in ("theta-grid", "phi-grid"):
+            if _opt(args, config, name) is not None:
+                raise UsageError(f"--{name} does not apply to the smoothness scan, "
+                                 "which samples its own angles")
         samples = int(_opt(args, config, "samples", 100))
         if samples < 1:
             raise UsageError(f"samples must be at least 1, got {samples}")

@@ -8,15 +8,19 @@ Realized kernels (theta != phi), with their Banach-space norms:
   laplace   -- -int profile(t) d_t H_t dt,                     scalar;
   stieltjes -- sum_j w_j H_{t_j},                               scalar.
 
-Every kernel gets its H values from kernel.kernel_H_batch: stieltjes at its
-atoms with the default resolution, the others through _KernelBase._H at the
-resolution preset's integral-route settings.  The maximal kernel's t grid
-splits between the integral and series routes at AUTO_SPLIT_T, as 'auto'
-does.  The t-integrals split at t = 1: below, all their log-spaced Gauss
-nodes take the t-uniform integral route; above, exact per-mode upper
-incomplete-Gamma closures of the spectral series (for riesz and gfun) or
-geometrically-paneled Gauss with the series route plus a certified drop of
-the exponentially small remainder (laplace).
+Every kernel but riesz of order 1 gets its H values from
+kernel.kernel_H_batch: stieltjes at its atoms with the default resolution,
+the others through _KernelBase._H at the resolution preset's integral-route
+settings.  The maximal kernel's t grid splits between the integral and
+series routes at AUTO_SPLIT_T, as 'auto' does.  Riesz of order 1 takes its
+t-integral exactly under the integral representation
+(kernel.t_integral_H, one (u, v) quadrature at the same preset settings;
+see RieszKernel).  The other t-integrals (riesz of order 2, gfun, laplace)
+split at t = 1: below, all their log-spaced Gauss nodes take the t-uniform
+integral route; above, exact per-mode upper incomplete-Gamma closures of
+the spectral series (for riesz and gfun) or geometrically-paneled Gauss
+with the series route plus a certified drop of the exponentially small
+remainder (laplace).
 
 Scans check the growth bound against 1/mu(ball), the gradient bound against
 1/(|theta-phi| mu(ball)), and sample the first smoothness bound directly on
@@ -42,7 +46,8 @@ from jpkernel import specfun
 from jpkernel._parallel import pair_map
 from jpkernel.basis import mu_ball, mu_total, trig_poly_table
 from jpkernel.errors import TailError
-from jpkernel.kernel import AUTO_SPLIT_T, check_angle_range, kernel_H_batch, series_H
+from jpkernel.kernel import (AUTO_SPLIT_T, check_angle_range, kernel_H_batch, series_H,
+                             t_integral_H)
 from jpkernel.params import JacobiParams
 from jpkernel.pi_measures import gauss_panels
 from jpkernel.report import EstimateReport
@@ -148,7 +153,8 @@ def _coef(alpha: float, beta: float, angle: float, order: int):
 class _KernelBase:
     """A kernel at one resolution preset: its small-t Gauss rule and its one
     path to H values, kernel_H_batch at the preset's integral-route nodes,
-    doublings and grading floor (and kernel_H_batch's default rtol)."""
+    doublings and grading floor (and kernel_H_batch's default rtol).  The
+    order-1 Riesz kernel passes the same settings to kernel.t_integral_H."""
 
     _split = math.inf  # the t-integrals' t < 1 nodes all take the integral route
 
@@ -266,7 +272,28 @@ def _golden_max(f, lo: float, hi: float, iters: int) -> float:
 
 
 class RieszKernel(_KernelBase):
-    """Order-N transform kernel; N in {1, 2}."""
+    """Order-N transform kernel (1/Gamma(N)) int_0^inf d_theta^N H_t t^(N-1) dt;
+    N in {1, 2}.
+
+    N = 1 takes its t-integral exactly, under the integral representation.
+    At M = 0 each term of the (u, v) integrand is sinh(t/2) coef D^(-sigma-k)
+    with D = s + q, s = cosh(t/2) - 1, and sinh(t/2) dt = 2 ds, so
+        int_0^inf sinh(t/2) (s + q)^(-sigma-k) dt = 2 q^(1-sigma-k) / (sigma+k-1),
+    and R_1 = -2 c_ab int int d_theta q q^(-sigma) dPi_alpha(u) dPi_beta(v)
+    (kernel.t_integral_H, qpsi.PsiEvaluator.t_integral).  Every theta
+    derivative term has k >= 1, so the form is finite for every sigma > 0,
+    sigma = 1 (alpha + beta = -1, the Chebyshev case among them) included;
+    the sinh correction has no theta derivative and drops out.  Off the
+    diagonal q >= 2 sin^2((theta-phi)/4) > 0, which grades the (u, v) rules
+    as the integral route's at t = 0.  No t rule, no spectral tail and no
+    dropped (0, t_lo) piece remain.
+
+    N = 2 keeps the t-quadrature: its weight t turns the same integral into
+    G(q) = int_0^inf t sinh(t/2) (s + q)^(-kappa) dt per kappa = sigma + k,
+    which has no elementary form.  It integrates the preset's small-t Gauss
+    rule over integral-route values on [t_lo, 1], drops (0, t_lo), and
+    closes [1, inf) by per-mode incomplete-Gamma integrals of the spectral
+    series."""
 
     symmetric = False
 
@@ -280,6 +307,10 @@ class RieszKernel(_KernelBase):
     def _value(self, theta, phi, dth=0, dph=0):
         N = self.N
         p = self.params
+        if N == 1:
+            pre = self.preset
+            return t_integral_H(p, theta, phi, 1 + dth, dph, pre["base_nodes"],
+                                pre["doublings"], pre["delta_floor"])
         ts, ws = self._t_rule()
         vals = self._H(ts, theta, phi, 0, N + dth, dph)
         small = float(np.sum(ws * vals * ts ** (N - 1)))

@@ -17,6 +17,10 @@ Routes:
               representation on (0, 1]^2, values only; the independent
               cross-check of the integral route.
 
+t_integral_H gives int_0^inf of a theta derivative of H over t, by the
+integral route's (u, v) rules with the t-integral of the integrand in
+closed form: the order-1 Riesz kernel.
+
 The integral route's four cases (i)-(iv) are the products of the two axes'
 regimes (u against Pi_alpha, v against Pi_beta): each axis contributes
 either its measure (density or half-atoms) or, in the profile regime, a
@@ -537,6 +541,47 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
 
     vals = _refine(once, rtol, route, point, "w psi", base_nodes, max_doublings)
     return vals if np.ndim(t) else float(vals[0])
+
+
+def _t_integral_sum(params, theta, phi, N, L, delta_floor, n_nodes, with_mass):
+    """int_0^inf of the integral route's double sums at one resolution,
+    graded for t = 0, and the sum of |w f| over its terms (its roundoff
+    scale), or None unless with_mass.  Each term is evaluated in slices of
+    u nodes of at most _BLOCK_ELEMS elements, so memory stays bounded at
+    any resolution."""
+    psi = psi_evaluator(params)
+    total = mass = 0.0
+    for u, v, wu, wv, K, R in _integral_terms(params, 0.0, theta, phi, n_nodes, delta_floor):
+        cols = min(u.size, max(1, _BLOCK_ELEMS // v.size))
+        for i in range(0, u.size, cols):
+            piece = psi.t_integral(theta, phi, u[:, i:i + cols], v, K=K, R=R, L=L, N=N)
+            piece *= wu[i:i + cols, None] * wv
+            total += piece.sum()
+            if with_mass:
+                mass += np.abs(piece).sum()
+    return total, mass if with_mass else None
+
+
+def t_integral_H(params: JacobiParams, theta: float, phi: float, N: int, L: int,
+                 base_nodes: int, max_doublings: int, delta_floor: float) -> float:
+    """int_0^inf d_theta^N d_phi^L H_t dt, N >= 1, off the diagonal: the
+    integral representation with its t-integral taken exactly
+    (PsiEvaluator.t_integral), one (u, v) quadrature.  The sinh correction
+    has no theta derivative, so this is the companion kernel's integral.
+    The axes are graded as the integral route's at t = 0, by
+    d_min = 2 sin^2((theta-phi)/4), and node counts double from base_nodes
+    under the acceptance rule of _refine at rtol 1e-9.  On the diagonal the
+    integral diverges, and a D that rounds below zero at the corner
+    (u, v) = (1, 1) is refused, as on the integral route.
+    """
+    _check_angles(theta, phi)
+    if theta == phi:
+        raise ValueError(f"the t-integral of H diverges on the diagonal theta = phi = {theta}")
+    route = f"t-integral route (alpha={params.alpha}, beta={params.beta}, N={N}, L={L})"
+    point = f"theta={theta:g}, phi={phi:g}"
+    _refuse_negative_d(0.0, theta, phi, ((1.0, 1.0),), route, point)
+    once = partial(_t_integral_sum, params, theta, phi, N, L, delta_floor)
+    return float(_refine(once, 1e-9, route, point, "w f", base_nodes, max_doublings))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ partials come from one sin/cos pair per angle by the period-4 cycle, so
 their exact zeros stay exact.  No finite differences anywhere.  Everything
 broadcasts: t, theta, phi, u, v may be arrays of broadcastable shapes, and
 the result can be written into a caller's array (out=, as numpy's ufuncs).
+PsiEvaluator.t_integral integrates an M = 0 partial over t in (0, inf) in
+closed form, by the same plan and Horner sum in 1/q.
 """
 
 from __future__ import annotations
@@ -190,6 +192,49 @@ class PsiEvaluator:
         if shared:
             D *= S ** shared[0] * C ** shared[1]
         acc *= D
+        return acc if acc.ndim else acc[()]
+
+    def t_integral(self, theta, phi, u, v, K=0, R=0, L=0, N=0):
+        """int_0^inf partial_u^K partial_v^R partial_phi^L partial_theta^N Psi dt.
+
+        At M = 0 every term of the plan is S coef D^(-sigma-k), and with
+        s = cosh(t/2) - 1, S dt = 2 ds, so
+        int_0^inf S (s + q)^(-sigma-k) dt = 2 q^(1-sigma-k) / (sigma+k-1):
+        the evaluator's Horner sum with q in place of D and
+        2 c_ab (sigma)_(k-1) in place of c_ab (sigma)_k.  That needs k >= 1
+        in every term, which holds for any nonzero order, as every
+        derivative token sits in some block; then the form is finite for
+        every sigma > 0 and q > 0, sigma = 1 (alpha + beta = -1) included.
+        The t-integral of Psi itself is refused: it diverges for sigma <= 1.
+        """
+        plan = _plan(0, N, L, K, R)
+        if plan[0][0] == 0:
+            raise ValueError("the t-integral of Psi needs a nonzero derivative order")
+        trig = _half_trig(theta, phi)
+        q = np.asarray(_q(trig, u, v), dtype=float)
+        q_partials: dict = {(): 1.0}
+
+        def q_product(blocks):  # as in __call__
+            for n in range(len(blocks)):
+                if blocks[: n + 1] not in q_partials:
+                    q_partials[blocks[: n + 1]] = (q_partials[blocks[:n]]
+                                                   * _q_partial(trig, u, v, *blocks[n]))
+            return q_partials[blocks]
+
+        acc = None
+        for k, ((_, terms),) in reversed(plan):  # M = 0: the one t factor S
+            scale = 2.0 * self.c_ab * prod(self.sigma + i for i in range(k - 1))
+            coef = 0.0
+            for weight, uv, angle in terms:
+                coef = coef + (weight * scale * q_product(uv)) * q_product(angle)
+            if acc is None:
+                acc = np.empty_like(q)
+                acc[...] = coef
+            else:
+                acc /= q
+                acc += coef
+        q **= 1.0 - self.sigma - plan[0][0]
+        acc *= q
         return acc if acc.ndim else acc[()]
 
 

@@ -219,6 +219,28 @@ class TestScanCommand:
         assert code == 2
         assert "samples" in err
 
+    @pytest.mark.parametrize("flag, grid", [("--theta-grid", "4,5"), ("--phi-grid", "1.0,2.0")])
+    def test_smoothness_refuses_grids(self, capsys, flag, grid):
+        # the smoothness scan samples its own angles; a grid would be ignored
+        code, out, err = run_cli(
+            capsys, "scan", "--scan", "smoothness", "--kernel", "stieltjes",
+            "--alpha", "0", "--beta", "0", flag, grid, "--samples", "2",
+        )
+        assert code == 2
+        assert flag in err
+        assert out == ""
+
+    def test_smoothness_refuses_grid_config_key(self, capsys, tmp_path):
+        config = tmp_path / "scan.json"
+        config.write_text('{"phi-grid": "1.0,2.0"}')
+        code, out, err = run_cli(
+            capsys, "scan", "--scan", "smoothness", "--kernel", "stieltjes",
+            "--alpha", "0", "--beta", "0", "--samples", "2", "--config", str(config),
+        )
+        assert code == 2
+        assert "--phi-grid" in err
+        assert out == ""
+
     @pytest.mark.parametrize("scan", ["sharp", "growth"])
     def test_grid_angle_outside_range_usage_exit(self, capsys, scan):
         code, out, err = run_cli(

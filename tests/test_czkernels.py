@@ -1,6 +1,7 @@
 """Tests for the operator kernels and their estimate scans."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,8 +31,12 @@ from jpkernel.kernel import closed_form_chebyshev
 from jpkernel.params import JacobiParams
 
 from _basis_reference import trig_poly_deriv
+from _riesz_reference import riesz1_value
+from conftest import ACCEPTANCE_SETS
 
 CHEB = JacobiParams(-0.5, -0.5)
+# The acceptance sets and sigma = 1 off the Chebyshev case.
+RIESZ_SETS = ACCEPTANCE_SETS + [(-0.75, -0.25)]
 
 
 def _cheb_dt(t, theta, phi, h=1e-6):
@@ -70,12 +75,19 @@ class TestMaximal:
         refined = MaximalKernel(CHEB).norm(1.0, 1.2)
         assert refined >= 1.0 / mu_total(CHEB) - 1e-14
 
-    @pytest.mark.parametrize("kernel_id, options", [
-        ("maximal", {}), ("riesz", {"N": 1}), ("gfun", {"M": 1, "N": 0}), ("laplace", {}),
-    ], ids=["maximal", "riesz", "gfun", "laplace"])
-    def test_diagonal_rejected(self, kernel_id, options):
-        with pytest.raises(ValueError):
-            make_kernel(CHEB, kernel_id, **options).norm(1.0, 1.0)
+    @pytest.mark.parametrize("kernel_id, options, quality, theta", [
+        ("maximal", {}, "accurate", 1.0), ("riesz", {"N": 1}, "accurate", 1.0),
+        ("gfun", {"M": 1, "N": 0}, "accurate", 1.0), ("laplace", {}, "accurate", 1.0),
+        ("riesz", {"N": 1}, "scan", 1.0), ("riesz", {"N": 1}, "accurate", math.nan),
+        ("riesz", {"N": 1}, "scan", math.nan),
+    ], ids=["maximal", "riesz", "gfun", "laplace", "riesz-scan", "riesz-nan", "riesz-scan-nan"])
+    def test_diagonal_rejected(self, kernel_id, options, quality, theta):
+        # refused before any work, without a RuntimeWarning
+        k = make_kernel(CHEB, kernel_id, quality=quality, **options)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                k.norm(theta, 1.0)
 
 
 class TestRiesz:
@@ -102,6 +114,41 @@ class TestRiesz:
 
         ref, _ = integrate.quad(lambda t: d2(t) * t, 0, 60, limit=300)
         assert_allclose(got, ref, rtol=1e-5)
+
+    @pytest.mark.parametrize("quality, tol", [("accurate", 1e-12), ("scan", 1e-10)])
+    def test_order_one_chebyshev_exact(self, quality, tol):
+        # alpha = beta = -1/2 (sigma = 1): R_1 = -[cot(x/2) + cot(y/2)] / (2 pi),
+        # x, y = theta -+ phi, and its theta and phi derivatives
+        k = RieszKernel(CHEB, 1, quality)
+        for theta, phi in [(0.3, 2.8), (2.6, 0.4), (1.0, 2.0), (2.1, 1.4), (1.2, 1.3),
+                           (2.5, 2.4)]:
+            a, b = 0.5 * (theta - phi), 0.5 * (theta + phi)
+            csc2_a, csc2_b = 1.0 / math.sin(a) ** 2, 1.0 / math.sin(b) ** 2
+            exact = {(0, 0): -(1.0 / math.tan(a) + 1.0 / math.tan(b)) / (2.0 * math.pi),
+                     (1, 0): (csc2_a + csc2_b) / (4.0 * math.pi),
+                     (0, 1): (csc2_b - csc2_a) / (4.0 * math.pi)}
+            for (dth, dph), ref in exact.items():
+                assert_allclose(k._value(theta, phi, dth, dph), ref, rtol=tol,
+                                err_msg=f"{(theta, phi, dth, dph)}")
+
+    @pytest.mark.parametrize("ab", RIESZ_SETS, ids=lambda ab: f"a{ab[0]}_b{ab[1]}")
+    def test_order_one_matches_t_quadrature(self, ab):
+        # The reference takes up to 10 s per value near the diagonal, so
+        # there each set checks one of the three derivatives, in turn.
+        k = RieszKernel(JacobiParams(*ab), 1)
+        derivs = [(0, 0), (1, 0), (0, 1)]
+        i = RIESZ_SETS.index(ab)
+        cases = [(0.3, 2.8, d) for d in derivs] + [(2.2, 1.2, derivs[(i + 1) % 3]),
+                                                   (1.5, 1.51, derivs[i % 3])]
+        for theta, phi, (dth, dph) in cases:
+            assert_allclose(k._value(theta, phi, dth, dph),
+                            riesz1_value(k, theta, phi, dth, dph), rtol=1e-10,
+                            err_msg=f"{(theta, phi, dth, dph)}")
+
+    def test_order_must_be_one_or_two(self):
+        for N in (0, 3):
+            with pytest.raises(ValueError, match="Riesz order"):
+                RieszKernel(CHEB, N)
 
     def test_no_symmetry_but_finite(self):
         p = JacobiParams(0.5, -0.75)

@@ -12,6 +12,7 @@ from conftest import ACCEPTANCE_SETS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import integrate
 
 from jpkernel._parallel import parallel_map
 from jpkernel.params import JacobiParams
@@ -245,3 +246,37 @@ class TestEngineAgainstReference:
                       out=out[:3, 1:8], work=work[:3, 1:8])
             assert np.shares_memory(got, out) and got.shape == ref.shape
             assert np.array_equal(got, ref), (K, R, L, N, M)
+
+
+class TestTIntegral:
+    """PsiEvaluator.t_integral against adaptive quadrature of the evaluator in t."""
+
+    @pytest.mark.parametrize("ab", [(0.5, 0.5), (-0.75, 0.5), (-0.5, -0.5), (-0.75, -0.25),
+                                    (2.0, -0.25)], ids=lambda ab: f"a{ab[0]}_b{ab[1]}")
+    @pytest.mark.parametrize("u, v, K, R, N, L", [
+        (0.3, -0.2, 0, 0, 1, 0),
+        (0.9, 0.8, 1, 0, 1, 0),      # the profile axis's K = 1 term
+        (-0.4, 0.95, 0, 1, 2, 0),
+        (0.5, 0.5, 0, 0, 1, 1),
+        (0.99, 0.99, 1, 0, 2, 1),
+    ])
+    def test_matches_quad_of_psi(self, ab, u, v, K, R, N, L):
+        # sigma = 1 at (-1/2, -1/2) and (-3/4, -1/4); the integrand decays like
+        # exp(-sigma t / 2), and cosh overflows past t = 1420
+        psi = psi_evaluator(JacobiParams(*ab))
+        theta, phi = 1.0, 1.7
+        got = psi.t_integral(theta, phi, u, v, K=K, R=R, L=L, N=N)
+        ref, _ = integrate.quad(lambda t: psi(t, theta, phi, u, v, K=K, R=R, L=L, N=N),
+                                0.0, 1200.0, epsabs=0.0, epsrel=1e-13, limit=1000,
+                                points=[0.01, 0.1, 1.0, 10.0, 100.0])
+        assert_allclose(got, ref, rtol=1e-13)
+
+    def test_broadcasts_and_refuses_order_zero(self):
+        psi = psi_evaluator(JacobiParams(0.5, 0.0))
+        u = np.linspace(-0.9, 0.9, 5).reshape(-1, 1)
+        v = np.linspace(-0.9, 0.9, 3).reshape(1, -1)
+        out = psi.t_integral(1.0, 2.0, u, v, K=1, N=1)
+        assert out.shape == (5, 3)
+        assert out[2, 1] == psi.t_integral(1.0, 2.0, 0.0, 0.0, K=1, N=1)
+        with pytest.raises(ValueError, match="nonzero derivative order"):
+            psi.t_integral(1.0, 2.0, 0.3, 0.2)
