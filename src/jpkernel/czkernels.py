@@ -50,7 +50,7 @@ from jpkernel.kernel import (AUTO_SPLIT_T, check_angle_range, kernel_H_batch, se
                              t_integral_H)
 from jpkernel.params import JacobiParams
 from jpkernel.pi_measures import gauss_panels
-from jpkernel.report import EstimateReport
+from jpkernel.report import EstimateReport, check_cap
 
 TAIL_N_CUT = 64
 _MID_NODES = 20
@@ -488,7 +488,10 @@ def _pair_check(kind, probe, sep_power, params, kernel, theta_grid, phi_grid, ca
                 options) -> EstimateReport:
     """ratio = probe * |theta-phi|^sep_power * mu(B(theta, |theta-phi|)) per
     off-diagonal grid pair, at the 'scan' preset; the worst pair is the
-    first strict maximum, re-checked by _stabilized."""
+    first strict maximum, re-checked by _stabilized.  A cap outside
+    (0, inf) and grid angles outside [0, pi] are refused before any
+    evaluation."""
+    check_cap(cap)
     check_angle_range(theta_grid, phi_grid)
     options = options or {}
     k = make_kernel(params, kernel, quality="scan", **options)
@@ -535,7 +538,9 @@ def smoothness_check(params: JacobiParams, kernel, n_samples: int = 100, seed: i
                      cap: float = 1e3, options: dict | None = None) -> EstimateReport:
     """Samples ||K(theta,.) - K(theta',.)|| on triples with
     |theta - phi| > 2 |theta - theta'| against the first smoothness bound,
-    at the 'scan' preset."""
+    at the 'scan' preset.  A cap outside (0, inf) is refused before any
+    evaluation."""
+    check_cap(cap)
     options = options or {}
     k = make_kernel(params, kernel, quality="scan", **options)
     rng = np.random.default_rng(seed)

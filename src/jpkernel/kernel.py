@@ -350,16 +350,20 @@ def _grading_delta(t_min: float, theta: float, phi: float, coupling: float,
 
 
 def _axis_terms(gamma: float, n: int, delta: float):
-    """Terms (nodes, weights, derivative order) of one integration axis.
+    """Terms (nodes, weights, derivative order) of one integration axis, by
+    the regime of its parameter gamma.
 
-    A density or atomic axis integrates psi against its measure.  A profile
-    axis integrates the axis derivative of psi against the profile, folded
-    onto +-u as one stacked tensor with signed weights, and adds psi at the
-    two half-atoms.
+    A density axis (gamma > -1/2) integrates psi against the density rule,
+    an atomic one (gamma = -1/2) against the half-atoms at -1 and 1.  A
+    profile axis (gamma < -1/2) integrates the axis derivative of psi
+    against the profile rule, folded onto +-u as one stacked tensor with
+    signed weights, and adds psi at the half-atoms at 1 and -1.
     """
-    nodes, weights = pi_measures.axis_rule(gamma, n, delta)
-    if gamma >= -0.5:
-        return [(nodes, weights, 0)]
+    if gamma > -0.5:
+        return [pi_measures.density_rule(gamma, n, delta) + (0,)]
+    if gamma == -0.5:
+        return [(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 0)]
+    nodes, weights = pi_measures.profile_rule(gamma, n, delta)
     return [(np.concatenate([nodes, -nodes]), np.concatenate([weights, -weights]), 1),
             (np.array([1.0, -1.0]), np.array([0.5, 0.5]), 0)]
 
@@ -394,10 +398,15 @@ def _integral_terms(params, t_min, theta, phi, n_nodes, delta_floor=2.0**-40):
             for un, uw, K in u_terms for vn, vw, R in v_terms]
 
 
-def _integral_sum(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor, with_mass):
-    """Companion-kernel derivative over a t batch at one resolution, and the
-    sum of |w psi| over the quadrature terms of each t (its roundoff scale),
-    or None unless with_mass.
+def _integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, with_mass):
+    """The integral representation's double sums over a t batch at one
+    resolution, and the sum of |w f| over the quadrature terms of each t
+    (its roundoff scale), or None unless with_mass.
+
+    evaluate(t_block, u, v, K, R, out, work) fills out with the integrand f
+    on a (t, u, v) block of the term with axis orders (K, R), forming its D
+    in work: psi at the route's derivative orders (h_script_integral), or
+    its t-integral on a one-row batch at t = 0 (t_integral_H).
 
     The batch splits into log-bands [lo, 4 lo) from its smallest t on (the
     last band takes the rest), and each band is graded by its own smallest
@@ -416,7 +425,6 @@ def _integral_sum(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor, with
     the values do not depend on the blocking.  The workspace belongs to the
     call: the evaluator is shared between threads.
     """
-    psi = psi_evaluator(params)
     out = np.zeros_like(t_arr)
     mass = np.zeros_like(t_arr) if with_mass else None
     t_max = float(t_arr.max())
@@ -443,8 +451,8 @@ def _integral_sum(params, t_arr, theta, phi, M, N, L, n_nodes, delta_floor, with
                     vals = buf[:len(tb)]
                     for i in range(0, u.size, cols):
                         piece = vals[:, i:i + cols]
-                        psi(tb, theta, phi, u[:, i:i + cols], v, K=K, R=R, L=L, N=N, M=M,
-                            out=piece, work=work[:len(tb), :piece.shape[1]])
+                        evaluate(tb, u[:, i:i + cols], v, K, R, piece,
+                                 work[:len(tb), :piece.shape[1]])
                         piece *= weights[i:i + cols]
                     sums, abs_sums = _row_sums(vals, with_mass)
                     block = band[start:start + rows]
@@ -535,31 +543,14 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
     route = f"integral route (alpha={params.alpha}, beta={params.beta}, deriv={deriv})"
     point = f"t_min={t_arr.min():g}, theta={theta:g}, phi={phi:g}"
     _refuse_negative_d(t_arr.min(), theta, phi, ((1.0, 1.0),), route, point)
+    psi = psi_evaluator(params)
 
-    def once(n, with_mass):
-        return _integral_sum(params, t_arr, theta, phi, M, N, L, n, delta_floor, with_mass)
+    def evaluate(t_block, u, v, K, R, out, work):
+        return psi(t_block, theta, phi, u, v, K=K, R=R, L=L, N=N, M=M, out=out, work=work)
 
+    once = partial(_integral_sum, params, t_arr, theta, phi, evaluate, delta_floor)
     vals = _refine(once, rtol, route, point, "w psi", base_nodes, max_doublings)
     return vals if np.ndim(t) else float(vals[0])
-
-
-def _t_integral_sum(params, theta, phi, N, L, delta_floor, n_nodes, with_mass):
-    """int_0^inf of the integral route's double sums at one resolution,
-    graded for t = 0, and the sum of |w f| over its terms (its roundoff
-    scale), or None unless with_mass.  Each term is evaluated in slices of
-    u nodes of at most _BLOCK_ELEMS elements, so memory stays bounded at
-    any resolution."""
-    psi = psi_evaluator(params)
-    total = mass = 0.0
-    for u, v, wu, wv, K, R in _integral_terms(params, 0.0, theta, phi, n_nodes, delta_floor):
-        cols = min(u.size, max(1, _BLOCK_ELEMS // v.size))
-        for i in range(0, u.size, cols):
-            piece = psi.t_integral(theta, phi, u[:, i:i + cols], v, K=K, R=R, L=L, N=N)
-            piece *= wu[i:i + cols, None] * wv
-            total += piece.sum()
-            if with_mass:
-                mass += np.abs(piece).sum()
-    return total, mass if with_mass else None
 
 
 def t_integral_H(params: JacobiParams, theta: float, phi: float, N: int, L: int,
@@ -568,11 +559,12 @@ def t_integral_H(params: JacobiParams, theta: float, phi: float, N: int, L: int,
     integral representation with its t-integral taken exactly
     (PsiEvaluator.t_integral), one (u, v) quadrature.  The sinh correction
     has no theta derivative, so this is the companion kernel's integral.
-    The axes are graded as the integral route's at t = 0, by
-    d_min = 2 sin^2((theta-phi)/4), and node counts double from base_nodes
-    under the acceptance rule of _refine at rtol 1e-9.  On the diagonal the
-    integral diverges, and a D that rounds below zero at the corner
-    (u, v) = (1, 1) is refused, as on the integral route.
+    It is the integral route's _integral_sum on a one-row batch at t = 0,
+    so its axes are graded by d_min = 2 sin^2((theta-phi)/4) and it shares
+    that route's workspace, u slicing and fixed-order row sums; node counts
+    double from base_nodes under the acceptance rule of _refine at rtol
+    1e-9.  On the diagonal the integral diverges, and a D that rounds below
+    zero at the corner (u, v) = (1, 1) is refused, as on the integral route.
     """
     _check_angles(theta, phi)
     if theta == phi:
@@ -580,8 +572,13 @@ def t_integral_H(params: JacobiParams, theta: float, phi: float, N: int, L: int,
     route = f"t-integral route (alpha={params.alpha}, beta={params.beta}, N={N}, L={L})"
     point = f"theta={theta:g}, phi={phi:g}"
     _refuse_negative_d(0.0, theta, phi, ((1.0, 1.0),), route, point)
-    once = partial(_t_integral_sum, params, theta, phi, N, L, delta_floor)
-    return float(_refine(once, 1e-9, route, point, "w f", base_nodes, max_doublings))
+    psi = psi_evaluator(params)
+
+    def evaluate(t_block, u, v, K, R, out, work):
+        return psi.t_integral(theta, phi, u, v, K=K, R=R, L=L, N=N, out=out, work=work)
+
+    once = partial(_integral_sum, params, np.zeros(1), theta, phi, evaluate, delta_floor)
+    return float(_refine(once, 1e-9, route, point, "w f", base_nodes, max_doublings)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +625,9 @@ def _general_once(params, t, theta, phi, corner_ds, n_nodes, with_mass):
     for (xi, eta), d11 in zip(_CORNERS, corner_ds):
         d_pow = d11 ** (-sigma)
         corner += scale * d_pow
-        _, uw, omu = pi_measures.halfline_rule(
+        uw, omu = pi_measures.halfline_rule(
             params.alpha, n_nodes, _grading_delta(t, theta, phi, P, corner=(xi, eta)))
-        _, vw, omv = pi_measures.halfline_rule(
+        vw, omv = pi_measures.halfline_rule(
             params.beta, n_nodes, _grading_delta(t, theta, phi, Q, corner=(xi, eta)))
         a, b = uw / omu, vw / omv
         inc_u, inc_v = xi * P * omu, eta * Q * omv

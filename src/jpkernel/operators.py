@@ -46,12 +46,6 @@ class Expansion:
         return self.params.rates(self.basis.n_max)
 
 
-def unit_expansion(basis: OrthonormalBasis, n: int) -> Expansion:
-    coeffs = np.zeros(basis.n_max + 1)
-    coeffs[n] = 1.0
-    return Expansion(basis, coeffs)
-
-
 def analyze(basis: OrthonormalBasis, f) -> Expansion:
     """Fourier-Jacobi coefficients of f by Gauss quadrature against d(mu) at
     n_max + 32 nodes (exact to degree 2 n_max + 63 in cos(theta))."""

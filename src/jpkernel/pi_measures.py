@@ -7,8 +7,8 @@ the probability density
 at gamma = -1/2 it degenerates to two half-atoms at +-1, and for
 gamma in (-1, -1/2) the role is taken over by the finite even profile
 |Pi_gamma(u)| du, where Pi_gamma is the (negative, odd) primitive of the
-no-longer-integrable density.  axis_rule is the one dispatch on the regime;
-the kernel's cases are products of the two axes' regimes.
+no-longer-integrable density.  The kernel's cases are products of the two
+axes' regimes.
 
 The profile is evaluated through the exact decomposition (u > 0)
     Pi_gamma(u) = 1/2 + c_gamma B_gamma u (1-u^2)^(gamma+1/2) 2F1(1, 1+gamma; gamma+3/2; 1-u^2),
@@ -171,8 +171,8 @@ def halfline_rule(gamma: float, n: int, delta: float = 0.5):
     every gamma > -1 (the prefactor c_gamma vanishes at gamma = -1/2, which
     matches the atomic degeneration).
 
-    Returns (nodes, weights, one_minus_nodes); the third array carries
-    1 - u computed without cancellation so integrands may divide by it.
+    Returns (weights, one_minus_nodes); the second array carries 1 - u
+    computed without cancellation so integrands may divide by it.
     """
     c = pi_c(gamma)
     e_in = gamma - 0.5
@@ -181,18 +181,7 @@ def halfline_rule(gamma: float, n: int, delta: float = 0.5):
     x, w = specfun.roots_jacobi(n, e_out, 0.0)
     h = 0.5 * delta
     xj = (1.0 - delta) + h * (x + 1.0)
-    return (np.concatenate([xs, xj]),
-            np.concatenate([c * ws * (1.0 - xs) ** e_out * (1.0 + xs) ** e_in,
+    return (np.concatenate([c * ws * (1.0 - xs) ** e_out * (1.0 + xs) ** e_in,
                             c * h ** (e_out + 1.0) * w * (1.0 + xj) ** e_in]),
             np.concatenate([1.0 - xs, h * (1.0 - x)]))
 
-
-def axis_rule(gamma: float, n: int, delta: float):
-    """(nodes, weights) of the measure of parameter gamma on one integration
-    axis: the density rule for gamma > -1/2, the two half-atoms at +-1 for
-    gamma = -1/2, and the profile rule on (0, 1) for gamma < -1/2."""
-    if gamma > -0.5:
-        return density_rule(gamma, n, delta)
-    if gamma == -0.5:
-        return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
-    return profile_rule(gamma, n, delta)

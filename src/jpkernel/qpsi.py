@@ -26,7 +26,8 @@ their exact zeros stay exact.  No finite differences anywhere.  Everything
 broadcasts: t, theta, phi, u, v may be arrays of broadcastable shapes, and
 the result can be written into a caller's array (out=, as numpy's ufuncs).
 PsiEvaluator.t_integral integrates an M = 0 partial over t in (0, inf) in
-closed form, by the same plan and Horner sum in 1/q.
+closed form.  It is the same sum with D = q, (sigma)_(k-1) in place of
+(sigma)_k and no t factor, so both take one walk of the plan (_horner).
 """
 
 from __future__ import annotations
@@ -53,14 +54,14 @@ def _half_trig(theta, phi):
             (np.sin(0.5 * phi), np.cos(0.5 * phi)))
 
 
-def _q(trig, u, v):
-    """q from trig = _half_trig(theta, phi)."""
+def _q(trig, u, v, out):
+    """q from trig = _half_trig(theta, phi), into out (None allocates)."""
     (st, ct), (sp, cp) = trig
-    return 1.0 - u * st * sp - v * ct * cp
+    return np.subtract(1.0 - u * st * sp, v * ct * cp, out=out)
 
 
 def q_value(theta, phi, u, v):
-    return _q(_half_trig(theta, phi), u, v)
+    return _q(_half_trig(theta, phi), u, v, None)
 
 
 def _q_partial(trig, u, v, dtheta, dphi, du, dv):
@@ -141,7 +142,7 @@ class PsiEvaluator:
         S = np.sinh(0.5 * t)
         C = np.cosh(0.5 * t)
         trig = _half_trig(theta, phi)
-        D = np.asarray(np.add(C - 1.0, _q(trig, u, v), out=work))
+        D = np.asarray(np.add(C - 1.0, _q(trig, u, v, None), out=work))
         if not (L or N or M):
             # The orders the integral route takes at deriv (0, 0, 0): one
             # Faa di Bruno term, multiplied out in place in the order of the
@@ -156,6 +157,38 @@ class PsiEvaluator:
             power *= self.c_ab
             return power if np.ndim(power) else power[()]
 
+        return self._horner(_plan(M, N, L, K, R), trig, u, v, D, 0, (S, C), out)
+
+    def t_integral(self, theta, phi, u, v, K=0, R=0, L=0, N=0, out=None, work=None):
+        """int_0^inf partial_u^K partial_v^R partial_phi^L partial_theta^N Psi dt.
+
+        At M = 0 every term of the plan is S coef D^(-sigma-k), and with
+        s = cosh(t/2) - 1, S dt = 2 ds, so
+        int_0^inf S (s + q)^(-sigma-k) dt = 2 q^(1-sigma-k) / (sigma+k-1):
+        the evaluator's Horner sum with D = q, scale 2 c_ab (sigma)_(k-1) in
+        place of c_ab (sigma)_k and no t factor.  That needs k >= 1 in every
+        term, which holds for any nonzero order, as every derivative token
+        sits in some block; then the form is finite for every sigma > 0 and
+        q > 0, sigma = 1 (alpha + beta = -1) included.  The t-integral of Psi
+        itself is refused: it diverges for sigma <= 1.  out and work are as
+        in __call__, with work holding q.
+        """
+        plan = _plan(0, N, L, K, R)
+        if plan[0][0] == 0:
+            raise ValueError("the t-integral of Psi needs a nonzero derivative order")
+        trig = _half_trig(theta, phi)
+        q = np.asarray(_q(trig, u, v, work), dtype=float)
+        return self._horner(plan, trig, u, v, q, 1, None, out)
+
+    def _horner(self, plan, trig, u, v, D, shift, t_trig, out):
+        """Sum the terms of plan, a term of block count k scaled by
+        2^shift c_ab (sigma)_(k-shift) D^(shift-sigma-k) and, unless t_trig
+        is None, by its t factor S^a C^b from t_trig = (S, C); into out
+        (None allocates), overwriting D.
+
+        Horner in 1/D from the highest block count down.  A t factor that
+        every term shares is applied once, with the lowest power.
+        """
         q_partials: dict = {(): 1.0}  # products of q partials, by their orders
 
         def q_product(blocks):  # by prefix; a self-reference would keep q_partials in a cycle
@@ -165,76 +198,35 @@ class PsiEvaluator:
                                                    * _q_partial(trig, u, v, *blocks[n]))
             return q_partials[blocks]
 
-        # Horner in 1/D from the highest block count down.  A t factor that
-        # every term shares is applied once, with the lowest power.
-        plan = _plan(M, N, L, K, R)
         t_factors = {tf for _, groups in plan for tf, _ in groups}
-        shared = t_factors.pop() if len(t_factors) == 1 and len(plan) > 1 else None
+        shared = None
+        if t_trig is not None and len(t_factors) == 1 and len(plan) > 1:
+            shared = t_factors.pop()
         acc = tmp = None
         for k, groups in reversed(plan):
             if acc is not None:
                 acc /= D
-            scale = self.c_ab * prod(self.sigma + i for i in range(k))
+            scale = 2**shift * self.c_ab * prod(self.sigma + i for i in range(k - shift))
             for (a, b), terms in groups:
                 coef = 0.0
                 for weight, uv, angle in terms:
                     coef = coef + (weight * scale * q_product(uv)) * q_product(angle)
-                tf = 1.0 if shared else S**a * C**b
+                tf = None if shared or t_trig is None else t_trig[0] ** a * t_trig[1] ** b
                 if acc is None:
-                    acc = np.multiply(tf, coef, out=np.empty_like(D) if out is None else out)
-                elif shared or np.ndim(coef) == 0:
+                    acc = np.multiply(1.0 if tf is None else tf, coef,
+                                      out=np.empty_like(D) if out is None else out)
+                elif tf is None:
+                    acc += coef
+                elif np.ndim(coef) == 0:
                     acc += tf * coef
                 else:
                     if tmp is None:
                         tmp = np.empty_like(D)
                     acc += np.multiply(tf, coef, out=tmp)
-        D **= -self.sigma - plan[0][0]
+        D **= shift - self.sigma - plan[0][0]
         if shared:
-            D *= S ** shared[0] * C ** shared[1]
+            D *= t_trig[0] ** shared[0] * t_trig[1] ** shared[1]
         acc *= D
-        return acc if acc.ndim else acc[()]
-
-    def t_integral(self, theta, phi, u, v, K=0, R=0, L=0, N=0):
-        """int_0^inf partial_u^K partial_v^R partial_phi^L partial_theta^N Psi dt.
-
-        At M = 0 every term of the plan is S coef D^(-sigma-k), and with
-        s = cosh(t/2) - 1, S dt = 2 ds, so
-        int_0^inf S (s + q)^(-sigma-k) dt = 2 q^(1-sigma-k) / (sigma+k-1):
-        the evaluator's Horner sum with q in place of D and
-        2 c_ab (sigma)_(k-1) in place of c_ab (sigma)_k.  That needs k >= 1
-        in every term, which holds for any nonzero order, as every
-        derivative token sits in some block; then the form is finite for
-        every sigma > 0 and q > 0, sigma = 1 (alpha + beta = -1) included.
-        The t-integral of Psi itself is refused: it diverges for sigma <= 1.
-        """
-        plan = _plan(0, N, L, K, R)
-        if plan[0][0] == 0:
-            raise ValueError("the t-integral of Psi needs a nonzero derivative order")
-        trig = _half_trig(theta, phi)
-        q = np.asarray(_q(trig, u, v), dtype=float)
-        q_partials: dict = {(): 1.0}
-
-        def q_product(blocks):  # as in __call__
-            for n in range(len(blocks)):
-                if blocks[: n + 1] not in q_partials:
-                    q_partials[blocks[: n + 1]] = (q_partials[blocks[:n]]
-                                                   * _q_partial(trig, u, v, *blocks[n]))
-            return q_partials[blocks]
-
-        acc = None
-        for k, ((_, terms),) in reversed(plan):  # M = 0: the one t factor S
-            scale = 2.0 * self.c_ab * prod(self.sigma + i for i in range(k - 1))
-            coef = 0.0
-            for weight, uv, angle in terms:
-                coef = coef + (weight * scale * q_product(uv)) * q_product(angle)
-            if acc is None:
-                acc = np.empty_like(q)
-                acc[...] = coef
-            else:
-                acc /= q
-                acc += coef
-        q **= 1.0 - self.sigma - plan[0][0]
-        acc *= q
         return acc if acc.ndim else acc[()]
 
 

@@ -26,6 +26,13 @@ def format_float(x) -> str:
     return str(x)
 
 
+def check_cap(cap):
+    """Raise ValueError unless 0 < cap < inf: a scan refuses its cap before
+    it evaluates anything, as any other cap makes its pass meaningless."""
+    if not 0.0 < cap < math.inf:
+        raise ValueError(f"cap must be positive and finite, got {cap}")
+
+
 @dataclass
 class EstimateReport:
     """Rows of a ratio scan plus its pass/fail summary.

@@ -18,7 +18,7 @@ import numpy as np
 from jpkernel._parallel import pair_map
 from jpkernel.kernel import check_angle_range, jph_correction, kernel_H_batch
 from jpkernel.params import JacobiParams
-from jpkernel.report import EstimateReport
+from jpkernel.report import EstimateReport, check_cap
 
 EXCLUDE_NEAR_MINUS_ONE = -0.9  # scans beyond this are reported, not gated
 SCAN_RTOL = 1e-7  # the integral route's rtol in ratio scans
@@ -54,8 +54,7 @@ def ratio_scan(params: JacobiParams, t_grid, theta_grid, phi_grid, which: str = 
     """
     if which not in ("H", "Hscript"):
         raise ValueError(f"which must be 'H' or 'Hscript', got {which!r}")
-    if not 0.0 < cap < math.inf:
-        raise ValueError(f"cap must be positive and finite, got {cap}")
+    check_cap(cap)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     theta_grid = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     phi_grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))

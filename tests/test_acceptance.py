@@ -34,12 +34,12 @@ from jpkernel.kernel import (
     kernel_eval,
     series_H,
 )
-from jpkernel.operators import Expansion, g_function, multiplier_apply, semigroup_apply, unit_expansion
+from jpkernel.operators import Expansion, g_function, multiplier_apply, semigroup_apply
 from jpkernel.params import JacobiParams
 from jpkernel.sharp import long_time_fit, ratio_scan
 
 from _basis_reference import trig_poly_deriv
-from conftest import ACCEPTANCE_SETS
+from conftest import ACCEPTANCE_SETS, unit_expansion
 
 GRID_THETA = [0.01, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi - 0.01]
 

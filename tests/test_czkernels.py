@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+from jpkernel import czkernels
 from jpkernel._parallel import thread_count
 from jpkernel.basis import OrthonormalBasis, mu_total, theta_quad_rule, trig_poly_table
 from jpkernel.czkernels import (
@@ -310,6 +311,24 @@ class TestChecks:
             smoothness_check(p, "stieltjes", n_samples=0)
         with pytest.raises(ValueError, match="growth"):
             growth_check(p, "stieltjes", [1.0], [1.0])
+
+    @pytest.mark.parametrize("cap", [math.nan, -1.0, 0.0, math.inf], ids=str)
+    @pytest.mark.parametrize("scan", ["growth", "gradient", "smoothness"])
+    def test_cap_outside_open_half_line_rejected_before_any_evaluation(self, monkeypatch,
+                                                                       scan, cap):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a kernel was built before the cap was checked")
+
+        monkeypatch.setattr(czkernels, "make_kernel", no_kernel)
+        p = JacobiParams(0.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"cap must be positive and finite, got {cap}"):
+                if scan == "smoothness":
+                    smoothness_check(p, "stieltjes", n_samples=2, cap=cap)
+                else:
+                    check = growth_check if scan == "growth" else gradient_check
+                    check(p, "stieltjes", [0.5, 1.5], [0.5, 1.5], cap=cap)
 
     def test_make_kernel_registry(self):
         p = JacobiParams(0.0, 0.0)

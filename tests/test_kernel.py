@@ -36,7 +36,7 @@ from jpkernel.params import JacobiParams
 from jpkernel.qpsi import psi_evaluator
 
 from _f4_reference import h_script_f4_reference
-from _integral_reference import contract, integral_sum
+from _integral_reference import contract, integral_sum, psi_integrand, t_integral_integrand
 from _oracles import chebyshev_H
 
 CHEB = JacobiParams(-0.5, -0.5)
@@ -511,22 +511,33 @@ ROUTE_DERIVS = [(M, N, L) for L in (0, 1) for N in range(4) for M in range(4 - N
     pytest.param(64, 3, id="64-t"),
     pytest.param(5, 0.4, id="row-in-slices"),
     pytest.param(1, 0, id="row-in-single-nodes"),
+    pytest.param(0, 3, id="t-integral"),
+    pytest.param(0, 0.4, id="t-integral-row-in-slices"),
 ])
 def test_blocked_sum_is_the_full_tensor_sum(monkeypatch, n_t, block_rows, with_mass):
     # At alpha = beta = -3/4 both axes are profiles, so the terms take every
     # (K, R).  The budget holds block_rows rows of the largest term: below
     # one row, a row is filled in slices of u nodes (at 0.4, three slices,
     # the last one short; at 0, one node each).  The 64 t span two log-bands.
+    # n_t = 0 stands for the t-integral's one-row batch at t = 0, at the
+    # orders (N, L) with N >= 1 that it takes.
     p = JacobiParams(-0.75, -0.75)
     theta, phi, n_nodes, floor = 1.0, 1.3, 6, 2.0**-40
-    ts = np.linspace(0.02, 0.3 if n_t == 64 else 0.06, n_t)
-    largest = max(u.size * v.size for u, v, *_ in _integral_terms(p, 0.02, theta, phi, n_nodes))
+    if n_t:
+        ts = np.linspace(0.02, 0.3 if n_t == 64 else 0.06, n_t)
+        cases = [((M, N, L), psi_integrand(p, theta, phi, M, N, L)) for M, N, L in ROUTE_DERIVS]
+    else:
+        ts = np.zeros(1)
+        cases = [((N, L), t_integral_integrand(p, theta, phi, N, L))
+                 for L in (0, 1) for N in (1, 2, 3)]
+    largest = max(u.size * v.size
+                  for u, v, *_ in _integral_terms(p, float(ts.min()), theta, phi, n_nodes))
     monkeypatch.setattr(kernel, "_BLOCK_ELEMS", max(1, int(block_rows * largest)))
-    for M, N, L in ROUTE_DERIVS:
-        got = kernel._integral_sum(p, ts, theta, phi, M, N, L, n_nodes, floor, with_mass)
-        want = integral_sum(p, ts, theta, phi, M, N, L, n_nodes, floor, with_mass)
-        assert np.array_equal(got[0], want[0]), (M, N, L)
-        assert (got[1] is None) if not with_mass else np.array_equal(got[1], want[1]), (M, N, L)
+    for orders, evaluate in cases:
+        got = kernel._integral_sum(p, ts, theta, phi, evaluate, floor, n_nodes, with_mass)
+        want = integral_sum(p, ts, theta, phi, evaluate, floor, n_nodes, with_mass)
+        assert np.array_equal(got[0], want[0]), orders
+        assert (got[1] is None) if not with_mass else np.array_equal(got[1], want[1]), orders
 
 
 def test_blocked_sum_at_full_size():
@@ -536,8 +547,9 @@ def test_blocked_sum_at_full_size():
     p = JacobiParams(0.5, -0.75)
     ts = np.geomspace(0.01, 0.19, 64)
     for M, N, L in [(0, 0, 0), (1, 1, 0), (0, 2, 1)]:
-        got = kernel._integral_sum(p, ts, 1.0, 2.0, M, N, L, 24, 2.0**-40, True)
-        want = integral_sum(p, ts, 1.0, 2.0, M, N, L, 24, 2.0**-40, True)
+        evaluate = psi_integrand(p, 1.0, 2.0, M, N, L)
+        got = kernel._integral_sum(p, ts, 1.0, 2.0, evaluate, 2.0**-40, 24, True)
+        want = integral_sum(p, ts, 1.0, 2.0, evaluate, 2.0**-40, 24, True)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (M, N, L)
 
 

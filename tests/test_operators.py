@@ -24,11 +24,11 @@ from jpkernel.operators import (
     riesz_apply,
     semigroup_apply,
     synthesize,
-    unit_expansion,
 )
 from jpkernel.params import JacobiParams
 
 from _basis_reference import trig_poly_deriv, trig_poly_eval
+from conftest import unit_expansion
 
 CHEB = JacobiParams(-0.5, -0.5)
 

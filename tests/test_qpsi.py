@@ -280,3 +280,18 @@ class TestTIntegral:
         assert out[2, 1] == psi.t_integral(1.0, 2.0, 0.0, 0.0, K=1, N=1)
         with pytest.raises(ValueError, match="nonzero derivative order"):
             psi.t_integral(1.0, 2.0, 0.3, 0.2)
+
+    def test_out_and_work_buffers_give_the_same_bits(self):
+        # Slices of larger buffers, as the integral route's u slices pass them.
+        psi = psi_evaluator(JacobiParams(-0.75, 0.5))
+        u = np.linspace(-0.99, 0.99, 7).reshape(1, -1, 1)
+        v = np.linspace(-0.99, 0.99, 5).reshape(1, 1, -1)
+        out, work = np.full((2, 2, 9, 5), np.nan)
+        for K, R, L, N, M in SUPPORTED_ORDERS:
+            if M or not (K or R or L or N):
+                continue
+            ref = psi.t_integral(1.0, 1.7, u, v, K=K, R=R, L=L, N=N)
+            got = psi.t_integral(1.0, 1.7, u, v, K=K, R=R, L=L, N=N,
+                                 out=out[:1, 1:8], work=work[:1, 1:8])
+            assert np.shares_memory(got, out) and got.shape == ref.shape
+            assert np.array_equal(got, ref), (K, R, L, N)
