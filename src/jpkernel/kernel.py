@@ -160,15 +160,18 @@ def _series_cut(params: JacobiParams, t_min: float, M: int, N: int, L: int, rtol
 def series_H(params: JacobiParams, t, theta: float, phi, M=0, N=0, L=0, rtol=1e-13):
     """H and derivatives by the spectral series.
 
-    t may be an array, and independently phi may be an array; the result
-    broadcasts to shape t.shape + phi.shape (scalar axes squeezed).
+    t may be an array of any shape, empty included, and independently phi
+    may be an array; the result has shape t.shape + phi.shape (scalar axes
+    squeezed).
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_arr = np.asarray(t, dtype=float).ravel()
     _check_t(t_arr)
     _check_angles(theta, phi)
     _check_rtol(rtol)
     if min(M, N, L) < 0:
         raise UnsupportedOrderError(f"derivative orders (M, N, L) must be nonnegative, got {(M, N, L)}")
+    if not t_arr.size:
+        return np.empty(np.shape(t) + np.shape(phi))
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
     n_cut = _series_cut(params, float(t_arr.min()), M, N, L, rtol)
     rates = params.rates(n_cut)
@@ -177,11 +180,7 @@ def series_H(params: JacobiParams, t, theta: float, phi, M=0, N=0, L=0, rtol=1e-
     )
     if M > 0:
         coef = coef * ((-rates) ** M)[:, None]
-    vals = np.exp(-np.outer(t_arr, rates)) @ coef
-    if np.ndim(phi) == 0:
-        vals = vals[:, 0]
-    if np.ndim(t) == 0:
-        vals = vals[0]
+    vals = (np.exp(-np.outer(t_arr, rates)) @ coef).reshape(np.shape(t) + np.shape(phi))
     return float(vals) if np.ndim(vals) == 0 else vals
 
 
@@ -350,22 +349,25 @@ def _grading_delta(t_min: float, theta: float, phi: float, coupling: float,
 
 
 def _axis_terms(gamma: float, n: int, delta: float):
-    """Terms (nodes, weights, derivative order) of one integration axis, by
-    the regime of its parameter gamma.
+    """Terms (nodes, weights, derivative order, pieces) of one integration
+    axis, by the regime of its parameter gamma.
 
     A density axis (gamma > -1/2) integrates psi against the density rule,
     an atomic one (gamma = -1/2) against the half-atoms at -1 and 1.  A
     profile axis (gamma < -1/2) integrates the axis derivative of psi
     against the profile rule, folded onto +-u as one stacked tensor with
-    signed weights, and adds psi at the half-atoms at 1 and -1.
+    signed weights, and adds psi at the half-atoms at 1 and -1.  pieces is
+    the graded rule split by octave (pi_measures.corner_pieces) for a
+    density or profile term graded toward 1 (delta < 1/2), else None.
     """
-    if gamma > -0.5:
-        return [pi_measures.density_rule(gamma, n, delta) + (0,)]
     if gamma == -0.5:
-        return [(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 0)]
+        return [(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 0, None)]
+    pieces = None if delta >= 0.5 else pi_measures.corner_pieces(gamma, n, delta)
+    if gamma > -0.5:
+        return [pi_measures.density_rule(gamma, n, delta) + (0, pieces)]
     nodes, weights = pi_measures.profile_rule(gamma, n, delta)
-    return [(np.concatenate([nodes, -nodes]), np.concatenate([weights, -weights]), 1),
-            (np.array([1.0, -1.0]), np.array([0.5, 0.5]), 0)]
+    return [(np.concatenate([nodes, -nodes]), np.concatenate([weights, -weights]), 1, pieces),
+            (np.array([1.0, -1.0]), np.array([0.5, 0.5]), 0, None)]
 
 
 def _row_sums(vals, with_mass):
@@ -384,52 +386,144 @@ def _row_sums(vals, with_mass):
     return total, np.abs(rows, out=rows).sum(axis=1) if with_mass else None
 
 
+def _layer(pieces, r):
+    """(octave r, its tail, the tail then the octave) of one axis's
+    CornerPieces, r > 0; past the axis's depth (None, top, top)."""
+    levels = len(pieces.panels[0])
+    if r <= levels:
+        return tuple((part[0][r - 1], part[1][r - 1])
+                     for part in (pieces.panels, pieces.tails, pieces.uppers))
+    if r == levels + 1:
+        return pieces.far, (pieces.tails[0][levels], pieces.tails[1][levels]), pieces.top
+    return None, pieces.top, pieces.top
+
+
+def _corner_cloud(u, v):
+    """The corner-graded rule of two graded axes, each given as
+    pi_measures.CornerPieces, as one flat point cloud (u, v, weights) of
+    shape (points, 1) each: cell after cell, each flattened u-major with
+    weights wu[i] wv[j].
+
+    D = cosh(t/2) - 1 + q is small only near the corner (u, v) = (1, 1),
+    where (1 - u) p and (1 - v) c are both small; each axis's delta is
+    d_min / 4 over its coupling (_grading_delta), so in octave r of either
+    axis that term of D is about 2^r d_min / 4.  The square is the union,
+    over r, of the L-shaped layers where the larger octave is r: octave_u(r)
+    x (tail_v(r), octave_v(r)) and tail_u(r) x octave_v(r), the tail being
+    every octave below r.  Where one axis sits in octave r, D is at least
+    about 2^r d_min / 8 and the other axis's integrand varies on a scale no
+    shorter than its tail, so the tail's one Gauss-Jacobi piece resolves it
+    (Schwab's geometric corner meshes).  Past an axis's depth J, its whole
+    rule stands in for its tail, with one tail piece for octaves 0..J
+    (CornerPieces.top): the other axis's D keeps it smooth there.  The
+    layers r = 1..min(J_u, J_v) have equal shapes and are filled at once,
+    as stacks of cells: each rule of a cell pair has one row per cell.
+    """
+    def row(rule):  # one cell's rule, as a one-row stack of cells
+        return rule[0][None], rule[1][None]
+
+    depth = min(len(u.panels[0]), len(v.panels[0]))
+    cells = [(row(u.near), row(v.near)),
+             (tuple(a[:depth] for a in u.panels), tuple(a[:depth] for a in v.uppers)),
+             (tuple(a[:depth] for a in u.tails), tuple(a[:depth] for a in v.panels))]
+    for r in range(depth + 1, max(len(u.panels[0]), len(v.panels[0])) + 2):
+        u_oct, u_tail, _ = _layer(u, r)
+        v_oct, _, v_upper = _layer(v, r)
+        if u_oct is not None:
+            cells.append((row(u_oct), row(v_upper)))
+        if v_oct is not None:
+            cells.append((row(u_tail), row(v_oct)))
+    cloud = np.empty((3, sum(uw.size * vw.shape[1] for (_, uw), (_, vw) in cells), 1))
+    start = 0
+    for (un, uw), (vn, vw) in cells:
+        shape = (len(uw), uw.shape[1], vw.shape[1])
+        cu, cv, cw = cloud[:, start:start + math.prod(shape)].reshape((3,) + shape)
+        cu[...] = un[:, :, None]
+        cv[...] = vn[:, None, :]
+        np.multiply(uw[:, :, None], vw[:, None, :], out=cw)
+        start += math.prod(shape)
+    return cloud
+
+
 def _integral_terms(params, t_min, theta, phi, n_nodes, delta_floor=2.0**-40):
     """The double sums of the integral representation at one resolution,
-    graded for t >= t_min: the product of the u and v axes' terms, u-major,
-    as (u nodes, v nodes, u weights, v weights, K, R) with the nodes shaped
-    to broadcast as psi's (t, u, v) axes."""
+    graded for t >= t_min: the products of the u and v axes' terms, u-major,
+    as (u nodes, v nodes, weights, K, R) with the nodes shaped to broadcast
+    to the weights' shape, psi's (point, node) axes.
+
+    Two graded axes take the corner-graded rule (_corner_cloud): one flat
+    point cloud, of shape (points, 1).  A term with an ungraded or atomic
+    axis is one cell, the two axes' tensor, kept as (nu, 1) u nodes, (1, nv)
+    v nodes and (nu, nv) weights, so that psi's work in (u, v) alone stays
+    O(nu + nv); its u-major flattening is the cloud of that cell.  The
+    clouds are built per call from the cached 1-D pieces.
+    """
     p_coupling, q_coupling = _pq(theta, phi)
     u_terms = _axis_terms(params.alpha, n_nodes,
                           _grading_delta(t_min, theta, phi, p_coupling, delta_floor))
     v_terms = _axis_terms(params.beta, n_nodes,
                           _grading_delta(t_min, theta, phi, q_coupling, delta_floor))
-    return [(un.reshape(1, -1, 1), vn.reshape(1, 1, -1), uw, vw, K, R)
-            for un, uw, K in u_terms for vn, vw, R in v_terms]
+    terms = []
+    for un, uw, K, u_pieces in u_terms:
+        for vn, vw, R, v_pieces in v_terms:
+            if u_pieces is None or v_pieces is None:
+                terms.append((un[:, None], vn[None, :], uw[:, None] * vw, K, R))
+            else:
+                terms.append(tuple(_corner_cloud(u_pieces, v_pieces)) + (K, R))
+    return terms
 
 
-def _integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, with_mass):
+class _Workspace:
+    """One float buffer that a route call lends to every resolution and
+    every block it evaluates, grown when a piece needs more.  Blocks then
+    do not page-fault in fresh memory, as they would if each allocated its
+    own: the allocator hands equal-size arrays back to the system.  It
+    belongs to the call, because the evaluators are shared between threads.
+    """
+
+    def __init__(self):
+        self._buf = np.empty(0)
+
+    def views(self, *shapes):
+        """Disjoint views of the buffer, one of each shape."""
+        sizes = [math.prod(shape) for shape in shapes]
+        if self._buf.size < sum(sizes):
+            self._buf = np.empty(sum(sizes))
+        out, lo = [], 0
+        for shape, size in zip(shapes, sizes):
+            out.append(self._buf[lo:lo + size].reshape(shape))
+            lo += size
+        return out
+
+
+def _integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, with_mass, space):
     """The integral representation's double sums over a t batch at one
     resolution, and the sum of |w f| over the quadrature terms of each t
     (its roundoff scale), or None unless with_mass.
 
     evaluate(t_block, u, v, K, R, out, work) fills out with the integrand f
-    on a (t, u, v) block of the term with axis orders (K, R), forming its D
-    in work: psi at the route's derivative orders (h_script_integral), or
-    its t-integral on a one-row batch at t = 0 (t_integral_H).
+    on a (t, point, node) block of the term with axis orders (K, R), forming
+    its D in work: psi at the route's derivative orders (h_script_integral),
+    or its t-integral on a one-row batch at t = 0 (t_integral_H).
 
     The batch splits into log-bands [lo, 4 lo) from its smallest t on (the
     last band takes the rest), and each band is graded by its own smallest
     t: small t needs deep grading that larger t should not pay for.
 
-    Within a band, each term's weighted psi fills blocks of whole t rows;
+    Within a band, each term (_integral_terms) fills blocks of whole t rows;
     a row of more than _BLOCK_ELEMS elements is a block alone and is filled
-    in slices of u nodes.  Psi and the weighting run on pieces of about
-    _BLOCK_ELEMS elements, in psi's out and work buffers, views of one
-    workspace that the call allocates (and grows when a term needs more)
-    and every block reuses.  So memory stays bounded by the largest row,
-    and blocks do not page-fault in fresh memory: allocating per term or
-    per block would, as the allocator hands equal-size arrays back to the
-    system.  Every element is computed as on the full tensor, each t sums
-    its terms in the same order and each row sum is over the whole row, so
-    the values do not depend on the blocking.  The workspace belongs to the
-    call: the evaluator is shared between threads.
+    in slices of its points (a tensor's u nodes).  Psi and the weighting run
+    on pieces of about _BLOCK_ELEMS elements, in psi's out and work
+    buffers, views of space (the route call's _Workspace), so memory stays
+    bounded by the largest row.  Every element is computed as on the full
+    (t, point, node) array, each t sums its terms in the same order and each
+    row sum is over the whole row, so the values do not depend on the
+    blocking.
     """
     out = np.zeros_like(t_arr)
     mass = np.zeros_like(t_arr) if with_mass else None
     t_max = float(t_arr.max())
     lo = float(t_arr.min())
-    space = np.empty(0)
     while True:
         hi = lo * 4.0
         band = np.flatnonzero((t_arr >= lo) & ((t_arr < hi) | (hi >= t_max)))
@@ -437,23 +531,19 @@ def _integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, wit
             t_band = t_arr[band].reshape(-1, 1, 1)
             terms = _integral_terms(params, float(t_band.min()), theta, phi, n_nodes,
                                     delta_floor)
-            for u, v, wu, wv, K, R in terms:
-                weights = wu[:, None] * wv  # np.outer's products, without its call overhead
-                rows = min(band.size, max(1, _BLOCK_ELEMS // weights.size))
-                cols = u.size if rows > 1 else min(u.size, max(1, _BLOCK_ELEMS // v.size))
-                n_buf, n_work = rows * weights.size, rows * cols * v.size
-                if space.size < n_buf + n_work:
-                    space = np.empty(n_buf + n_work)
-                buf = space[:n_buf].reshape((rows,) + weights.shape)
-                work = space[n_buf:n_buf + n_work].reshape(rows, cols, v.size)
+            for u, v, w, K, R in terms:
+                points, per_point = w.shape
+                rows = min(band.size, max(1, _BLOCK_ELEMS // w.size))
+                cols = points if rows > 1 else min(points, max(1, _BLOCK_ELEMS // per_point))
+                buf, work = space.views((rows, points, per_point), (rows, cols, per_point))
                 for start in range(0, band.size, rows):
                     tb = t_band[start:start + rows]
                     vals = buf[:len(tb)]
-                    for i in range(0, u.size, cols):
+                    for i in range(0, points, cols):
                         piece = vals[:, i:i + cols]
-                        evaluate(tb, u[:, i:i + cols], v, K, R, piece,
-                                 work[:len(tb), :piece.shape[1]])
-                        piece *= weights[i:i + cols]
+                        evaluate(tb, u[i:i + cols], v if len(v) == 1 else v[i:i + cols], K, R,
+                                 piece, work[:len(tb), :piece.shape[1]])
+                        piece *= w[i:i + cols]
                     sums, abs_sums = _row_sums(vals, with_mass)
                     block = band[start:start + rows]
                     out[block] += sums
@@ -464,21 +554,32 @@ def _integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, wit
         lo = hi
 
 
+def _check_resolution(base_nodes, max_doublings):
+    """Raise ValueError unless base_nodes >= 1 and max_doublings >= 0."""
+    if not base_nodes >= 1:
+        raise ValueError(f"base_nodes must be at least 1, got {base_nodes}")
+    if not max_doublings >= 0:
+        raise ValueError(f"max_doublings must be nonnegative, got {max_doublings}")
+
+
 def _refine(once, rtol, route, point, terms, base_nodes=_BASE_NODES,
             max_doublings=_MAX_DOUBLINGS):
-    """The acceptance rule of both quadrature routes.  once(n, with_mass)
-    evaluates a route at n base nodes: (values, sum|terms| or None unless
-    with_mass).  max_doublings = 0 trusts n = base_nodes alone; otherwise n
-    doubles until two successive values agree to rtol times their largest
-    magnitude.  Agreement is refused when eps * sum|terms| exceeds that
-    bound (the value is a cancellation of far larger terms: its roundoff
-    floor lies above rtol), and so is a non-finite value (D underflows to 0
-    at the singularity), without a RuntimeWarning.  route, point and terms
-    word the messages.
+    """The acceptance rule of both quadrature routes.  once(n, with_mass,
+    space) evaluates a route at n base nodes in space, the call's one
+    _Workspace: (values, sum|terms| or None unless with_mass).
+    max_doublings = 0 trusts n = base_nodes alone; otherwise n doubles until
+    two successive values agree to rtol times their largest magnitude.
+    Agreement is refused when eps * sum|terms| exceeds that bound (the value
+    is a cancellation of far larger terms: its roundoff floor lies above
+    rtol), and so is a non-finite value (D underflows to 0 at the
+    singularity), without a RuntimeWarning.  route, point and terms word the
+    messages.
     """
+    space = _Workspace()
+
     def resolve(n, with_mass):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            vals, mass = once(n, with_mass)
+            vals, mass = once(n, with_mass, space)
         if not np.isfinite(vals).all():
             raise QuadratureError(
                 f"{route} hit the integrand's singularity: non-finite value for {point}"
@@ -529,17 +630,21 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
     resolution (scan mode, order-of-magnitude targets).  A batch whose D at
     the corner (u, v) = (1, 1) rounds below zero at its smallest t is
     refused.  The terms are summed in a fixed order, so values do not
-    depend on the numpy build.
+    depend on the numpy build.  t may be a scalar or an array of any shape,
+    empty included; an array t gives an array of its shape.
     """
     M, N, L = deriv
     if L not in (0, 1) or N < 0 or M < 0 or N + M > 3:
         raise UnsupportedOrderError(
             f"integral route supports L <= 1 and N + M <= 3, got {deriv}"
         )
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_arr = np.asarray(t, dtype=float).ravel()
     _check_t(t_arr)
     _check_angles(theta, phi)
     _check_rtol(rtol)
+    _check_resolution(base_nodes, max_doublings)
+    if not t_arr.size:
+        return np.empty(np.shape(t))
     route = f"integral route (alpha={params.alpha}, beta={params.beta}, deriv={deriv})"
     point = f"t_min={t_arr.min():g}, theta={theta:g}, phi={phi:g}"
     _refuse_negative_d(t_arr.min(), theta, phi, ((1.0, 1.0),), route, point)
@@ -550,23 +655,28 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
 
     once = partial(_integral_sum, params, t_arr, theta, phi, evaluate, delta_floor)
     vals = _refine(once, rtol, route, point, "w psi", base_nodes, max_doublings)
-    return vals if np.ndim(t) else float(vals[0])
+    return vals.reshape(np.shape(t)) if np.ndim(t) else float(vals[0])
 
 
 def t_integral_H(params: JacobiParams, theta: float, phi: float, N: int, L: int,
                  base_nodes: int, max_doublings: int, delta_floor: float) -> float:
-    """int_0^inf d_theta^N d_phi^L H_t dt, N >= 1, off the diagonal: the
-    integral representation with its t-integral taken exactly
-    (PsiEvaluator.t_integral), one (u, v) quadrature.  The sinh correction
+    """int_0^inf d_theta^N d_phi^L H_t dt, 1 <= N <= 3 and L <= 1 (the
+    integral route's orders), off the diagonal: the integral representation
+    with its t-integral taken exactly (PsiEvaluator.t_integral), one (u, v)
+    quadrature.  The sinh correction
     has no theta derivative, so this is the companion kernel's integral.
     It is the integral route's _integral_sum on a one-row batch at t = 0,
     so its axes are graded by d_min = 2 sin^2((theta-phi)/4) and it shares
-    that route's workspace, u slicing and fixed-order row sums; node counts
+    that route's clouds, point slicing and fixed-order row sums; node counts
     double from base_nodes under the acceptance rule of _refine at rtol
     1e-9.  On the diagonal the integral diverges, and a D that rounds below
     zero at the corner (u, v) = (1, 1) is refused, as on the integral route.
     """
+    if not (1 <= N <= 3 and L in (0, 1)):
+        raise UnsupportedOrderError(
+            f"t-integral route supports 1 <= N <= 3 and L <= 1, got N={N}, L={L}")
     _check_angles(theta, phi)
+    _check_resolution(base_nodes, max_doublings)
     if theta == phi:
         raise ValueError(f"the t-integral of H diverges on the diagonal theta = phi = {theta}")
     route = f"t-integral route (alpha={params.alpha}, beta={params.beta}, N={N}, L={L})"
@@ -590,7 +700,7 @@ def t_integral_H(params: JacobiParams, theta: float, phi: float, N: int, L: int,
 _CORNERS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
-def _general_once(params, t, theta, phi, corner_ds, n_nodes, with_mass):
+def _general_once(params, t, theta, phi, corner_ds, n_nodes, with_mass, space):
     """The symmetrized representation at one resolution, and the sum of the
     absolute values of its terms (its roundoff scale), or None unless
     with_mass.
@@ -607,8 +717,8 @@ def _general_once(params, t, theta, phi, corner_ds, n_nodes, with_mass):
     never at (-, -), so most corners take shallow rules.
 
     The division is folded into the weights, uw / (1-u) and vw / (1-v), and
-    a corner's (nu x nv) double bracket is formed in place in one workspace
-    per call, grown when a corner needs more: the ratio
+    a corner's (nu x nv) double bracket is formed in place in space, the
+    route call's _Workspace: the ratio
     eta (1-v) c / D(xi u, eta), log1p, the factor -sigma, expm1, the row
     factor D(xi u, eta)^(-sigma), and the single bracket over v subtracted.
     Each single bracket comes from expm1/log1p without cancellation; what
@@ -620,7 +730,6 @@ def _general_once(params, t, theta, phi, corner_ds, n_nodes, with_mass):
     sigma = params.sigma
     scale = 0.25 * params.c_ab * math.sinh(0.5 * t)
     P, Q = _pq(theta, phi)
-    space = np.empty(0)
     value = corner = mass = 0.0
     for (xi, eta), d11 in zip(_CORNERS, corner_ds):
         d_pow = d11 ** (-sigma)
@@ -633,9 +742,7 @@ def _general_once(params, t, theta, phi, corner_ds, n_nodes, with_mass):
         inc_u, inc_v = xi * P * omu, eta * Q * omv
         su = d_pow * np.expm1(-sigma * np.log1p(inc_u / d11))
         sv = d_pow * np.expm1(-sigma * np.log1p(inc_v / d11))
-        if space.size < a.size * b.size:
-            space = np.empty(a.size * b.size)
-        work = space[:a.size * b.size].reshape(a.size, b.size)
+        [work] = space.views((a.size, b.size))
         d_u = (d11 + inc_u).reshape(-1, 1)  # D(xi u, eta), a column over u
         np.divide(inc_v, d_u, out=work)
         np.log1p(work, out=work)

@@ -19,13 +19,17 @@ factors, so plain Gauss-Jacobi pieces converge spectrally.
 Each rule is Gauss-Jacobi pieces at the singular endpoints plus one
 Gauss-Legendre mesh graded dyadically toward u = 1.  gauss_panels is the
 one Gauss-Legendre panel builder of the package; the operator kernels'
-t-rules use it too.
+t-rules use it too.  corner_pieces splits a graded rule into its octaves
+(the end piece, the dyadic panels, the coarse rest) and adds, per octave,
+one Gauss-Jacobi piece for everything below it (its tail): the 1-D pieces
+of the integral route's corner-graded (u, v) rule.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,27 +94,41 @@ def gauss_panels(edges, n: int):
     return (lo + h * (x + 1.0)).ravel(), (h * w).ravel()
 
 
+@lru_cache(maxsize=256)
+def _jacobi_reference(n: int, a: float, b: float):
+    """The Gauss-Jacobi rule on (-1, 1), solved once per (n, a, b)."""
+    return specfun.roots_jacobi(n, a, b)
+
+
 def _gj_piece(lo: float, hi: float, n: int, exponent: float, side: str):
     """Rule for int_lo^hi g(u) |endpoint - u|^exponent du with the singular
     endpoint at hi (side='right') or lo (side='left')."""
     if side == "right":
-        x, w = specfun.roots_jacobi(n, exponent, 0.0)
+        x, w = _jacobi_reference(n, exponent, 0.0)
     else:
-        x, w = specfun.roots_jacobi(n, 0.0, exponent)
+        x, w = _jacobi_reference(n, 0.0, exponent)
     h = 0.5 * (hi - lo)
     return lo + h * (x + 1.0), h ** (exponent + 1.0) * w
 
 
+def _panel_nodes(n: int) -> int:
+    """Nodes per dyadic panel of a graded mesh of n coarse nodes.  The panels
+    carry smooth integrands, so fewer nodes than the endpoint pieces suffice."""
+    return max(8, (3 * n) // 5)
+
+
+def _levels(delta: float) -> int:
+    """Dyadic panels of the graded mesh down to delta: log2(1 / (2 delta))."""
+    return round(-math.log2(delta)) - 1
+
+
 def _graded_mesh(n: int, delta: float):
     """Gauss-Legendre rule (nodes, weights) on [0, 1 - delta], delta a power
-    of two <= 1/2: n nodes on [0, 1/2], then one panel per dyadic interval
-    [1 - 2d, 1 - d] down to d = delta.  Those carry smooth integrands, so
-    fewer nodes than the endpoint pieces suffice."""
-    d = [0.5]
-    while d[-1] > delta * 1.0000001:
-        d.append(0.5 * d[-1])
+    of two <= 1/2: n nodes on [0, 1/2], then _panel_nodes(n) on each dyadic
+    interval [1 - 2d, 1 - d] from d = 1/2 down to d = delta."""
     x0, w0 = gauss_panels([0.0, 0.5], n)
-    x1, w1 = gauss_panels(1.0 - np.array(d), max(8, (3 * n) // 5))
+    edges = 1.0 - np.ldexp(1.0, -np.arange(1, _levels(delta) + 2))  # 1/2, 3/4, ..., 1 - delta
+    x1, w1 = gauss_panels(edges, _panel_nodes(n))
     return np.concatenate([x0, x1]), np.concatenate([w0, w1])
 
 
@@ -133,7 +151,7 @@ def density_rule(gamma: float, n: int, delta: float = 0.5):
     c = pi_c(gamma)
     e = gamma - 0.5
     if delta >= 0.5:
-        x, w = specfun.roots_jacobi(n, e, e)
+        x, w = _jacobi_reference(n, e, e)
         return x, c * w
     xl, wl = _gj_piece(-1.0, 0.0, n, e, "left")
     xs, ws = _graded_mesh(n, delta)
@@ -162,6 +180,73 @@ def profile_rule(alpha: float, n: int, delta: float = 0.5):
 
 
 @lru_cache(maxsize=512)
+def _tail(gamma: float, m: int, width: float):
+    """The measure of parameter gamma on [1 - width, 1], width <= 1/2, as one
+    piece of m Gauss-Jacobi nodes at the endpoint singularity: the density,
+    or for gamma < -1/2 the profile's singular part plus its -1/2 du part
+    (m Gauss-Legendre nodes)."""
+    if gamma > -0.5:
+        e = gamma - 0.5
+        x, w = _gj_piece(1.0 - width, 1.0, m, e, "right")
+        return x, pi_c(gamma) * w * (1.0 + x) ** e
+    e = gamma + 0.5
+    x, w = _gj_piece(1.0 - width, 1.0, m, e, "right")
+    sing = -pi_c(gamma) * _pi_b(gamma) * x * (1.0 + x) ** e * specfun.hyp2f1(
+        1.0, 1.0 + gamma, gamma + 1.5, (1.0 - x) * (1.0 + x))
+    xg, wg = gauss_panels([1.0 - width, 1.0], m)
+    return np.concatenate([x, xg]), np.concatenate([w * sing, -0.5 * wg])
+
+
+class CornerPieces(NamedTuple):
+    """A graded rule split by octave; each field is (nodes, weights).
+
+    With J = log2(1 / (2 delta)) dyadic panels, octave 0 is the end piece
+    [1 - delta, 1], octave r in 1..J the panel [1 - 2^r delta, 1 - 2^(r-1)
+    delta] and octave J + 1 the coarse rest.  The tail of octave r >= 1 is
+    one _tail piece on [1 - 2^(r-1) delta, 1], everything below octave r.
+    """
+
+    near: tuple  # octave 0
+    panels: tuple  # (J, m) arrays, row r - 1 = octave r
+    far: tuple  # octave J + 1
+    tails: tuple  # (J + 1, k) arrays, row r - 1 = the tail of octave r
+    uppers: tuple  # (J, k + m) arrays, row r - 1 = that tail, then octave r
+    top: tuple  # the tail of octave J + 1, then octave J + 1: the whole axis
+
+
+@lru_cache(maxsize=512)
+def corner_pieces(gamma: float, n: int, delta: float) -> CornerPieces:
+    """The graded rule of parameter gamma at n nodes and delta < 1/2 (from
+    snap_delta) as CornerPieces, the 1-D pieces of the integral route's
+    corner-graded rule; m = _panel_nodes(n) nodes per panel and per tail.
+
+    A density axis (gamma > -1/2) slices density_rule: its coarse octave is
+    the piece at -1 and the n nodes on [0, 1/2].  A profile axis (gamma <
+    -1/2) is the folded rule of the profile term, on +-u with signed weights:
+    octave 0 holds the profile's singular and -1/2 du pieces, the tails hold
+    both parts too, and the coarse octave holds the n nodes on [0, 1/2] and
+    the -u half, far from the corner, by the ungraded profile rule.
+    """
+    levels = _levels(delta)
+    m = _panel_nodes(n)
+    if gamma > -0.5:
+        x, w = density_rule(gamma, n, delta)
+        far, near, start = (x[:2 * n], w[:2 * n]), (x[-n:], w[-n:]), 2 * n
+    else:
+        x, w = profile_rule(gamma, n, delta)
+        x_mid, w_mid = profile_rule(gamma, n, 0.5)
+        far = (np.concatenate([x[:n], -x_mid]), np.concatenate([w[:n], -w_mid]))
+        near, start = (x[-2 * n:], w[-2 * n:]), n
+    # the mesh runs from [1/2, 3/4] (octave J) toward 1 (octave 1)
+    panels = tuple(a[start:start + levels * m].reshape(levels, m)[::-1] for a in (x, w))
+    rows = [_tail(gamma, m, math.ldexp(delta, r)) for r in range(levels + 1)]
+    tails = tuple(np.stack(part) for part in zip(*rows))
+    uppers = tuple(np.concatenate([t[:levels], p], axis=1) for t, p in zip(tails, panels))
+    top = tuple(np.concatenate([t[levels], f]) for t, f in zip(tails, far))
+    return CornerPieces(near, panels, far, tails, uppers, top)
+
+
+@lru_cache(maxsize=512)
 def halfline_rule(gamma: float, n: int, delta: float = 0.5):
     """Rule on (0, 1) for the measure c_gamma (1-u)^(gamma+1/2) (1+u)^(gamma-1/2) du.
 
@@ -178,7 +263,7 @@ def halfline_rule(gamma: float, n: int, delta: float = 0.5):
     e_in = gamma - 0.5
     e_out = gamma + 0.5
     xs, ws = _graded_mesh(n, delta)
-    x, w = specfun.roots_jacobi(n, e_out, 0.0)
+    x, w = _jacobi_reference(n, e_out, 0.0)
     h = 0.5 * delta
     xj = (1.0 - delta) + h * (x + 1.0)
     return (np.concatenate([c * ws * (1.0 - xs) ** e_out * (1.0 + xs) ** e_in,

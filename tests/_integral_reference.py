@@ -1,13 +1,13 @@
-"""Full-tensor contraction of the integral route, kept to pin the blocked one.
+"""Full-array contraction of the integral route, kept to pin the blocked one.
 
 This is the straightforward form of `kernel._integral_sum`: per log-band of
-the t batch and per quadrature term, the integrand on the whole (t, u, v)
-tensor, weighted by the outer product of the two axes' weights and summed
-over each t row.  The integrand is psi (`psi_integrand`) or its t-integral
-(`t_integral_integrand`, on a one-row batch at t = 0).  It allocates one
-tensor of the band's full size per term, which is what the blocked route
-avoids; the tests require the blocked route to return exactly (==) its
-values and masses.
+the t batch and per quadrature term, the integrand on the term's whole
+(t, point, node) array (a corner-graded point cloud, or the tensor of an
+ungraded or atomic axis), weighted and summed over each t row.  The
+integrand is psi (`psi_integrand`) or its t-integral (`t_integral_integrand`,
+on a one-row batch at t = 0).  It allocates an array of the band's full
+size per term, which is what the blocked route avoids; the tests require
+the blocked route to return exactly (==) its values and masses.
 """
 
 from __future__ import annotations
@@ -18,14 +18,24 @@ from jpkernel.kernel import _integral_terms
 from jpkernel.qpsi import psi_evaluator
 
 
-def contract(vals, u_w, v_w, with_mass=True):
-    """(sum_ij u_w[i] v_w[j] vals[t, i, j], sum_ij |u_w[i] v_w[j] vals[t, i, j]|)
-    for each t, weighting vals (a fresh evaluator output) in place; the
-    second sum is None unless with_mass."""
-    vals *= np.outer(u_w, v_w)
-    rows = vals.reshape(len(vals), -1)
-    total = rows.sum(axis=1)
-    return total, np.abs(rows, out=rows).sum(axis=1) if with_mass else None
+def cloud(u, v, w):
+    """A term's point cloud (u, v, w), flat: the nodes broadcast to the
+    weights' shape, flattened."""
+    return tuple(np.broadcast_to(a, w.shape).ravel() for a in (u, v, w))
+
+
+def weighted_rows(evaluate, tc, u, v, w, K, R):
+    """The weighted integrand of one term on its whole point cloud, one row
+    per t of tc (shaped (t, 1, 1))."""
+    # the t-integral's values carry no t axis
+    vals = evaluate(tc, u, v, K, R, None, None).reshape((len(tc),) + w.shape)
+    return (vals * w).reshape(len(tc), -1)
+
+
+def row_sums(rows, with_mass=True):
+    """(sum_k rows[t, k], sum_k |rows[t, k]|) for each t; the second is None
+    unless with_mass."""
+    return rows.sum(axis=1), np.abs(rows).sum(axis=1) if with_mass else None
 
 
 def psi_integrand(params, theta, phi, M, N, L):
@@ -49,7 +59,7 @@ def t_integral_integrand(params, theta, phi, N, L):
 
 
 def integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, with_mass):
-    """`kernel._integral_sum` with each band's terms evaluated on full tensors."""
+    """`kernel._integral_sum` with each band's terms evaluated on full arrays."""
     out = np.zeros_like(t_arr)
     mass = np.zeros_like(t_arr) if with_mass else None
     t_max = float(t_arr.max())
@@ -59,9 +69,9 @@ def integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, with
         band = np.flatnonzero((t_arr >= lo) & ((t_arr < hi) | (hi >= t_max)))
         if band.size:
             tc = t_arr[band].reshape(-1, 1, 1)
-            for u, v, wu, wv, K, R in _integral_terms(params, float(tc.min()), theta, phi,
-                                                      n_nodes, delta_floor):
-                vals, absvals = contract(evaluate(tc, u, v, K, R, None, None), wu, wv, with_mass)
+            for u, v, w, K, R in _integral_terms(params, float(tc.min()), theta, phi, n_nodes,
+                                                 delta_floor):
+                vals, absvals = row_sums(weighted_rows(evaluate, tc, u, v, w, K, R), with_mass)
                 out[band] += vals
                 if with_mass:
                     mass[band] += absvals

@@ -36,7 +36,14 @@ from jpkernel.params import JacobiParams
 from jpkernel.qpsi import psi_evaluator
 
 from _f4_reference import h_script_f4_reference
-from _integral_reference import contract, integral_sum, psi_integrand, t_integral_integrand
+from _integral_reference import (
+    cloud,
+    integral_sum,
+    psi_integrand,
+    row_sums,
+    t_integral_integrand,
+    weighted_rows,
+)
 from _oracles import chebyshev_H
 
 CHEB = JacobiParams(-0.5, -0.5)
@@ -199,14 +206,15 @@ class TestIntegral:
             assert_allclose(got, ref, rtol=1e-7)
 
     def test_component_integrals_nonnegative(self):
-        # every double integral of the case split is individually >= 0
+        # every double integral of the case split (one sum per (K, R) term)
+        # is individually >= 0
         for a, b in [(0.5, 0.5), (-0.75, 0.5), (0.5, -0.75), (-0.75, -0.75)]:
             p = JacobiParams(a, b)
-            psi = psi_evaluator(p)
-            tc = np.array([[[0.5]]])
             half_pi = math.pi / 2
-            parts = [float(contract(psi(tc, half_pi, half_pi, u, v, K=K, R=R), wu, wv)[0][0])
-                     for u, v, wu, wv, K, R in _integral_terms(p, 0.5, half_pi, half_pi, 96)]
+            evaluate = psi_integrand(p, half_pi, half_pi, 0, 0, 0)
+            tc = np.full((1, 1, 1), 0.5)
+            parts = [float(row_sums(weighted_rows(evaluate, tc, *term))[0][0])
+                     for term in _integral_terms(p, 0.5, half_pi, half_pi, 96)]
             assert all(x >= 0 for x in parts)
             assert_allclose(sum(parts), float(h_script_integral(p, 0.5, math.pi / 2, math.pi / 2)),
                             rtol=1e-9)
@@ -516,9 +524,11 @@ ROUTE_DERIVS = [(M, N, L) for L in (0, 1) for N in range(4) for M in range(4 - N
 ])
 def test_blocked_sum_is_the_full_tensor_sum(monkeypatch, n_t, block_rows, with_mass):
     # At alpha = beta = -3/4 both axes are profiles, so the terms take every
-    # (K, R).  The budget holds block_rows rows of the largest term: below
-    # one row, a row is filled in slices of u nodes (at 0.4, three slices,
-    # the last one short; at 0, one node each).  The 64 t span two log-bands.
+    # (K, R): both axes are graded, so (1, 1) is a corner-graded point cloud
+    # and the terms with the atoms are tensors.  The budget holds block_rows
+    # rows of the largest term, the cloud: below one row, a row is filled in
+    # slices of points (at 0.4, three slices, the last one short; at 0, one
+    # point, or one u node of a tensor, each).  The 64 t span two log-bands.
     # n_t = 0 stands for the t-integral's one-row batch at t = 0, at the
     # orders (N, L) with N >= 1 that it takes.
     p = JacobiParams(-0.75, -0.75)
@@ -530,25 +540,27 @@ def test_blocked_sum_is_the_full_tensor_sum(monkeypatch, n_t, block_rows, with_m
         ts = np.zeros(1)
         cases = [((N, L), t_integral_integrand(p, theta, phi, N, L))
                  for L in (0, 1) for N in (1, 2, 3)]
-    largest = max(u.size * v.size
-                  for u, v, *_ in _integral_terms(p, float(ts.min()), theta, phi, n_nodes))
+    largest = max(w.size for _, _, w, *_ in _integral_terms(p, float(ts.min()), theta, phi,
+                                                           n_nodes))
     monkeypatch.setattr(kernel, "_BLOCK_ELEMS", max(1, int(block_rows * largest)))
     for orders, evaluate in cases:
-        got = kernel._integral_sum(p, ts, theta, phi, evaluate, floor, n_nodes, with_mass)
+        got = kernel._integral_sum(p, ts, theta, phi, evaluate, floor, n_nodes, with_mass,
+                                   kernel._Workspace())
         want = integral_sum(p, ts, theta, phi, evaluate, floor, n_nodes, with_mass)
         assert np.array_equal(got[0], want[0]), orders
         assert (got[1] is None) if not with_mass else np.array_equal(got[1], want[1]), orders
 
 
 def test_blocked_sum_at_full_size():
-    # The default budget: the profile term's rows hold about 26,000
-    # elements at the smallest t, five to a block; the atoms' rows fit the
-    # whole band in one block.
+    # The default budget: the density x profile term's corner-graded cloud
+    # holds 10,800 points at the smallest t, twelve rows to a block; the
+    # atoms' tensor fits the whole band in one block.
     p = JacobiParams(0.5, -0.75)
     ts = np.geomspace(0.01, 0.19, 64)
     for M, N, L in [(0, 0, 0), (1, 1, 0), (0, 2, 1)]:
         evaluate = psi_integrand(p, 1.0, 2.0, M, N, L)
-        got = kernel._integral_sum(p, ts, 1.0, 2.0, evaluate, 2.0**-40, 24, True)
+        got = kernel._integral_sum(p, ts, 1.0, 2.0, evaluate, 2.0**-40, 24, True,
+                                   kernel._Workspace())
         want = integral_sum(p, ts, 1.0, 2.0, evaluate, 2.0**-40, 24, True)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (M, N, L)
 
@@ -615,3 +627,183 @@ def test_series_path_rejects_bad_arguments(call, match):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):
             call()
+
+
+@pytest.mark.parametrize("t_shape", [(1, 2), (2, 1, 2), (2,)], ids=str)
+def test_integral_route_keeps_the_shape_of_t(t_shape):
+    ts = np.linspace(0.1, 0.15, math.prod(t_shape)).reshape(t_shape)
+    got = h_script_integral(HALF, ts, 1.0, 2.0)
+    assert got.shape == t_shape
+    assert np.array_equal(got.ravel(), h_script_integral(HALF, ts.ravel(), 1.0, 2.0))
+    assert np.array_equal(got, kernel.kernel_H_batch(HALF, ts, 1.0, 2.0, split=math.inf))
+
+
+@pytest.mark.parametrize("t_shape", [(0,), (0, 3), (2, 0)], ids=str)
+def test_empty_t_gives_an_empty_array(t_shape):
+    ts = np.empty(t_shape)
+    for got in (h_script_integral(HALF, ts, 1.0, 2.0), series_H(HALF, ts, 1.0, 2.0),
+                kernel.kernel_H_batch(HALF, ts, 1.0, 2.0)):
+        assert isinstance(got, np.ndarray) and got.shape == t_shape
+    assert series_H(HALF, ts, 1.0, np.array([2.0, 2.5])).shape == t_shape + (2,)
+
+
+def test_series_keeps_the_shape_of_t():
+    ts = np.array([[0.5, 0.7, 0.9]])
+    got = series_H(HALF, ts, 1.0, 2.0, N=1)
+    assert got.shape == (1, 3)
+    assert np.array_equal(got[0], series_H(HALF, ts[0], 1.0, 2.0, N=1))
+
+
+def _no_evaluation(*args, **kwargs):
+    raise AssertionError("evaluated before the arguments were checked")
+
+
+@pytest.mark.parametrize("N, L", [(0, 0), (0, 1), (4, 0), (1, 2), (2, -1)], ids=str)
+def test_t_integral_refuses_orders_before_any_work(monkeypatch, N, L):
+    # N = 0 used to reach qpsi's plain ValueError after the rules were built,
+    # and L = 2 returned a value that nothing validates.  On the diagonal the
+    # order check still comes first.
+    monkeypatch.setattr(kernel, "_integral_terms", _no_evaluation)
+    for theta, phi in [(1.0, 2.0), (1.0, 1.0)]:
+        with pytest.raises(UnsupportedOrderError, match=f"got N={N}, L={L}"):
+            kernel.t_integral_H(HALF, theta, phi, N, L, 10, 0, 2.0**-16)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: h_script_integral(HALF, 0.1, 1.0, 2.0, max_doublings=-1),
+                 "max_doublings must be nonnegative, got -1", id="integral-max_doublings=-1"),
+    pytest.param(lambda: h_script_integral(HALF, 0.1, 1.0, 2.0, base_nodes=0),
+                 "base_nodes must be at least 1, got 0", id="integral-base_nodes=0"),
+    pytest.param(lambda: kernel.kernel_H_batch(HALF, [0.1, 0.5], 1.0, 2.0, base_nodes=-3),
+                 "base_nodes must be at least 1, got -3", id="batch-base_nodes=-3"),
+    pytest.param(lambda: kernel.t_integral_H(HALF, 1.0, 2.0, 1, 0, 0, 0, 2.0**-16),
+                 "base_nodes must be at least 1, got 0", id="t-integral-base_nodes=0"),
+    pytest.param(lambda: kernel.t_integral_H(HALF, 1.0, 2.0, 1, 0, 10, -1, 2.0**-16),
+                 "max_doublings must be nonnegative, got -1", id="t-integral-max_doublings=-1"),
+])
+def test_quadrature_routes_reject_bad_resolutions(monkeypatch, call, match):
+    # These used to raise QuadratureError ("did not stabilize at 24 nodes per
+    # piece", "Gauss-Jacobi node solver failed for n=0") after evaluating.
+    monkeypatch.setattr(kernel, "_integral_terms", _no_evaluation)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+# Corner-graded rule.  Points (t_min, theta, phi) where both axes are graded
+# (deep on the diagonal, shallow 0.05 off it, unequal depths near the poles),
+# and where one axis or both are ungraded.
+GRADED_POINTS = [(1e-3, 1.2, 1.2), (0.01, 1.2, 1.201), (0.05, 1.0, 1.05), (1e-4, 0.3, 0.3),
+                 (0.01, 2.8, 2.8)]
+UNGRADED_POINTS = [(0.5, 0.3, 2.0), (0.01, 0.05, 3.0), (0.1, 0.0, 0.5)]
+
+
+def _axis_integral(gamma, K, f):
+    """int f against one axis term's measure by an accurate ungraded rule:
+    the density, the half-atoms, or the profile folded onto +-u (K = 1)."""
+    if gamma > -0.5:
+        nodes, weights = pi_measures.density_rule(gamma, 40)
+        return np.sum(weights * f(nodes))
+    if K == 0:
+        return 0.5 * (f(np.float64(1.0)) + f(np.float64(-1.0)))
+    nodes, weights = pi_measures.profile_rule(gamma, 40)
+    return np.sum(weights * (f(nodes) - f(-nodes)))
+
+
+@pytest.mark.parametrize("n", [6, 24, 48])
+def test_corner_clouds_integrate_products_as_the_tensor(acceptance_params, n):
+    # The corner cells tile the square, so a term's cloud integrates f(u) g(v)
+    # as the tensor of its two axes' rules does: no further from the exact
+    # product (by 40-node ungraded rules) than that tensor plus 1e-14 of the
+    # weights' scale for f = g = 1 (the masses) at n >= 24, and plus 1e-13
+    # for smooth f and g and at n = 6.  The graded rules are not exact on
+    # their own: at alpha = 2, beta = -1/4 and n = 24 the tensor's mass is
+    # 4e-13 off, where the cloud's, whose tails carry the singular weight,
+    # is 3e-14 off.
+    p = acceptance_params
+    smooth = [lambda x: np.ones_like(x), np.exp, lambda x: np.cos(3.0 * x) + x**3]
+    for t_min, theta, phi in GRADED_POINTS + UNGRADED_POINTS:
+        P, Q = kernel._pq(theta, phi)
+        u_terms = kernel._axis_terms(p.alpha, n, kernel._grading_delta(t_min, theta, phi, P))
+        v_terms = kernel._axis_terms(p.beta, n, kernel._grading_delta(t_min, theta, phi, Q))
+        terms = iter(kernel._integral_terms(p, t_min, theta, phi, n))
+        for un, uw, K, _ in u_terms:
+            for vn, vw, R, _ in v_terms:
+                *arrays, K_term, R_term = next(terms)
+                assert (K_term, R_term) == (K, R)
+                u, v, w = cloud(*arrays)
+                scale = np.sum(np.abs(uw)) * np.sum(np.abs(vw))
+                for k, (f, g) in enumerate([(smooth[0], smooth[0]), (smooth[1], smooth[2]),
+                                            (smooth[2], smooth[1])]):
+                    exact = _axis_integral(p.alpha, K, f) * _axis_integral(p.beta, R, g)
+                    tensor = np.sum(uw * f(un)) * np.sum(vw * g(vn))
+                    tol = (1e-14 if k == 0 and n >= 24 else 1e-13) * scale
+                    assert (abs(np.sum(w * f(u) * g(v)) - exact)
+                            <= abs(tensor - exact) + tol), (t_min, theta, phi, K, R, k)
+
+
+@pytest.mark.parametrize("ab", [(0.5, 0.5), (-0.75, 0.5), (0.5, -0.75), (-0.75, -0.75),
+                                (-0.5, 0.5), (0.5, -0.5), (-0.5, -0.5)], ids=str)
+def test_ungraded_and_atomic_terms_are_the_flattened_tensor(ab):
+    p = JacobiParams(*ab)
+    seen = 0
+    for t_min, theta, phi in GRADED_POINTS + UNGRADED_POINTS:
+        P, Q = kernel._pq(theta, phi)
+        u_terms = kernel._axis_terms(p.alpha, 24, kernel._grading_delta(t_min, theta, phi, P))
+        v_terms = kernel._axis_terms(p.beta, 24, kernel._grading_delta(t_min, theta, phi, Q))
+        terms = iter(kernel._integral_terms(p, t_min, theta, phi, 24))
+        for un, uw, _, u_pieces in u_terms:
+            for vn, vw, _, v_pieces in v_terms:
+                arrays = next(terms)[:3]
+                if u_pieces is not None and v_pieces is not None:
+                    continue
+                want = (np.repeat(un, vn.size), np.tile(vn, un.size), np.outer(uw, vw).ravel())
+                assert all(np.array_equal(a, b) for a, b in zip(cloud(*arrays), want))
+                seen += 1
+    assert seen >= len(UNGRADED_POINTS)
+
+
+SWEEP_DERIVS = [(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, 0), (0, 1, 1), (1, 0, 0), (1, 1, 0),
+                (1, 0, 1), (0, 3, 0), (1, 2, 1)]
+
+
+def _errors(p, t, theta, phi, deriv):
+    """Relative error of the integral route against the series, or the
+    type of the error it raised."""
+    M, N, L = deriv
+    try:
+        got = h_script_integral(p, t, theta, phi, deriv=deriv)
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return type(exc)
+    if N == 0 and L == 0:
+        got = got + jph_correction(p, t, M=M)
+    ref = series_H(p, t, theta, phi, M=M, N=N, L=L)
+    return np.abs(got - ref) / np.abs(ref)
+
+
+@pytest.mark.parametrize("sep", [0.0, 1e-3, 0.05])
+def test_corner_rule_is_as_accurate_as_the_tensor_rule(monkeypatch, acceptance_params, sep):
+    # Against the series at t in {0.01, 0.03, 0.1} (one batch, so 0.01 and
+    # 0.03 share a band) for the value and the derivative orders the scans
+    # and the benchmark take: the corner rule's error stays within the full
+    # graded tensor's (the rule it replaced, with corner_pieces off) plus
+    # 1e-12, and no call changes whether it raises.  Near the diagonal at
+    # t = 0.01 both rules sit at the roundoff floor of D = cosh(t/2) - 1 + q,
+    # whose cancellation moves the tensor rule's error by 7e-12 to 2e-10 at
+    # the orders where the corner rule exceeds that bound (by at most 2.6e-12)
+    # when theta moves by one ulp; there the bound adds that move.
+    p, theta = acceptance_params, 1.2
+    ts = np.array([0.01, 0.03, 0.1])
+    for deriv in SWEEP_DERIVS:
+        corner = _errors(p, ts, theta, theta + sep, deriv)
+        with monkeypatch.context() as patch:
+            patch.setattr(pi_measures, "corner_pieces", lambda *args: None)
+            tensor = _errors(p, ts, theta, theta + sep, deriv)
+            if isinstance(tensor, type) or isinstance(corner, type):
+                assert corner == tensor, deriv
+                continue
+            excess = corner - tensor - 1e-12
+            if np.any(excess > 0):
+                nudged = _errors(p, ts, np.nextafter(theta, 2.0), theta + sep, deriv)
+                assert np.all(excess <= np.abs(nudged - tensor)), (deriv, corner, tensor, nudged)

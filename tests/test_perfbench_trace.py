@@ -64,7 +64,7 @@ def test_qpsi_spans_count_every_element_of_a_blocked_call():
     ts = np.linspace(0.02, 0.06, 64)  # one log-band
     theta, phi, base = 1.0, 1.05, 24
     terms = [kernel._integral_terms(p, float(ts.min()), theta, phi, n) for n in (base, 2 * base)]
-    want = sum(ts.size * u.size * v.size for resolution in terms for u, v, *_ in resolution)
+    want = sum(ts.size * w.size for resolution in terms for _, _, w, *_ in resolution)
     tracer = spans.Tracer()
     tracer.install()
     try:

@@ -7,7 +7,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from jpkernel.kernel import _axis_terms
-from jpkernel.pi_measures import abs_profile, pi_cdf, profile_rule
+from jpkernel.pi_measures import (
+    _tail,
+    abs_profile,
+    corner_pieces,
+    density_rule,
+    pi_cdf,
+    profile_rule,
+)
 
 from _oracles import pi_cdf_quad, profile_integral_mp
 
@@ -17,7 +24,7 @@ NODES = 64
 def measure_integral(gamma, f):
     """int f against the density or atomic measure of parameter gamma, by
     the integral route's one axis term in those regimes."""
-    [(nodes, weights, _)] = _axis_terms(gamma, NODES, 0.5)
+    [(nodes, weights, _, _)] = _axis_terms(gamma, NODES, 0.5)
     return float(np.sum(weights * f(nodes)))
 
 
@@ -63,7 +70,7 @@ class TestDensityAndAtoms:
         assert_allclose(measure_integral(alpha, lambda u: np.ones_like(u)), 1.0, atol=1e-12)
 
     def test_atomic_second_moment(self):
-        [(nodes, weights, _)] = _axis_terms(-0.5, NODES, 0.5)
+        [(nodes, weights, _, _)] = _axis_terms(-0.5, NODES, 0.5)
         assert nodes.tolist() == [-1.0, 1.0] and weights.tolist() == [0.5, 0.5]
         assert measure_integral(-0.5, lambda u: u * u) == 1.0
 
@@ -122,3 +129,60 @@ class TestProfile:
     def test_out_of_regime(self):
         with pytest.raises(ValueError):
             profile_rule(-0.3, NODES)
+
+
+class TestCornerPieces:
+    """The octaves and tails of a graded rule (the integral route's corner
+    rule); a profile's pieces are its folded term's, on +-u."""
+
+    @staticmethod
+    def octaves(pieces):
+        panels = [(pieces.panels[0][i], pieces.panels[1][i]) for i in range(len(pieces.panels[0]))]
+        return [pieces.near] + panels + [pieces.far]
+
+    @pytest.mark.parametrize("gamma", [-0.25, 0.5, 2.0])
+    def test_density_octaves_split_the_rule(self, gamma):
+        for k in (2, 7, 20):
+            nodes, weights = density_rule(gamma, 24, 2.0**-k)
+            octaves = self.octaves(corner_pieces(gamma, 24, 2.0**-k))
+            assert len(octaves) == k + 1
+            assert np.array_equal(np.sort(np.concatenate([o[0] for o in octaves])), np.sort(nodes))
+            assert np.sum([o[1].sum() for o in octaves]) == pytest.approx(weights.sum(), abs=1e-15)
+
+    @pytest.mark.parametrize("gamma", [-0.75, -0.25, 0.5, 2.0])
+    @pytest.mark.parametrize("n", [10, 24])
+    def test_tails_integrate_as_the_octaves_they_merge(self, gamma, n):
+        # The tail of octave r against octaves 0..r-1 and against a 40-node
+        # tail, and the top (the tail of the coarse octave, then the coarse
+        # octave) against the whole rule, on functions smooth on [-1, 1].
+        # The dyadic panels are the less accurate side: with a singular
+        # weight (gamma = -1/4) and 8 nodes they are 1e-13 off.
+        def f(x):
+            return np.exp(x) + np.cos(3.0 * x)
+
+        for k in (2, 7, 20):
+            delta = 2.0**-k
+            pieces = corner_pieces(gamma, n, delta)
+            sums = [np.sum(w * f(x)) for x, w in self.octaves(pieces)]
+            scale = np.sum([np.sum(np.abs(w)) for _, w in self.octaves(pieces)])
+            tails = [np.sum(w * f(x)) for x, w in zip(*pieces.tails)]
+            assert len(tails) == len(sums) - 1
+            for r, tail in enumerate(tails, start=1):
+                x, w = _tail(gamma, 40, delta * 2.0 ** (r - 1))
+                assert tail == pytest.approx(np.sum(w * f(x)), abs=1e-14 * scale), r
+                assert tail == pytest.approx(np.sum(sums[:r]), abs=1e-12 * scale), r
+            top = np.sum(pieces.top[1] * f(pieces.top[0]))
+            assert top == pytest.approx(np.sum(sums), abs=1e-12 * scale)
+            for (xu, wu), tail, (xp, wp) in zip(zip(*pieces.uppers), zip(*pieces.tails),
+                                                self.octaves(pieces)[1:]):
+                assert np.array_equal(xu, np.concatenate([tail[0], xp]))
+                assert np.array_equal(wu, np.concatenate([tail[1], wp]))
+
+    def test_profile_far_octave_holds_the_folded_half(self):
+        # the -u half lies far from the corner, so the coarse octave takes it
+        # by the ungraded profile rule
+        nodes, weights = profile_rule(-0.75, 24, 0.5)
+        far_nodes, far_weights = corner_pieces(-0.75, 24, 2.0**-9).far
+        assert np.array_equal(far_nodes[24:], -nodes)
+        assert np.array_equal(far_weights[24:], -weights)
+        assert np.all(far_nodes[:24] > 0.0)
