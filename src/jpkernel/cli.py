@@ -6,9 +6,9 @@ output.  Exit codes: 0 success/pass, 2 usage error, 3 numeric failure,
 4 estimate-cap (or tolerance) violation.
 
 Flag values take precedence over an optional --config JSON file, which
-takes precedence over built-in defaults.  Floats are printed with repr
-(shortest round-trip form); the kernel command prints 15 significant
-digits.
+takes precedence over built-in defaults; a value neither sets keeps the
+library's default.  Floats are printed with repr (shortest round-trip
+form); the kernel command prints 15 significant digits.
 """
 
 from __future__ import annotations
@@ -37,10 +37,8 @@ class UsageError(Exception):
 
 
 def _parse_grid(text: str, flag: str) -> np.ndarray:
-    """Comma list '0.1,0.2' or linspace shorthand 'lo:hi:n'."""
+    """Comma list '0.1,0.2' or linspace shorthand 'lo:hi:n'; not empty."""
     text = text.strip()
-    if not text:
-        return np.array([])
     try:
         if ":" in text:
             lo, hi, n = text.split(":")
@@ -50,8 +48,15 @@ def _parse_grid(text: str, flag: str) -> np.ndarray:
         raise UsageError(f"{flag} wants a comma list x,y,... or lo:hi:n, got {text!r}") from None
 
 
-def _grid(args, config, name, default=""):
+def _grid(args, config, name, default):
     return _parse_grid(_opt(args, config, name, default), f"--{name}")
+
+
+def _angle_grids(args, config, theta_default):
+    """The theta and phi grids; the phi grid is the theta grid when unset."""
+    theta_grid = _grid(args, config, "theta-grid", theta_default)
+    phi_set = _opt(args, config, "phi-grid") is not None
+    return theta_grid, _grid(args, config, "phi-grid", None) if phi_set else theta_grid
 
 
 def _parse_deriv(text: str):
@@ -79,6 +84,15 @@ def _parse_profile(text: str) -> czkernels.LaplaceProfile:
     raise UsageError(f"unknown laplace profile {text!r} (const1 | imaginary:GAMMA)")
 
 
+# The flags of each kernel family's options, keyed as make_kernel takes them.
+_FAMILY_OPTIONS = {
+    "riesz": dict(N=("N", int)),
+    "gfun": dict(M=("M", int), N=("N", int)),
+    "laplace": dict(profile=("laplace-profile", _parse_profile)),
+    "stieltjes": dict(atoms=("atoms", _parse_atoms)),
+}
+
+
 def _load_config(path):
     if not path:
         return {}
@@ -93,9 +107,15 @@ def _opt(args, config, name, default=None):
     val = getattr(args, name.replace("-", "_"), None)
     if val is not None:
         return val
-    if name in config:
-        return config[name]
-    return default
+    return config.get(name, default)
+
+
+def _given(args, config, **flags):
+    """{key: convert(value)} for each key = (flag name, convert) whose flag
+    the command line or the config sets: a value left unset is not passed,
+    so the library keeps its own default."""
+    given = {key: (_opt(args, config, name), convert) for key, (name, convert) in flags.items()}
+    return {key: convert(val) for key, (val, convert) in given.items() if val is not None}
 
 
 def _params(args, config) -> JacobiParams:
@@ -132,13 +152,11 @@ def _emit_samples(thetas, vals, out_path):
 def cmd_kernel(args) -> int:
     config = _load_config(args.config)
     params = _params(args, config)
-    deriv = _parse_deriv(_opt(args, config, "deriv", "0,0,0"))
     query = KernelQuery(
         t=float(_opt(args, config, "t")),
         theta=float(_opt(args, config, "theta")),
         phi=float(_opt(args, config, "phi")),
-        deriv=deriv,
-        method=_opt(args, config, "method", "auto"),
+        **_given(args, config, deriv=("deriv", _parse_deriv), method=("method", str)),
     )
     value = kernel_eval(params, query)
     print(f"{value:.15g}")
@@ -149,9 +167,8 @@ def cmd_compare(args) -> int:
     config = _load_config(args.config)
     params = _params(args, config)
     t_grid = _grid(args, config, "t-grid", "0.1,0.5,1.0")
-    theta_grid = _grid(args, config, "theta-grid", "0.01,0.7853981633974483,1.5707963267948966,"
-                       "2.356194490192345,3.131592653589793")
-    phi_grid = _grid(args, config, "phi-grid") if _opt(args, config, "phi-grid") else theta_grid
+    theta_grid, phi_grid = _angle_grids(args, config, "0.01,0.7853981633974483,1.5707963267948966,"
+                                        "2.356194490192345,3.131592653589793")
     tol = float(_opt(args, config, "tol", 1e-6))
     if not 0.0 < tol < math.inf:
         raise UsageError(f"tol must be positive and finite, got {tol}")
@@ -197,46 +214,27 @@ def cmd_compare(args) -> int:
 
 def _scan_report(args, config, params) -> EstimateReport:
     which = _opt(args, config, "scan")
-    cap = _opt(args, config, "cap")
-    if cap is not None and not 1.0 <= float(cap) < math.inf:
-        raise UsageError(f"cap must be at least 1 and finite, got {cap}")
-    theta_grid = _grid(args, config, "theta-grid", "0.15:2.991592653589793:15")
-    phi_grid = _grid(args, config, "phi-grid") if _opt(args, config, "phi-grid") else theta_grid
+    limits = _given(args, config, cap=("cap", float))
+    if not 1.0 <= limits.get("cap", 1.0) < math.inf:  # an unset cap passes
+        raise UsageError(f"cap must be at least 1 and finite, got {limits['cap']}")
+    theta_grid, phi_grid = _angle_grids(args, config, "0.15:2.991592653589793:15")
     if which == "sharp":
         t_grid = _grid(args, config, "t-grid", "0.05:1.0:10")
-        return sharp.ratio_scan(params, t_grid, theta_grid, phi_grid,
-                                which=_opt(args, config, "comparator", "H"),
-                                cap=float(cap) if cap is not None else 50.0)
+        return sharp.ratio_scan(params, t_grid, theta_grid, phi_grid, **limits,
+                                **_given(args, config, which=("comparator", str)))
     kernel_id = _opt(args, config, "kernel", "maximal")
-    options = {}
-    if kernel_id == "riesz":
-        options["N"] = int(_opt(args, config, "N", 1))
-    elif kernel_id == "gfun":
-        options["M"] = int(_opt(args, config, "M", 1))
-        options["N"] = int(_opt(args, config, "N", 0))
-    elif kernel_id == "laplace":
-        options["profile"] = _parse_profile(_opt(args, config, "laplace-profile", "const1"))
-    elif kernel_id == "stieltjes":
-        atoms = _opt(args, config, "atoms")
-        options["atoms"] = _parse_atoms(atoms) if atoms else None
-    cap_val = float(cap) if cap is not None else 1e3
-    if which == "growth":
-        return czkernels.growth_check(params, kernel_id, theta_grid, phi_grid, cap=cap_val,
-                                      options=options)
-    if which == "gradient":
-        return czkernels.gradient_check(params, kernel_id, theta_grid, phi_grid, cap=cap_val,
-                                        options=options)
+    options = _given(args, config, **_FAMILY_OPTIONS.get(kernel_id, {}))
+    if which in ("growth", "gradient"):
+        check = czkernels.growth_check if which == "growth" else czkernels.gradient_check
+        return check(params, kernel_id, theta_grid, phi_grid, **limits, options=options)
     if which == "smoothness":
         for name in ("theta-grid", "phi-grid"):
             if _opt(args, config, name) is not None:
                 raise UsageError(f"--{name} does not apply to the smoothness scan, "
                                  "which samples its own angles")
-        samples = int(_opt(args, config, "samples", 100))
-        if samples < 1:
-            raise UsageError(f"samples must be at least 1, got {samples}")
-        return czkernels.smoothness_check(params, kernel_id, n_samples=samples,
-                                          seed=int(_opt(args, config, "seed", 7)),
-                                          cap=cap_val, options=options)
+        return czkernels.smoothness_check(
+            params, kernel_id, **limits, options=options,
+            **_given(args, config, n_samples=("samples", int), seed=("seed", int)))
     raise UsageError(f"unknown scan {which!r}")
 
 
@@ -266,28 +264,26 @@ def cmd_apply(args) -> int:
 
     op = _opt(args, config, "op")
     eval_at = _opt(args, config, "eval-at")
-    if op == "semigroup":
-        out = operators.semigroup_apply(exp, float(_opt(args, config, "t", 0.0)))
-    elif op == "riesz":
-        evaluator = operators.riesz_apply(exp, int(_opt(args, config, "N", 1)))
-        if not eval_at:
-            raise UsageError("--op riesz emits sampled values; give --eval-at")
+    if op in ("riesz", "gfun"):
+        if eval_at is None:
+            raise UsageError(f"--op {op} emits sampled values; give --eval-at")
         thetas = _parse_grid(eval_at, "--eval-at")
-        _emit_samples(thetas, [evaluator(t) for t in thetas], args.out)
-        return EXIT_OK
-    elif op == "gfun":
-        if not eval_at:
-            raise UsageError("--op gfun emits sampled values; give --eval-at")
-        thetas = _parse_grid(eval_at, "--eval-at")
-        vals = operators.g_function(exp, int(_opt(args, config, "M", 1)), int(_opt(args, config, "N", 0)), thetas)
+        orders = {**czkernels.DEFAULT_ORDERS[op], **_given(args, config, **_FAMILY_OPTIONS[op])}
+        if op == "riesz":
+            evaluator = operators.riesz_apply(exp, **orders)
+            vals = [evaluator(t) for t in thetas]
+        else:
+            vals = operators.g_function(exp, **orders, theta_points=thetas)
         _emit_samples(thetas, vals, args.out)
         return EXIT_OK
+    if op == "semigroup":
+        out = operators.semigroup_apply(exp, float(_opt(args, config, "t", 0.0)))
     elif op == "multiplier":
         profile_text = _opt(args, config, "laplace-profile")
         atoms_text = _opt(args, config, "atoms")
-        if profile_text:
+        if profile_text is not None:
             spec = _parse_profile(profile_text)
-        elif atoms_text:
+        elif atoms_text is not None:
             spec = _parse_atoms(atoms_text)
         else:
             raise UsageError("--op multiplier wants --laplace-profile or --atoms")
@@ -299,7 +295,7 @@ def cmd_apply(args) -> int:
     else:
         raise UsageError(f"unknown op {op!r}")
 
-    if eval_at:
+    if eval_at is not None:
         thetas = _parse_grid(eval_at, "--eval-at")
         _emit_samples(thetas, operators.synthesize(out, thetas), args.out)
     else:

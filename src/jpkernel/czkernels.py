@@ -46,21 +46,23 @@ from jpkernel import specfun
 from jpkernel._parallel import pair_map
 from jpkernel.basis import mu_ball, mu_total, trig_poly_table
 from jpkernel.errors import TailError
-from jpkernel.kernel import (AUTO_SPLIT_T, check_angle_range, kernel_H_batch, series_H,
-                             t_integral_H)
+from jpkernel.kernel import (AUTO_SPLIT_T, BASE_NODES, MAX_DOUBLINGS, check_angle_range,
+                             kernel_H_batch, series_H, t_integral_H)
 from jpkernel.params import JacobiParams
-from jpkernel.pi_measures import gauss_panels
+from jpkernel.pi_measures import DELTA_FLOOR, gauss_panels
 from jpkernel.report import EstimateReport, check_cap
 
 TAIL_N_CUT = 64
+# Riesz and square-function orders that options leave unset (also jpk apply's).
+DEFAULT_ORDERS = {"riesz": {"N": 1}, "gfun": {"M": 1, "N": 0}}
 _MID_NODES = 20
 _T_STAR_CAP = 4000.0
 
 # Resolution presets: 'accurate' for single evaluations and oracle tests,
 # 'scan' for grid scans whose caps are order-of-magnitude statements.
 PRESETS = {
-    "accurate": dict(t_lo=1e-9, panels=12, t_nodes=16, base_nodes=24,
-                     doublings=2, delta_floor=2.0**-40, golden_iters=36,
+    "accurate": dict(t_lo=1e-9, panels=12, t_nodes=16, base_nodes=BASE_NODES,
+                     doublings=MAX_DOUBLINGS, delta_floor=DELTA_FLOOR, golden_iters=36,
                      sup_t_lo=1e-4, sup_per_decade=64),
     "scan": dict(t_lo=1e-5, panels=5, t_nodes=8, base_nodes=10,
                  doublings=0, delta_floor=2.0**-16, golden_iters=0,
@@ -435,7 +437,7 @@ class StieltjesKernel(_KernelBase):
 
     def _value(self, theta, phi, dth=0, dph=0):
         ts = np.asarray(self.atoms.times, dtype=float)
-        h = kernel_H_batch(self.params, ts, theta, phi, M=0, N=dth, L=dph)
+        h = kernel_H_batch(self.params, ts, theta, phi, N=dth, L=dph)
         total = np.sum(np.asarray(self.atoms.weights) * h)
         return complex(total) if np.iscomplexobj(total) else float(total)
 
@@ -447,13 +449,14 @@ class StieltjesKernel(_KernelBase):
 # ---------------------------------------------------------------------------
 
 def make_kernel(params: JacobiParams, kernel_id: str, quality: str = "accurate", **options):
-    """Kernel registry for scans and the CLI."""
+    """Kernel registry for scans and the CLI (orders from DEFAULT_ORDERS)."""
+    options = {**DEFAULT_ORDERS.get(kernel_id, {}), **options}
     if kernel_id == "maximal":
         return MaximalKernel(params, quality)
     if kernel_id == "riesz":
-        return RieszKernel(params, options.get("N", 1), quality)
+        return RieszKernel(params, options["N"], quality)
     if kernel_id == "gfun":
-        return SquareFunctionKernel(params, options.get("M", 1), options.get("N", 0), quality)
+        return SquareFunctionKernel(params, options["M"], options["N"], quality)
     if kernel_id == "laplace":
         return LaplaceKernel(params, options.get("profile") or constant_profile(), quality)
     if kernel_id == "stieltjes":
@@ -538,9 +541,11 @@ def smoothness_check(params: JacobiParams, kernel, n_samples: int = 100, seed: i
                      cap: float = 1e3, options: dict | None = None) -> EstimateReport:
     """Samples ||K(theta,.) - K(theta',.)|| on triples with
     |theta - phi| > 2 |theta - theta'| against the first smoothness bound,
-    at the 'scan' preset.  A cap outside (0, inf) is refused before any
-    evaluation."""
+    at the 'scan' preset.  A cap outside (0, inf) and fewer than one sample
+    are refused before any evaluation."""
     check_cap(cap)
+    if n_samples < 1:
+        raise ValueError(f"the smoothness scan needs n_samples >= 1, got {n_samples}")
     options = options or {}
     k = make_kernel(params, kernel, quality="scan", **options)
     rng = np.random.default_rng(seed)

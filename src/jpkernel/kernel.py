@@ -47,6 +47,10 @@ from jpkernel.qpsi import psi_evaluator, q_value
 
 AUTO_SPLIT_T = 0.2
 T_MIN_SERIES = 5e-4
+SERIES_RTOL = 1e-13
+F4_RTOL = 1e-11
+INTEGRAL_RTOL = 1e-9
+GENERAL_RTOL = 5e-8
 SERIES_CAP = 100_000
 F4_EPS_CONV = 5e-4
 F4_MAX_DIAGONALS = 80_000
@@ -110,12 +114,6 @@ def check_angle_range(theta, phi):
             raise ValueError(f"{name} must lie in [0, pi], got {bad[0]}")
 
 
-def _check_rtol(rtol):
-    """Raise ValueError unless 0 < rtol < inf."""
-    if not 0.0 < rtol < math.inf:
-        raise ValueError(f"rtol must be positive and finite, got {rtol}")
-
-
 def closed_form_chebyshev(t, theta, phi):
     """H_t for alpha = beta = -1/2 in closed form (independent oracle).
 
@@ -136,8 +134,8 @@ def closed_form_chebyshev(t, theta, phi):
 # series route
 # ---------------------------------------------------------------------------
 
-def _series_cut(params: JacobiParams, t_min: float, M: int, N: int, L: int, rtol: float) -> int:
-    """Smallest n with a tail bound below rtol, via the crude growth bound
+def _series_cut(params: JacobiParams, t_min: float, M: int, N: int, L: int) -> int:
+    """Smallest n with a tail bound below SERIES_RTOL, via the crude growth bound
     n^(alpha+beta+2) on the polynomials (+1 safety in the exponent).
 
     At large t the fixed point falls below one term, so the iteration takes
@@ -145,7 +143,7 @@ def _series_cut(params: JacobiParams, t_min: float, M: int, N: int, L: int, rtol
     if t_min < T_MIN_SERIES:
         raise TruncationError(f"series route needs t >= {T_MIN_SERIES}, got {t_min}")
     p = 2.0 * params.sigma + 3.0 * (N + L) + M + 1.0
-    log_goal = math.log(1.0 / rtol) + math.log(1.0 / -math.expm1(-t_min)) + 1.0
+    log_goal = math.log(1.0 / SERIES_RTOL) + math.log(1.0 / -math.expm1(-t_min)) + 1.0
     n = 20.0 / t_min + 20.0
     for _ in range(60):
         n = (log_goal + p * math.log(max(n, 1.0))) / t_min
@@ -157,7 +155,7 @@ def _series_cut(params: JacobiParams, t_min: float, M: int, N: int, L: int, rtol
     return max(n, 8)
 
 
-def series_H(params: JacobiParams, t, theta: float, phi, M=0, N=0, L=0, rtol=1e-13):
+def series_H(params: JacobiParams, t, theta: float, phi, M=0, N=0, L=0):
     """H and derivatives by the spectral series.
 
     t may be an array of any shape, empty included, and independently phi
@@ -167,13 +165,12 @@ def series_H(params: JacobiParams, t, theta: float, phi, M=0, N=0, L=0, rtol=1e-
     t_arr = np.asarray(t, dtype=float).ravel()
     _check_t(t_arr)
     _check_angles(theta, phi)
-    _check_rtol(rtol)
     if min(M, N, L) < 0:
         raise UnsupportedOrderError(f"derivative orders (M, N, L) must be nonnegative, got {(M, N, L)}")
     if not t_arr.size:
         return np.empty(np.shape(t) + np.shape(phi))
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
-    n_cut = _series_cut(params, float(t_arr.min()), M, N, L, rtol)
+    n_cut = _series_cut(params, float(t_arr.min()), M, N, L)
     rates = params.rates(n_cut)
     coef = trig_poly_table(params, n_cut, np.float64(theta), order=N)[:, None] * trig_poly_table(
         params, n_cut, phi_arr, order=L
@@ -188,13 +185,13 @@ def series_H(params: JacobiParams, t, theta: float, phi, M=0, N=0, L=0, rtol=1e-
 # F4 route
 # ---------------------------------------------------------------------------
 
-def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float, rtol=1e-11) -> float:
+def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float) -> float:
     """Companion kernel via the Appell-F4 double series.
 
     Sums the terms T(m, n) = (a1)_s (a2)_s x^m y^n / ((b1)_m (b2)_n m! n!),
     s = m + n, along anti-diagonals s; all terms are nonnegative, and the
     block sums eventually decay geometrically with ratio
-    rho^2 = (sqrt x + sqrt y)^2, which drives the stopping rule.
+    rho^2 = (sqrt x + sqrt y)^2, which drives the stopping rule (rtol = F4_RTOL).
 
     Window.  Each diagonal is summed over a window of columns [lo, hi] only
     (column m holds x^m).  On diagonal s + 1 the columns lo..hi are the
@@ -230,7 +227,7 @@ def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float, rtol=1
     Cost: below F4_WINDOW_START a diagonal s costs O(s) flops, and S
     diagonals O(S^2).  Past it the window holds the peak out to about 12
     standard deviations of its O(sqrt s) width on each side (tau ~ 3e-32
-    at rtol 1e-11), so the cost grows like S^1.5, and near rho -> 1 the
+    at F4_RTOL), so the cost grows like S^1.5, and near rho -> 1 the
     floor is the interpreter: about 8 microseconds per diagonal on a 2-core
     VM, even for a window of one column.  S grows like log(rtol) /
     log(rho^2) as rho -> 1.  The start constant keeps every call of fewer
@@ -241,7 +238,6 @@ def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float, rtol=1
     """
     _check_t(t)
     _check_angles(theta, phi)
-    _check_rtol(rtol)
     ch = math.cosh(0.5 * t)
     sx = math.sin(0.5 * theta) * math.sin(0.5 * phi) / ch
     sy = math.cos(0.5 * theta) * math.cos(0.5 * phi) / ch
@@ -277,7 +273,7 @@ def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float, rtol=1
     row, nxt, tmp, logw, ew, den = np.empty((6, K + 2))
     row[0] = 1.0
     logw[: renorm_every + 1], ew[: renorm_every + 1] = 0.0, 1.0  # ew = exp(logw)
-    log_tau = math.log(_EPS * rtol / K)
+    log_tau = math.log(_EPS * F4_RTOL / K)
     lo = hi = 0  # the live window of the current diagonal
     total = 1.0
     prev_block = 1.0
@@ -291,7 +287,7 @@ def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float, rtol=1
         hi += 1
         block = float(np.dot(nxt[lo: hi + 1], ew[lo: hi + 1]))
         total += block
-        if s >= 4 and block <= prev_block and block * geo <= rtol * total:
+        if s >= 4 and block <= prev_block and block * geo <= F4_RTOL * total:
             break
         prev_block = block
         row, nxt = nxt, row
@@ -316,8 +312,8 @@ def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float, rtol=1
 # integral route
 # ---------------------------------------------------------------------------
 
-_BASE_NODES = 24
-_MAX_DOUBLINGS = 2
+BASE_NODES = 24
+MAX_DOUBLINGS = 2
 # Psi is evaluated in pieces of about this many elements (1 MB, inside a
 # core's L2 cache): blocks of whole t rows, or slices of one row.
 _BLOCK_ELEMS = 2**17
@@ -330,7 +326,7 @@ def _pq(theta: float, phi: float):
 
 
 def _grading_delta(t_min: float, theta: float, phi: float, coupling: float,
-                   floor: float = 2.0**-40, corner=(1.0, 1.0)) -> float:
+                   floor: float = pi_measures.DELTA_FLOOR, corner=(1.0, 1.0)) -> float:
     """Mesh grading scale toward the node 1 of one integration axis.
 
     The integrand varies on scale d / coupling in (1 - u), where d is D at
@@ -445,7 +441,7 @@ def _corner_cloud(u, v):
     return cloud
 
 
-def _integral_terms(params, t_min, theta, phi, n_nodes, delta_floor=2.0**-40):
+def _integral_terms(params, t_min, theta, phi, n_nodes, delta_floor=pi_measures.DELTA_FLOOR):
     """The double sums of the integral representation at one resolution,
     graded for t >= t_min: the products of the u and v axes' terms, u-major,
     as (u nodes, v nodes, weights, K, R) with the nodes shaped to broadcast
@@ -562,8 +558,8 @@ def _check_resolution(base_nodes, max_doublings):
         raise ValueError(f"max_doublings must be nonnegative, got {max_doublings}")
 
 
-def _refine(once, rtol, route, point, terms, base_nodes=_BASE_NODES,
-            max_doublings=_MAX_DOUBLINGS):
+def _refine(once, rtol, route, point, terms, base_nodes=BASE_NODES,
+            max_doublings=MAX_DOUBLINGS):
     """The acceptance rule of both quadrature routes.  once(n, with_mass,
     space) evaluates a route at n base nodes in space, the call's one
     _Workspace: (values, sum|terms| or None unless with_mass).
@@ -609,9 +605,11 @@ def _refine(once, rtol, route, point, terms, base_nodes=_BASE_NODES,
 
 def _refuse_negative_d(t, theta, phi, corners, route, point):
     """Refuse a D that rounds below zero at t and a corner (xi, eta) of
-    corners, formed as the integrand forms it (np.cosh, where math.cosh rounds
-    up, and qpsi's q): p + c rounds above 1 at tiny t, and the float integrand's
-    values, with no singularity left, are garbage the doubling check can pass."""
+    corners, formed as the integrand forms it (np.cosh and qpsi's q): p + c
+    rounds above 1 at tiny t, and the float integrand's values, with no
+    singularity left, are garbage the doubling check can pass.  At tiny t
+    math.cosh, which h_script_general's own guard uses, rounds below np.cosh
+    for some t and above it for others, so that route needs both guards."""
     for xi, eta in corners:
         d = float(np.cosh(0.5 * t) - 1.0 + q_value(theta, phi, xi, eta))
         if d < 0.0:
@@ -620,8 +618,8 @@ def _refuse_negative_d(t, theta, phi, corners, route, point):
 
 
 def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(0, 0, 0),
-                      rtol=1e-9, base_nodes=_BASE_NODES, max_doublings=_MAX_DOUBLINGS,
-                      delta_floor=2.0**-40):
+                      rtol=INTEGRAL_RTOL, base_nodes=BASE_NODES,
+                      max_doublings=MAX_DOUBLINGS, delta_floor=pi_measures.DELTA_FLOOR):
     """Companion kernel (and derivatives) via the integral representation.
 
     deriv = (M, N, L); N + M <= 3 and L <= 1 are supported.  Node counts
@@ -641,7 +639,8 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
     t_arr = np.asarray(t, dtype=float).ravel()
     _check_t(t_arr)
     _check_angles(theta, phi)
-    _check_rtol(rtol)
+    if not 0.0 < rtol < math.inf:
+        raise ValueError(f"rtol must be positive and finite, got {rtol}")
     _check_resolution(base_nodes, max_doublings)
     if not t_arr.size:
         return np.empty(np.shape(t))
@@ -663,14 +662,14 @@ def t_integral_H(params: JacobiParams, theta: float, phi: float, N: int, L: int,
     """int_0^inf d_theta^N d_phi^L H_t dt, 1 <= N <= 3 and L <= 1 (the
     integral route's orders), off the diagonal: the integral representation
     with its t-integral taken exactly (PsiEvaluator.t_integral), one (u, v)
-    quadrature.  The sinh correction
-    has no theta derivative, so this is the companion kernel's integral.
-    It is the integral route's _integral_sum on a one-row batch at t = 0,
-    so its axes are graded by d_min = 2 sin^2((theta-phi)/4) and it shares
-    that route's clouds, point slicing and fixed-order row sums; node counts
-    double from base_nodes under the acceptance rule of _refine at rtol
-    1e-9.  On the diagonal the integral diverges, and a D that rounds below
-    zero at the corner (u, v) = (1, 1) is refused, as on the integral route.
+    quadrature.  The sinh correction has no theta derivative, so this is the
+    companion kernel's integral.  It is the integral route's _integral_sum
+    on a one-row batch at t = 0, so its axes are graded by d_min =
+    2 sin^2((theta-phi)/4) and it shares that route's clouds, point slicing
+    and fixed-order row sums; node counts double from base_nodes under the
+    acceptance rule of _refine at INTEGRAL_RTOL.  On the diagonal the
+    integral diverges, and a D that rounds below zero at the corner
+    (u, v) = (1, 1) is refused, as on the integral route.
     """
     if not (1 <= N <= 3 and L in (0, 1)):
         raise UnsupportedOrderError(
@@ -688,7 +687,7 @@ def t_integral_H(params: JacobiParams, theta: float, phi: float, N: int, L: int,
         return psi.t_integral(theta, phi, u, v, K=K, R=R, L=L, N=N, out=out, work=work)
 
     once = partial(_integral_sum, params, np.zeros(1), theta, phi, evaluate, delta_floor)
-    return float(_refine(once, 1e-9, route, point, "w f", base_nodes, max_doublings)[0])
+    return float(_refine(once, INTEGRAL_RTOL, route, point, "w f", base_nodes, max_doublings)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -759,21 +758,19 @@ def _general_once(params, t, theta, phi, corner_ds, n_nodes, with_mass, space):
     return value + corner, mass if with_mass else None
 
 
-def h_script_general(params: JacobiParams, t: float, theta: float, phi: float,
-                     rtol=5e-8) -> float:
+def h_script_general(params: JacobiParams, t: float, theta: float, phi: float) -> float:
     """Companion kernel via the symmetrized representation over (0, 1]^2.
 
     The independent cross-check of h_script_integral; value only.  Each
     corner is graded by its own distance to the singularity (see
-    _general_once), and node counts double from _BASE_NODES under the
+    _general_once), and node counts double from BASE_NODES under the
     acceptance rule of _refine, which the integral route shares.  A corner
     whose D rounds below zero, in the integrand's form or in the route's
-    own, is refused.  The default rtol sits at the
-    route's cancellation floor (large alpha + beta + 2 near the diagonal).
+    own, is refused.  Its rtol, GENERAL_RTOL, sits at the route's
+    cancellation floor (large alpha + beta + 2 near the diagonal).
     """
     _check_t(t)
     _check_angles(theta, phi)
-    _check_rtol(rtol)
     route, point = "general route", f"t={t:g}, theta={theta:g}, phi={phi:g}"
     _refuse_negative_d(t, theta, phi, _CORNERS, route, point)
     C = math.cosh(0.5 * t)
@@ -781,8 +778,8 @@ def h_script_general(params: JacobiParams, t: float, theta: float, phi: float,
     corner_ds = [(C - 1.0) + (1.0 - xi * P - eta * Q) for xi, eta in _CORNERS]
     if min(corner_ds) < 0.0:  # raised to the power -sigma below
         raise QuadratureError(f"{route}: D at a corner rounds below zero for {point}")
-    return _refine(partial(_general_once, params, t, theta, phi, corner_ds), rtol, route, point,
-                   "terms")
+    return _refine(partial(_general_once, params, t, theta, phi, corner_ds), GENERAL_RTOL, route,
+                   point, "terms")
 
 
 # ---------------------------------------------------------------------------
@@ -824,20 +821,17 @@ def kernel_eval(params: JacobiParams, query: KernelQuery) -> float:
 
 
 def kernel_H_batch(params: JacobiParams, t_arr, theta: float, phi: float, M=0, N=0, L=0,
-                   rtol=1e-9, split=AUTO_SPLIT_T, base_nodes=_BASE_NODES,
-                   max_doublings=_MAX_DOUBLINGS, delta_floor=2.0**-40):
+                   split=AUTO_SPLIT_T, **integral):
     """H derivatives over a t array, the integral route (plus the sinh
     correction) below split and the series route from split on; the path
     of every series, integral and auto evaluation (kernel_eval's one point
-    as the scans' t batches).  rtol, base_nodes,
-    max_doublings and delta_floor go to h_script_integral."""
+    as the scans' t batches).  integral (rtol, base_nodes, max_doublings,
+    delta_floor) goes to h_script_integral, whose defaults fill the rest."""
     t_arr = np.asarray(t_arr, dtype=float)
     out = np.empty_like(t_arr)
     small = t_arr < split
     if np.any(small):
-        vals = h_script_integral(params, t_arr[small], theta, phi, deriv=(M, N, L), rtol=rtol,
-                                 base_nodes=base_nodes, max_doublings=max_doublings,
-                                 delta_floor=delta_floor)
+        vals = h_script_integral(params, t_arr[small], theta, phi, deriv=(M, N, L), **integral)
         if N == 0 and L == 0:
             vals = vals + jph_correction(params, t_arr[small], M=M)
         out[small] = vals

@@ -36,6 +36,7 @@ import numpy as np
 from jpkernel import specfun
 
 _SPLIT = 0.75  # |u| above which the endpoint decomposition is used
+DELTA_FLOOR = 2.0**-40  # the finest grading: snap_delta's floor, the integral route's default
 
 
 def pi_c(gamma: float) -> float:
@@ -133,8 +134,8 @@ def _graded_mesh(n: int, delta: float):
 
 
 def snap_delta(delta: float) -> float:
-    """Round down to a power of two in [2^-40, 1/2] for rule caching."""
-    delta = min(max(delta, 2.0**-40), 0.5)
+    """Round down to a power of two in [DELTA_FLOOR, 1/2] for rule caching."""
+    delta = min(max(delta, DELTA_FLOOR), 0.5)
     return 2.0 ** math.floor(math.log2(delta))
 
 

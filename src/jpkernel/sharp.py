@@ -24,13 +24,18 @@ EXCLUDE_NEAR_MINUS_ONE = -0.9  # scans beyond this are reported, not gated
 SCAN_RTOL = 1e-7  # the integral route's rtol in ratio scans
 
 
+def _check_which(which):
+    """Raise ValueError unless which names a kernel: 'H' or 'Hscript'."""
+    if which not in ("H", "Hscript"):
+        raise ValueError(f"which must be 'H' or 'Hscript', got {which!r}")
+
+
 def comparator(params: JacobiParams, t: float, theta: float, phi: float, which: str = "H") -> float:
     """Short-time comparator for t <= 1, long-time for t > 1 (both regimes
     are valid at t = 1 exactly)."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    if which not in ("H", "Hscript"):
-        raise ValueError(f"which must be 'H' or 'Hscript', got {which!r}")
+    _check_which(which)
     if t > 1.0:
         lam = params.lam
         return math.exp(-0.5 * t * (abs(lam) if which == "H" else lam))
@@ -52,8 +57,7 @@ def ratio_scan(params: JacobiParams, t_grid, theta_grid, phi_grid, which: str = 
     that batch; each row keeps its own comparator, and the rows keep the
     grid's order.  Grid angles outside [0, pi] are refused up front.
     """
-    if which not in ("H", "Hscript"):
-        raise ValueError(f"which must be 'H' or 'Hscript', got {which!r}")
+    _check_which(which)
     check_cap(cap)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     theta_grid = np.atleast_1d(np.asarray(theta_grid, dtype=float))

@@ -1,5 +1,6 @@
 """CLI contract tests: flags, exit codes, config precedence, goldens."""
 
+import inspect
 import json
 import math
 import pathlib
@@ -10,9 +11,10 @@ import warnings
 import numpy as np
 import pytest
 
-from jpkernel import operators
+from jpkernel import czkernels, operators, sharp
 from jpkernel.cli import main
 from jpkernel.kernel import closed_form_chebyshev
+from jpkernel.params import JacobiParams
 from jpkernel.report import format_float
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -262,6 +264,68 @@ class TestScanCommand:
         assert out == ""
 
 
+class TestExplicitEmptyValues:
+    """A flag given an empty value is refused, not taken as unset."""
+
+    CHEB = ("--alpha", "-0.5", "--beta", "-0.5")
+
+    @pytest.mark.parametrize("argv, match", [
+        (("compare",) + CHEB + ("--t-grid", "0.5", "--theta-grid", "1.0", "--phi-grid", ""),
+         "--phi-grid"),
+        (("scan", "--scan", "growth") + CHEB + ("--theta-grid", "1.0,2.0", "--phi-grid", ""),
+         "--phi-grid"),
+        (("scan", "--scan", "growth", "--kernel", "stieltjes") + CHEB
+         + ("--theta-grid", "1.0,2.0", "--atoms", ""), "--atoms"),
+        (("apply", "--op", "semigroup", "--t", "0.5", "--eval-at", ""), "--eval-at"),
+        (("apply", "--op", "multiplier", "--laplace-profile", "", "--atoms", "1:1"),
+         "unknown laplace profile ''"),
+    ], ids=["compare-phi-grid", "scan-phi-grid", "scan-atoms", "apply-eval-at",
+            "apply-laplace-profile"])
+    def test_usage_exit(self, capsys, argv, match):
+        if argv[0] == "apply":
+            argv = argv + ("--in", str(GOLDEN / "expansion_in.json"))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert match in err
+        assert out == ""
+
+    def test_config_value_usage_exit(self, capsys, tmp_path):
+        config = tmp_path / "scan.json"
+        config.write_text('{"phi-grid": ""}')
+        code, out, err = run_cli(capsys, "scan", "--scan", "growth", *self.CHEB,
+                                 "--theta-grid", "1.0,2.0", "--config", str(config))
+        assert code == 2
+        assert "--phi-grid" in err
+        assert out == ""
+
+
+class TestLibraryDefaults:
+    """A scan without the optional flags runs at the library's defaults."""
+
+    CHEB = ("--alpha", "-0.5", "--beta", "-0.5")
+
+    def test_sharp_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "--scan", "sharp", *self.CHEB,
+                               "--t-grid", "0.1,0.5", "--theta-grid", "0.6,2.0")
+        assert code == 0
+        default = inspect.signature(sharp.ratio_scan).parameters["cap"].default
+        assert json.loads(capsys_last_line(out))["summary"]["cap"] == default
+
+    @pytest.mark.parametrize("kernel, name", [("riesz", "riesz1"), ("gfun", "gfun10")])
+    def test_kernel_orders(self, capsys, kernel, name):
+        code, out, _ = run_cli(capsys, "scan", "--scan", "growth", "--kernel", kernel,
+                               *self.CHEB, "--theta-grid", "0.6,2.0", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["meta"]["kernel"] == name
+
+    def test_smoothness_samples_and_seed(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "--scan", "smoothness", "--kernel", "stieltjes",
+                               *self.CHEB)
+        assert code == 0
+        report = czkernels.smoothness_check(JacobiParams(-0.5, -0.5), "stieltjes")
+        assert out.splitlines()[:-1] == report.to_csv().splitlines()
+
+
 def capsys_last_line(out: str) -> str:
     return out.strip().splitlines()[-1]
 
@@ -370,6 +434,7 @@ class TestGoldens:
         )
         assert code == 0
         assert out_path.read_bytes() == (GOLDEN / "compare_cheb.csv").read_bytes()
+        assert out.encode() == (GOLDEN / "compare_cheb_summary.json").read_bytes()
 
     def test_scan_csv_and_json(self, capsys, tmp_path):
         args = ["scan", "--scan", "growth", "--kernel", "stieltjes", "--atoms", "1:1,3:0.5",
