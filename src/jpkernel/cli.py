@@ -22,7 +22,7 @@ import numpy as np
 
 from jpkernel import czkernels, operators, sharp
 from jpkernel.errors import JPKError
-from jpkernel.kernel import KernelQuery, kernel_eval
+from jpkernel.kernel import METHODS, KernelQuery, kernel_eval
 from jpkernel.params import JacobiParams
 from jpkernel.report import EstimateReport, format_float
 
@@ -80,7 +80,12 @@ def _parse_profile(text: str) -> czkernels.LaplaceProfile:
     if text == "const1":
         return czkernels.constant_profile()
     if text.startswith("imaginary:"):
-        return czkernels.imaginary_power_profile(float(text.split(":", 1)[1]))
+        try:
+            gamma = float(text.split(":", 1)[1])
+        except ValueError:
+            raise UsageError(f"--laplace-profile wants const1 or imaginary:GAMMA, "
+                             f"got {text!r}") from None
+        return czkernels.imaginary_power_profile(gamma)
     raise UsageError(f"unknown laplace profile {text!r} (const1 | imaginary:GAMMA)")
 
 
@@ -346,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--phi", type=float, required=True)
-    p.add_argument("--method", choices=["series", "f4", "integral", "general", "auto"])
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--deriv", help="M,N,L derivative orders in (t,theta,phi)")
     p.set_defaults(fn=cmd_kernel)
 
@@ -363,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan", choices=["sharp", "growth", "gradient", "smoothness"],
                    required=True)
     p.add_argument("--kernel", choices=["maximal", "riesz", "gfun", "laplace", "stieltjes"])
-    p.add_argument("--comparator", choices=["H", "Hscript"])
+    p.add_argument("--comparator", choices=sharp.COMPARATORS)
     p.add_argument("--t-grid", dest="t_grid")
     p.add_argument("--theta-grid", dest="theta_grid")
     p.add_argument("--phi-grid", dest="phi_grid")

@@ -55,11 +55,14 @@ from jpkernel.report import EstimateReport, check_cap
 TAIL_N_CUT = 64
 # Riesz and square-function orders that options leave unset (also jpk apply's).
 DEFAULT_ORDERS = {"riesz": {"N": 1}, "gfun": {"M": 1, "N": 0}}
+ESTIMATE_CAP = 1e3  # the growth, gradient and smoothness scans' default cap
 _MID_NODES = 20
 _T_STAR_CAP = 4000.0
 
-# Resolution presets: 'accurate' for single evaluations and oracle tests,
-# 'scan' for grid scans whose caps are order-of-magnitude statements.
+# Resolution presets: 'accurate' for single evaluations and oracle tests (the
+# kernels' default), 'scan' for grid scans whose caps are order-of-magnitude
+# statements.
+DEFAULT_QUALITY = "accurate"
 PRESETS = {
     "accurate": dict(t_lo=1e-9, panels=12, t_nodes=16, base_nodes=BASE_NODES,
                      doublings=MAX_DOUBLINGS, delta_floor=DELTA_FLOOR, golden_iters=36,
@@ -160,7 +163,7 @@ class _KernelBase:
 
     _split = math.inf  # the t-integrals' t < 1 nodes all take the integral route
 
-    def __init__(self, params: JacobiParams, quality: str = "accurate"):
+    def __init__(self, params: JacobiParams, quality: str = DEFAULT_QUALITY):
         if quality not in PRESETS:
             raise ValueError(f"unknown quality {quality!r}")
         self.params = params
@@ -217,7 +220,7 @@ class MaximalKernel(_KernelBase):
     name = "maximal"
     _split = AUTO_SPLIT_T  # as 'auto' does
 
-    def __init__(self, params: JacobiParams, quality: str = "accurate"):
+    def __init__(self, params: JacobiParams, quality: str = DEFAULT_QUALITY):
         super().__init__(params, quality)
         self.t_grid = _maximal_t_grid(self.preset["sup_t_lo"], self.preset["sup_per_decade"])
 
@@ -299,7 +302,7 @@ class RieszKernel(_KernelBase):
 
     symmetric = False
 
-    def __init__(self, params: JacobiParams, N: int, quality: str = "accurate"):
+    def __init__(self, params: JacobiParams, N: int, quality: str = DEFAULT_QUALITY):
         super().__init__(params, quality)
         if N not in (1, 2):
             raise ValueError(f"Riesz order must be 1 or 2, got {N}")
@@ -328,7 +331,7 @@ class RieszKernel(_KernelBase):
 class SquareFunctionKernel(_KernelBase):
     """Mixed square-function kernel of orders (M, N), M + N in {1, 2}."""
 
-    def __init__(self, params: JacobiParams, M: int, N: int, quality: str = "accurate"):
+    def __init__(self, params: JacobiParams, M: int, N: int, quality: str = DEFAULT_QUALITY):
         super().__init__(params, quality)
         if M < 0 or N < 0 or not 1 <= M + N <= 2:
             raise ValueError(f"need M + N in {{1, 2}}, got M={M}, N={N}")
@@ -382,7 +385,7 @@ class LaplaceKernel(_KernelBase):
     symmetric = True
 
     def __init__(self, params: JacobiParams, profile: LaplaceProfile,
-                 quality: str = "accurate"):
+                 quality: str = DEFAULT_QUALITY):
         super().__init__(params, quality)
         self.profile = profile
         self.name = f"laplace[{profile.name}]"
@@ -430,7 +433,7 @@ class StieltjesKernel(_KernelBase):
     symmetric = True
 
     def __init__(self, params: JacobiParams, atoms: StieltjesAtoms,
-                 quality: str = "accurate"):
+                 quality: str = DEFAULT_QUALITY):
         super().__init__(params, quality)
         self.atoms = atoms
         self.name = "stieltjes"
@@ -448,7 +451,7 @@ class StieltjesKernel(_KernelBase):
 # scans
 # ---------------------------------------------------------------------------
 
-def make_kernel(params: JacobiParams, kernel_id: str, quality: str = "accurate", **options):
+def make_kernel(params: JacobiParams, kernel_id: str, quality: str = DEFAULT_QUALITY, **options):
     """Kernel registry for scans and the CLI (orders from DEFAULT_ORDERS)."""
     options = {**DEFAULT_ORDERS.get(kernel_id, {}), **options}
     if kernel_id == "maximal":
@@ -518,7 +521,7 @@ def _pair_check(kind, probe, sep_power, params, kernel, theta_grid, phi_grid, ca
                           rows=rows, cap=cap, meta=meta)
 
 
-def growth_check(params: JacobiParams, kernel, theta_grid, phi_grid, cap: float = 1e3,
+def growth_check(params: JacobiParams, kernel, theta_grid, phi_grid, cap: float = ESTIMATE_CAP,
                  options: dict | None = None) -> EstimateReport:
     """ratio = ||K|| * mu(B(theta, |theta-phi|)) per grid point.
 
@@ -530,7 +533,7 @@ def growth_check(params: JacobiParams, kernel, theta_grid, phi_grid, cap: float 
                        options)
 
 
-def gradient_check(params: JacobiParams, kernel, theta_grid, phi_grid, cap: float = 1e3,
+def gradient_check(params: JacobiParams, kernel, theta_grid, phi_grid, cap: float = ESTIMATE_CAP,
                    options: dict | None = None) -> EstimateReport:
     """ratio = (||d_theta K|| + ||d_phi K||) |theta-phi| mu(B) per grid point."""
     return _pair_check("gradient", _grad_probe, 1, params, kernel, theta_grid, phi_grid, cap,
@@ -538,7 +541,7 @@ def gradient_check(params: JacobiParams, kernel, theta_grid, phi_grid, cap: floa
 
 
 def smoothness_check(params: JacobiParams, kernel, n_samples: int = 100, seed: int = 7,
-                     cap: float = 1e3, options: dict | None = None) -> EstimateReport:
+                     cap: float = ESTIMATE_CAP, options: dict | None = None) -> EstimateReport:
     """Samples ||K(theta,.) - K(theta',.)|| on triples with
     |theta - phi| > 2 |theta - theta'| against the first smoothness bound,
     at the 'scan' preset.  A cap outside (0, inf) and fewer than one sample

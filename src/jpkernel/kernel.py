@@ -29,6 +29,7 @@ derivative along the axis against the profile plus the half-atoms at +-1.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -57,7 +58,7 @@ F4_MAX_DIAGONALS = 80_000
 F4_WINDOW_START = 1_024
 _EPS = float(np.finfo(float).eps)
 
-_METHODS = ("series", "f4", "integral", "general", "auto")
+METHODS = ("series", "f4", "integral", "general", "auto")
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ class KernelQuery:
         M, N, L = self.deriv
         if min(M, N, L) < 0 or M + N + L > 3:
             raise UnsupportedOrderError(f"derivative orders {self.deriv} exceed M+N+L <= 3")
-        if self.method not in _METHODS:
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method in ("f4", "general") and self.deriv != (0, 0, 0):
             raise UnsupportedOrderError(f"method {self.method!r} supports values only")
@@ -344,6 +345,14 @@ def _grading_delta(t_min: float, theta: float, phi: float, coupling: float,
     return pi_measures.snap_delta(max(0.25 * d_min / coupling, floor))
 
 
+def _grading(t_min, theta, phi, delta_floor):
+    """(delta_u, delta_v): the integral route's grading of its u and v axes
+    for t >= t_min (_grading_delta toward the corner (1, 1))."""
+    p_coupling, q_coupling = _pq(theta, phi)
+    return (_grading_delta(t_min, theta, phi, p_coupling, delta_floor),
+            _grading_delta(t_min, theta, phi, q_coupling, delta_floor))
+
+
 def _axis_terms(gamma: float, n: int, delta: float):
     """Terms (nodes, weights, derivative order, pieces) of one integration
     axis, by the regime of its parameter gamma.
@@ -454,11 +463,9 @@ def _integral_terms(params, t_min, theta, phi, n_nodes, delta_floor=pi_measures.
     O(nu + nv); its u-major flattening is the cloud of that cell.  The
     clouds are built per call from the cached 1-D pieces.
     """
-    p_coupling, q_coupling = _pq(theta, phi)
-    u_terms = _axis_terms(params.alpha, n_nodes,
-                          _grading_delta(t_min, theta, phi, p_coupling, delta_floor))
-    v_terms = _axis_terms(params.beta, n_nodes,
-                          _grading_delta(t_min, theta, phi, q_coupling, delta_floor))
+    delta_u, delta_v = _grading(t_min, theta, phi, delta_floor)
+    u_terms = _axis_terms(params.alpha, n_nodes, delta_u)
+    v_terms = _axis_terms(params.beta, n_nodes, delta_v)
     terms = []
     for un, uw, K, u_pieces in u_terms:
         for vn, vw, R, v_pieces in v_terms:
@@ -492,6 +499,35 @@ class _Workspace:
         return out
 
 
+def _graded_bands(t_arr, theta, phi, delta_floor):
+    """The bands of a t batch that share one grading, as (smallest t,
+    indices into t_arr) in increasing t.
+
+    The batch splits into log-bands [lo, 4 lo) from its smallest t on (the
+    last band takes the rest), and each band is graded by its own smallest
+    t (_grading): small t needs deep grading that larger t should not pay
+    for.  Where 2 sin^2((theta-phi)/4) outweighs cosh(t/2) - 1, consecutive
+    bands snap to the same (delta_u, delta_v); such a run is one band,
+    graded by its first band's smallest t, so its terms are built once.
+    """
+    runs = []  # (grading, smallest t, the run's log-bands)
+    t_max = float(t_arr.max())
+    lo = float(t_arr.min())
+    while True:
+        hi = lo * 4.0
+        band = np.flatnonzero((t_arr >= lo) & ((t_arr < hi) | (hi >= t_max)))
+        if band.size:
+            t_min = float(t_arr[band].min())
+            grading = _grading(t_min, theta, phi, delta_floor)
+            if runs and runs[-1][0] == grading:
+                runs[-1][2].append(band)
+            else:
+                runs.append((grading, t_min, [band]))
+        if hi >= t_max:
+            return [(first, np.concatenate(bands)) for _, first, bands in runs]
+        lo = hi
+
+
 def _integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, with_mass, space):
     """The integral representation's double sums over a t batch at one
     resolution, and the sum of |w f| over the quadrature terms of each t
@@ -502,9 +538,9 @@ def _integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, wit
     its D in work: psi at the route's derivative orders (h_script_integral),
     or its t-integral on a one-row batch at t = 0 (t_integral_H).
 
-    The batch splits into log-bands [lo, 4 lo) from its smallest t on (the
-    last band takes the rest), and each band is graded by its own smallest
-    t: small t needs deep grading that larger t should not pay for.
+    The batch is evaluated band by band (_graded_bands): consecutive
+    log-bands whose snapped gradings agree share one term build and one run
+    of blocks, and every t keeps the grading of its own log-band.
 
     Within a band, each term (_integral_terms) fills blocks of whole t rows;
     a row of more than _BLOCK_ELEMS elements is a block alone and is filled
@@ -518,36 +554,27 @@ def _integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, wit
     """
     out = np.zeros_like(t_arr)
     mass = np.zeros_like(t_arr) if with_mass else None
-    t_max = float(t_arr.max())
-    lo = float(t_arr.min())
-    while True:
-        hi = lo * 4.0
-        band = np.flatnonzero((t_arr >= lo) & ((t_arr < hi) | (hi >= t_max)))
-        if band.size:
-            t_band = t_arr[band].reshape(-1, 1, 1)
-            terms = _integral_terms(params, float(t_band.min()), theta, phi, n_nodes,
-                                    delta_floor)
-            for u, v, w, K, R in terms:
-                points, per_point = w.shape
-                rows = min(band.size, max(1, _BLOCK_ELEMS // w.size))
-                cols = points if rows > 1 else min(points, max(1, _BLOCK_ELEMS // per_point))
-                buf, work = space.views((rows, points, per_point), (rows, cols, per_point))
-                for start in range(0, band.size, rows):
-                    tb = t_band[start:start + rows]
-                    vals = buf[:len(tb)]
-                    for i in range(0, points, cols):
-                        piece = vals[:, i:i + cols]
-                        evaluate(tb, u[i:i + cols], v if len(v) == 1 else v[i:i + cols], K, R,
-                                 piece, work[:len(tb), :piece.shape[1]])
-                        piece *= w[i:i + cols]
-                    sums, abs_sums = _row_sums(vals, with_mass)
-                    block = band[start:start + rows]
-                    out[block] += sums
-                    if with_mass:
-                        mass[block] += abs_sums
-        if hi >= t_max:
-            return out, mass
-        lo = hi
+    for t_min, band in _graded_bands(t_arr, theta, phi, delta_floor):
+        t_band = t_arr[band].reshape(-1, 1, 1)
+        for u, v, w, K, R in _integral_terms(params, t_min, theta, phi, n_nodes, delta_floor):
+            points, per_point = w.shape
+            rows = min(band.size, max(1, _BLOCK_ELEMS // w.size))
+            cols = points if rows > 1 else min(points, max(1, _BLOCK_ELEMS // per_point))
+            buf, work = space.views((rows, points, per_point), (rows, cols, per_point))
+            for start in range(0, band.size, rows):
+                tb = t_band[start:start + rows]
+                vals = buf[:len(tb)]
+                for i in range(0, points, cols):
+                    piece = vals[:, i:i + cols]
+                    evaluate(tb, u[i:i + cols], v if len(v) == 1 else v[i:i + cols], K, R,
+                             piece, work[:len(tb), :piece.shape[1]])
+                    piece *= w[i:i + cols]
+                sums, abs_sums = _row_sums(vals, with_mass)
+                block = band[start:start + rows]
+                out[block] += sums
+                if with_mass:
+                    mass[block] += abs_sums
+    return out, mass
 
 
 def _check_resolution(base_nodes, max_doublings):
@@ -826,7 +853,9 @@ def kernel_H_batch(params: JacobiParams, t_arr, theta: float, phi: float, M=0, N
     correction) below split and the series route from split on; the path
     of every series, integral and auto evaluation (kernel_eval's one point
     as the scans' t batches).  integral (rtol, base_nodes, max_doublings,
-    delta_floor) goes to h_script_integral, whose defaults fill the rest."""
+    delta_floor) goes to h_script_integral, whose defaults fill the rest; a
+    keyword it does not take raises its TypeError even when no t lies below
+    split (the series path keeps its own derivative orders)."""
     t_arr = np.asarray(t_arr, dtype=float)
     out = np.empty_like(t_arr)
     small = t_arr < split
@@ -835,6 +864,8 @@ def kernel_H_batch(params: JacobiParams, t_arr, theta: float, phi: float, M=0, N
         if N == 0 and L == 0:
             vals = vals + jph_correction(params, t_arr[small], M=M)
         out[small] = vals
+    elif integral:
+        inspect.signature(h_script_integral).bind(params, t_arr, theta, phi, **integral)
     if np.any(~small):
         out[~small] = series_H(params, t_arr[~small], theta, phi, M=M, N=N, L=L)
     return out

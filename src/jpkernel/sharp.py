@@ -22,11 +22,12 @@ from jpkernel.report import EstimateReport, check_cap
 
 EXCLUDE_NEAR_MINUS_ONE = -0.9  # scans beyond this are reported, not gated
 SCAN_RTOL = 1e-7  # the integral route's rtol in ratio scans
+COMPARATORS = ("H", "Hscript")  # the kernels a comparator bounds: H and the companion
 
 
 def _check_which(which):
-    """Raise ValueError unless which names a kernel: 'H' or 'Hscript'."""
-    if which not in ("H", "Hscript"):
+    """Raise ValueError unless which names a kernel of COMPARATORS."""
+    if which not in COMPARATORS:
         raise ValueError(f"which must be 'H' or 'Hscript', got {which!r}")
 
 

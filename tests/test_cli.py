@@ -162,6 +162,8 @@ class TestParseErrors:
           "--deriv", "1,x,0"), "--deriv"),
         (("apply", "--op", "riesz", "--alpha", "0", "--beta", "0", "--eval-at", "0:1"),
          "--eval-at"),
+        (("scan", "--scan", "growth", "--kernel", "laplace", "--alpha", "0", "--beta", "0",
+          "--laplace-profile", "imaginary:abc"), "--laplace-profile"),
     ], ids=lambda v: " ".join(v[-2:]) if isinstance(v, tuple) else v)
     def test_malformed_value_names_the_flag(self, capsys, tmp_path, argv, flag):
         if argv[0] == "apply":

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from jpkernel import kernel, pi_measures
+from jpkernel import czkernels, kernel, pi_measures
 from jpkernel.basis import theta_quad_rule, trig_poly_table
 from jpkernel.errors import (
     QuadratureError,
@@ -564,6 +564,76 @@ def test_blocked_sum_at_full_size():
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (M, N, L)
 
 
+# The scan preset's t rule: 40 nodes over [1e-5, 1], nine log-bands, at the
+# scan preset's 10 nodes and floor 2^-16.  At theta = 1, phi = 2 all nine
+# snap to one grading, 2 sin^2(1/4) outweighing cosh(t/2) - 1; at phi = 1.05
+# the first six share one and the last three grade alone.
+SCAN_TS = czkernels._small_t_rule(1e-5, 5, 8)[0]
+SCAN_FLOOR, SCAN_NODES = 2.0**-16, 10
+SCAN_ANGLES = pytest.mark.parametrize("theta, phi", [(1.0, 2.0), (1.0, 1.05)],
+                                      ids=["one-grading", "four-gradings"])
+
+
+def _log_band_gradings(ts, theta, phi, floor):
+    """(delta_u, delta_v) of each nonempty log-band [lo, 4 lo) of ts, from
+    _grading_delta at the band's smallest t."""
+    P, Q = kernel._pq(theta, phi)
+    gradings, lo = [], float(ts.min())
+    while lo <= ts.max():
+        band = ts[(ts >= lo) & (ts < 4.0 * lo)]
+        if band.size:
+            t_min = float(band.min())
+            gradings.append((kernel._grading_delta(t_min, theta, phi, P, floor),
+                             kernel._grading_delta(t_min, theta, phi, Q, floor)))
+        lo *= 4.0
+    return gradings
+
+
+@pytest.mark.parametrize("block_rows", [None, 3, 0.4], ids=["one-block", "3-rows", "slices"])
+@pytest.mark.parametrize("with_mass", [False, True], ids=["values", "mass"])
+@pytest.mark.parametrize("ab", [(-0.75, -0.75), (0.5, 0.5)], ids=["profiles", "densities"])
+@SCAN_ANGLES
+def test_merged_bands_are_the_per_band_sum(monkeypatch, theta, phi, ab, with_mass, block_rows):
+    # Log-bands with equal gradings are evaluated as one band, with one term
+    # build; every t row must still be the per-band reference's, bit for
+    # bit.  At -3/4 the terms are a corner cloud and the atoms' tensors.
+    # block_rows sizes the budget in rows of the largest term: 3 rows split
+    # the merged band into several blocks, 0.4 fills each row in slices.
+    p = JacobiParams(*ab)
+    gradings = _log_band_gradings(SCAN_TS, theta, phi, SCAN_FLOOR)
+    assert len(set(gradings)) < len(gradings)
+    if block_rows is not None:
+        largest = max(w.size for _, _, w, *_ in _integral_terms(
+            p, float(SCAN_TS.min()), theta, phi, SCAN_NODES, SCAN_FLOOR))
+        monkeypatch.setattr(kernel, "_BLOCK_ELEMS", max(1, int(block_rows * largest)))
+    for M, N, L in ROUTE_DERIVS:
+        evaluate = psi_integrand(p, theta, phi, M, N, L)
+        got = kernel._integral_sum(p, SCAN_TS, theta, phi, evaluate, SCAN_FLOOR, SCAN_NODES,
+                                   with_mass, kernel._Workspace())
+        want = integral_sum(p, SCAN_TS, theta, phi, evaluate, SCAN_FLOOR, SCAN_NODES, with_mass)
+        assert np.array_equal(got[0], want[0]), (M, N, L)
+        assert (got[1] is None) if not with_mass else np.array_equal(got[1], want[1]), (M, N, L)
+
+
+@pytest.mark.parametrize("ab", [(-0.75, -0.75), (0.5, 0.5)], ids=["profiles", "densities"])
+@SCAN_ANGLES
+def test_one_term_build_per_grading(monkeypatch, theta, phi, ab):
+    # A work-count guard: one resolution of a batch builds its terms once per
+    # distinct grading of its log-bands, not once per band.
+    p = JacobiParams(*ab)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return _integral_terms(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "_integral_terms", counted)
+    h_script_integral(p, SCAN_TS, theta, phi, base_nodes=SCAN_NODES, max_doublings=0,
+                      delta_floor=SCAN_FLOOR)
+    gradings = _log_band_gradings(SCAN_TS, theta, phi, SCAN_FLOOR)
+    assert len(calls) == len(set(gradings)) < len(gradings)
+
+
 def test_concurrent_calls_keep_their_buffers(monkeypatch):
     # The evaluator is shared through its cache, so each call must own its
     # block buffers.  Four threads (more than the cores) at two (alpha, beta)
@@ -618,6 +688,19 @@ def test_series_path_rejects_bad_arguments(call, match):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):
             call()
+
+
+@pytest.mark.parametrize("ts", [[1.0], [0.1, 1.0]], ids=["series-only", "mixed"])
+def test_batch_refuses_a_keyword_the_integral_route_does_not_take(ts):
+    # The series-only batch used to drop the misspelled keyword and return a value.
+    with pytest.raises(TypeError, match="unexpected keyword argument 'rtoll'"):
+        kernel.kernel_H_batch(HALF, ts, 1.0, 2.0, rtoll=1e-7)
+
+
+def test_series_only_batch_keeps_its_orders():
+    # The keyword check does not hold the series path to the integral route's L <= 1.
+    got = kernel.kernel_H_batch(HALF, [1.0], 1.0, 2.0, 0, 2, 2, rtol=1e-7)
+    assert np.array_equal(got, series_H(HALF, [1.0], 1.0, 2.0, N=2, L=2))
 
 
 @pytest.mark.parametrize("t_shape", [(1, 2), (2, 1, 2), (2,)], ids=str)
