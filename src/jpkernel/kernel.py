@@ -376,19 +376,18 @@ def _axis_terms(gamma: float, n: int, delta: float):
 
 
 def _row_sums(vals, with_mass):
-    """(sum_ij vals[t, i, j], sum_ij |vals[t, i, j]|) for each t row of vals
+    """(sum_k vals[t, k], sum_k |vals[t, k]|) for each t row of vals
     (weighted evaluator output, overwritten); the second is None unless
     with_mass.
 
-    Each sum is one ndarray.sum over a row's flattened (i, j) axes, i.e.
-    numpy's pairwise summation, whose order is fixed by the row length (left
-    to right below eight terms), so a row's sums do not depend on how many
-    rows vals holds.  einsum picks its order inside numpy, so its last bit
-    depends on the build.
+    Each sum is one ndarray.sum over a row, i.e. numpy's pairwise
+    summation, whose order is fixed by the row length (left to right below
+    eight terms), so a row's sums do not depend on how many rows vals
+    holds.  einsum picks its order inside numpy, so its last bit depends on
+    the build.
     """
-    rows = vals.reshape(len(vals), -1)
-    total = rows.sum(axis=1)
-    return total, np.abs(rows, out=rows).sum(axis=1) if with_mass else None
+    total = vals.sum(axis=1)
+    return total, np.abs(vals, out=vals).sum(axis=1) if with_mass else None
 
 
 def _layer(pieces, r):
@@ -403,11 +402,25 @@ def _layer(pieces, r):
     return None, pieces.top, pieces.top
 
 
+def _flatten(cells):
+    """The cells of a (u, v) rule, each a pair of rule stacks ((un, uw),
+    (vn, vw)) with one row per cell, as one flat point cloud (u, v, w): cell
+    after cell, each flattened u-major with weights uw[i] vw[j]."""
+    cloud = np.empty((3, sum(uw.size * vw.shape[1] for (_, uw), (_, vw) in cells)))
+    start = 0
+    for (un, uw), (vn, vw) in cells:
+        shape = (len(uw), uw.shape[1], vw.shape[1])
+        cu, cv, cw = cloud[:, start:start + math.prod(shape)].reshape((3,) + shape)
+        cu[...] = un[:, :, None]
+        cv[...] = vn[:, None, :]
+        np.multiply(uw[:, :, None], vw[:, None, :], out=cw)
+        start += math.prod(shape)
+    return cloud
+
+
 def _corner_cloud(u, v):
     """The corner-graded rule of two graded axes, each given as
-    pi_measures.CornerPieces, as one flat point cloud (u, v, weights) of
-    shape (points, 1) each: cell after cell, each flattened u-major with
-    weights wu[i] wv[j].
+    pi_measures.CornerPieces, as one flat point cloud (_flatten).
 
     D = cosh(t/2) - 1 + q is small only near the corner (u, v) = (1, 1),
     where (1 - u) p and (1 - v) c are both small; each axis's delta is
@@ -438,30 +451,19 @@ def _corner_cloud(u, v):
             cells.append((row(u_oct), row(v_upper)))
         if v_oct is not None:
             cells.append((row(u_tail), row(v_oct)))
-    cloud = np.empty((3, sum(uw.size * vw.shape[1] for (_, uw), (_, vw) in cells), 1))
-    start = 0
-    for (un, uw), (vn, vw) in cells:
-        shape = (len(uw), uw.shape[1], vw.shape[1])
-        cu, cv, cw = cloud[:, start:start + math.prod(shape)].reshape((3,) + shape)
-        cu[...] = un[:, :, None]
-        cv[...] = vn[:, None, :]
-        np.multiply(uw[:, :, None], vw[:, None, :], out=cw)
-        start += math.prod(shape)
-    return cloud
+    return _flatten(cells)
 
 
 def _integral_terms(params, t_min, theta, phi, n_nodes, delta_floor=pi_measures.DELTA_FLOOR):
     """The double sums of the integral representation at one resolution,
     graded for t >= t_min: the products of the u and v axes' terms, u-major,
-    as (u nodes, v nodes, weights, K, R) with the nodes shaped to broadcast
-    to the weights' shape, psi's (point, node) axes.
+    as (u nodes, v nodes, weights, K, R), each term one flat point cloud of
+    three 1-D arrays of one length.
 
-    Two graded axes take the corner-graded rule (_corner_cloud): one flat
-    point cloud, of shape (points, 1).  A term with an ungraded or atomic
-    axis is one cell, the two axes' tensor, kept as (nu, 1) u nodes, (1, nv)
-    v nodes and (nu, nv) weights, so that psi's work in (u, v) alone stays
-    O(nu + nv); its u-major flattening is the cloud of that cell.  The
-    clouds are built per call from the cached 1-D pieces.
+    Two graded axes take the corner-graded rule (_corner_cloud).  A term
+    with an ungraded or atomic axis is one cell, the two axes' tensor,
+    flattened u-major.  The clouds are built per call from the cached 1-D
+    pieces.
     """
     delta_u, delta_v = _grading(t_min, theta, phi, delta_floor)
     u_terms = _axis_terms(params.alpha, n_nodes, delta_u)
@@ -470,9 +472,10 @@ def _integral_terms(params, t_min, theta, phi, n_nodes, delta_floor=pi_measures.
     for un, uw, K, u_pieces in u_terms:
         for vn, vw, R, v_pieces in v_terms:
             if u_pieces is None or v_pieces is None:
-                terms.append((un[:, None], vn[None, :], uw[:, None] * vw, K, R))
+                cloud = _flatten([((un[None], uw[None]), (vn[None], vw[None]))])
             else:
-                terms.append(tuple(_corner_cloud(u_pieces, v_pieces)) + (K, R))
+                cloud = _corner_cloud(u_pieces, v_pieces)
+            terms.append(tuple(cloud) + (K, R))
     return terms
 
 
@@ -534,7 +537,7 @@ def _integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, wit
     (its roundoff scale), or None unless with_mass.
 
     evaluate(t_block, u, v, K, R, out, work) fills out with the integrand f
-    on a (t, point, node) block of the term with axis orders (K, R), forming
+    on a (t, point) block of the term with axis orders (K, R), forming
     its D in work: psi at the route's derivative orders (h_script_integral),
     or its t-integral on a one-row batch at t = 0 (t_integral_H).
 
@@ -543,31 +546,29 @@ def _integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, wit
     of blocks, and every t keeps the grading of its own log-band.
 
     Within a band, each term (_integral_terms) fills blocks of whole t rows;
-    a row of more than _BLOCK_ELEMS elements is a block alone and is filled
-    in slices of its points (a tensor's u nodes).  Psi and the weighting run
-    on pieces of about _BLOCK_ELEMS elements, in psi's out and work
-    buffers, views of space (the route call's _Workspace), so memory stays
-    bounded by the largest row.  Every element is computed as on the full
-    (t, point, node) array, each t sums its terms in the same order and each
-    row sum is over the whole row, so the values do not depend on the
-    blocking.
+    a row of more than _BLOCK_ELEMS points is a block alone and is filled
+    in slices of its points.  Psi and the weighting run on pieces of about
+    _BLOCK_ELEMS elements, in psi's out and work buffers, views of space
+    (the route call's _Workspace), so memory stays bounded by the largest
+    row.  Every element is computed as on the full (t, point) array, each t
+    sums its terms in the same order and each row sum is over the whole
+    row, so the values do not depend on the blocking.
     """
     out = np.zeros_like(t_arr)
     mass = np.zeros_like(t_arr) if with_mass else None
     for t_min, band in _graded_bands(t_arr, theta, phi, delta_floor):
-        t_band = t_arr[band].reshape(-1, 1, 1)
+        t_band = t_arr[band].reshape(-1, 1)
         for u, v, w, K, R in _integral_terms(params, t_min, theta, phi, n_nodes, delta_floor):
-            points, per_point = w.shape
             rows = min(band.size, max(1, _BLOCK_ELEMS // w.size))
-            cols = points if rows > 1 else min(points, max(1, _BLOCK_ELEMS // per_point))
-            buf, work = space.views((rows, points, per_point), (rows, cols, per_point))
+            cols = min(w.size, _BLOCK_ELEMS)
+            buf, work = space.views((rows, w.size), (rows, cols))
             for start in range(0, band.size, rows):
                 tb = t_band[start:start + rows]
                 vals = buf[:len(tb)]
-                for i in range(0, points, cols):
+                for i in range(0, w.size, cols):
                     piece = vals[:, i:i + cols]
-                    evaluate(tb, u[i:i + cols], v if len(v) == 1 else v[i:i + cols], K, R,
-                             piece, work[:len(tb), :piece.shape[1]])
+                    evaluate(tb, u[i:i + cols], v[i:i + cols], K, R, piece,
+                             work[:len(tb), :piece.shape[1]])
                     piece *= w[i:i + cols]
                 sums, abs_sums = _row_sums(vals, with_mass)
                 block = band[start:start + rows]

@@ -140,12 +140,30 @@ def snap_delta(delta: float) -> float:
 
 
 @lru_cache(maxsize=512)
+def _tail(gamma: float, m: int, width: float):
+    """The measure of parameter gamma on [1 - width, 1], width <= 1/2, as one
+    piece of m Gauss-Jacobi nodes at the endpoint singularity: the density,
+    or for gamma < -1/2 the profile's singular part plus its -1/2 du part
+    (m Gauss-Legendre nodes).  It is the end piece of the graded rules and
+    each tail of corner_pieces."""
+    e = gamma - 0.5 if gamma > -0.5 else gamma + 0.5
+    x, w = _gj_piece(1.0 - width, 1.0, m, e, "right")
+    if gamma > -0.5:
+        return x, pi_c(gamma) * w * (1.0 + x) ** e
+    sing = -pi_c(gamma) * _pi_b(gamma) * x * (1.0 + x) ** e * specfun.hyp2f1(
+        1.0, 1.0 + gamma, gamma + 1.5, (1.0 - x) * (1.0 + x))
+    xg, wg = gauss_panels([1.0 - width, 1.0], m)
+    return np.concatenate([x, xg]), np.concatenate([w * sing, -0.5 * wg])
+
+
+@lru_cache(maxsize=512)
 def density_rule(gamma: float, n: int, delta: float = 0.5):
     """Discrete rule (nodes, weights) on (-1, 1) approximating the probability
     measure of parameter gamma > -1/2.
 
     delta grades the mesh toward u = +1 (where kernel integrands peak);
-    it must come from snap_delta.
+    it must come from snap_delta.  A graded rule is the Gauss-Jacobi piece
+    on [-1, 0], the graded mesh and the end piece _tail(gamma, n, delta).
     """
     if gamma <= -0.5:
         raise ValueError(f"density regime needs gamma > -1/2, got {gamma}")
@@ -156,46 +174,23 @@ def density_rule(gamma: float, n: int, delta: float = 0.5):
         return x, c * w
     xl, wl = _gj_piece(-1.0, 0.0, n, e, "left")
     xs, ws = _graded_mesh(n, delta)
-    xr, wr = _gj_piece(1.0 - delta, 1.0, n, e, "right")
+    xr, wr = _tail(gamma, n, delta)
     return np.concatenate([xl, xs, xr]), np.concatenate(
-        [c * wl * (1.0 - xl) ** e, c * ws * (1.0 - xs * xs) ** e, c * wr * (1.0 + xr) ** e])
+        [c * wl * (1.0 - xl) ** e, c * ws * (1.0 - xs * xs) ** e, wr])
 
 
 @lru_cache(maxsize=512)
 def profile_rule(alpha: float, n: int, delta: float = 0.5):
     """Discrete rule (nodes, weights) on (0, 1) approximating |Pi_alpha(u)| du
-    for alpha in (-1, -1/2); weights of the -1/2 du component are negative,
+    for alpha in (-1, -1/2): the graded mesh, then the end piece
+    _tail(alpha, n, delta).  Weights of the -1/2 du component are negative;
     integrals of nonnegative integrands still come out nonnegative.
     """
     if not -1.0 < alpha < -0.5:
         raise ValueError(f"profile regime needs alpha in (-1, -1/2), got {alpha}")
-    d_coef = -pi_c(alpha) * _pi_b(alpha)
-    e = alpha + 0.5
     xs, ws = _graded_mesh(n, delta)
-    xj, wj = _gj_piece(1.0 - delta, 1.0, n, e, "right")
-    sing = d_coef * xj * (1.0 + xj) ** e * specfun.hyp2f1(1.0, 1.0 + alpha, alpha + 1.5,
-                                                         (1.0 - xj) * (1.0 + xj))
-    xg, wg = gauss_panels([1.0 - delta, 1.0], n)
-    return np.concatenate([xs, xj, xg]), np.concatenate(
-        [ws * abs_profile(alpha, xs), wj * sing, -0.5 * wg])
-
-
-@lru_cache(maxsize=512)
-def _tail(gamma: float, m: int, width: float):
-    """The measure of parameter gamma on [1 - width, 1], width <= 1/2, as one
-    piece of m Gauss-Jacobi nodes at the endpoint singularity: the density,
-    or for gamma < -1/2 the profile's singular part plus its -1/2 du part
-    (m Gauss-Legendre nodes)."""
-    if gamma > -0.5:
-        e = gamma - 0.5
-        x, w = _gj_piece(1.0 - width, 1.0, m, e, "right")
-        return x, pi_c(gamma) * w * (1.0 + x) ** e
-    e = gamma + 0.5
-    x, w = _gj_piece(1.0 - width, 1.0, m, e, "right")
-    sing = -pi_c(gamma) * _pi_b(gamma) * x * (1.0 + x) ** e * specfun.hyp2f1(
-        1.0, 1.0 + gamma, gamma + 1.5, (1.0 - x) * (1.0 + x))
-    xg, wg = gauss_panels([1.0 - width, 1.0], m)
-    return np.concatenate([x, xg]), np.concatenate([w * sing, -0.5 * wg])
+    xt, wt = _tail(alpha, n, delta)
+    return np.concatenate([xs, xt]), np.concatenate([ws * abs_profile(alpha, xs), wt])
 
 
 class CornerPieces(NamedTuple):
@@ -221,23 +216,25 @@ def corner_pieces(gamma: float, n: int, delta: float) -> CornerPieces:
     snap_delta) as CornerPieces, the 1-D pieces of the integral route's
     corner-graded rule; m = _panel_nodes(n) nodes per panel and per tail.
 
-    A density axis (gamma > -1/2) slices density_rule: its coarse octave is
-    the piece at -1 and the n nodes on [0, 1/2].  A profile axis (gamma <
-    -1/2) is the folded rule of the profile term, on +-u with signed weights:
-    octave 0 holds the profile's singular and -1/2 du pieces, the tails hold
-    both parts too, and the coarse octave holds the n nodes on [0, 1/2] and
-    the -u half, far from the corner, by the ungraded profile rule.
+    Octave 0 is the graded rule's end piece, _tail(gamma, n, delta), and the
+    panels are sliced from the rule.  A density axis (gamma > -1/2) slices
+    density_rule: its coarse octave is the piece at -1 and the n nodes on
+    [0, 1/2].  A profile axis (gamma < -1/2) is the folded rule of the
+    profile term, on +-u with signed weights: octave 0 and the tails hold the
+    profile's singular and -1/2 du parts, and the coarse octave holds the n
+    nodes on [0, 1/2] and the -u half, far from the corner, by the ungraded
+    profile rule.
     """
     levels = _levels(delta)
     m = _panel_nodes(n)
+    near = _tail(gamma, n, delta)
     if gamma > -0.5:
         x, w = density_rule(gamma, n, delta)
-        far, near, start = (x[:2 * n], w[:2 * n]), (x[-n:], w[-n:]), 2 * n
+        far, start = (x[:2 * n], w[:2 * n]), 2 * n
     else:
         x, w = profile_rule(gamma, n, delta)
         x_mid, w_mid = profile_rule(gamma, n, 0.5)
-        far = (np.concatenate([x[:n], -x_mid]), np.concatenate([w[:n], -w_mid]))
-        near, start = (x[-2 * n:], w[-2 * n:]), n
+        far, start = (np.concatenate([x[:n], -x_mid]), np.concatenate([w[:n], -w_mid])), n
     # the mesh runs from [1/2, 3/4] (octave J) toward 1 (octave 1)
     panels = tuple(a[start:start + levels * m].reshape(levels, m)[::-1] for a in (x, w))
     rows = [_tail(gamma, m, math.ldexp(delta, r)) for r in range(levels + 1)]

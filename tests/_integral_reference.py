@@ -2,8 +2,8 @@
 
 This is the straightforward form of `kernel._integral_sum`: per log-band of
 the t batch and per quadrature term, the integrand on the term's whole
-(t, point, node) array (a corner-graded point cloud, or the tensor of an
-ungraded or atomic axis), weighted and summed over each t row.  The
+(t, point) array (every term is one flat point cloud), weighted and summed
+over each t row.  The
 integrand is psi (`psi_integrand`) or its t-integral (`t_integral_integrand`,
 on a one-row batch at t = 0).  It allocates an array of the band's full
 size per term, which is what the blocked route avoids; the tests require
@@ -18,18 +18,11 @@ from jpkernel.kernel import _integral_terms
 from jpkernel.qpsi import psi_evaluator
 
 
-def cloud(u, v, w):
-    """A term's point cloud (u, v, w), flat: the nodes broadcast to the
-    weights' shape, flattened."""
-    return tuple(np.broadcast_to(a, w.shape).ravel() for a in (u, v, w))
-
-
 def weighted_rows(evaluate, tc, u, v, w, K, R):
     """The weighted integrand of one term on its whole point cloud, one row
-    per t of tc (shaped (t, 1, 1))."""
+    per t of tc (shaped (t, 1))."""
     # the t-integral's values carry no t axis
-    vals = evaluate(tc, u, v, K, R, None, None).reshape((len(tc),) + w.shape)
-    return (vals * w).reshape(len(tc), -1)
+    return evaluate(tc, u, v, K, R, None, None).reshape(len(tc), -1) * w
 
 
 def row_sums(rows, with_mass=True):
@@ -68,7 +61,7 @@ def integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, with
         hi = lo * 4.0
         band = np.flatnonzero((t_arr >= lo) & ((t_arr < hi) | (hi >= t_max)))
         if band.size:
-            tc = t_arr[band].reshape(-1, 1, 1)
+            tc = t_arr[band].reshape(-1, 1)
             for u, v, w, K, R in _integral_terms(params, float(tc.min()), theta, phi, n_nodes,
                                                  delta_floor):
                 vals, absvals = row_sums(weighted_rows(evaluate, tc, u, v, w, K, R), with_mass)

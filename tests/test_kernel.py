@@ -37,7 +37,6 @@ from jpkernel.qpsi import psi_evaluator
 
 from _f4_reference import h_script_f4_reference
 from _integral_reference import (
-    cloud,
     integral_sum,
     psi_integrand,
     row_sums,
@@ -212,7 +211,7 @@ class TestIntegral:
             p = JacobiParams(a, b)
             half_pi = math.pi / 2
             evaluate = psi_integrand(p, half_pi, half_pi, 0, 0, 0)
-            tc = np.full((1, 1, 1), 0.5)
+            tc = np.full((1, 1), 0.5)
             parts = [float(row_sums(weighted_rows(evaluate, tc, *term))[0][0])
                      for term in _integral_terms(p, 0.5, half_pi, half_pi, 96)]
             assert all(x >= 0 for x in parts)
@@ -806,7 +805,7 @@ def test_corner_clouds_integrate_products_as_the_tensor(acceptance_params, n):
             for vn, vw, R, _ in v_terms:
                 *arrays, K_term, R_term = next(terms)
                 assert (K_term, R_term) == (K, R)
-                u, v, w = cloud(*arrays)
+                u, v, w = arrays
                 scale = np.sum(np.abs(uw)) * np.sum(np.abs(vw))
                 for k, (f, g) in enumerate([(smooth[0], smooth[0]), (smooth[1], smooth[2]),
                                             (smooth[2], smooth[1])]):
@@ -820,6 +819,9 @@ def test_corner_clouds_integrate_products_as_the_tensor(acceptance_params, n):
 @pytest.mark.parametrize("ab", [(0.5, 0.5), (-0.75, 0.5), (0.5, -0.75), (-0.75, -0.75),
                                 (-0.5, 0.5), (0.5, -0.5), (-0.5, -0.5)], ids=str)
 def test_ungraded_and_atomic_terms_are_the_flattened_tensor(ab):
+    # Every term, corner-graded or not, is one flat cloud: 1-D u, v and w of
+    # one length.  A term with an ungraded or atomic axis is the u-major
+    # flattening of the two axes' tensor.
     p = JacobiParams(*ab)
     seen = 0
     for t_min, theta, phi in GRADED_POINTS + UNGRADED_POINTS:
@@ -830,10 +832,11 @@ def test_ungraded_and_atomic_terms_are_the_flattened_tensor(ab):
         for un, uw, _, u_pieces in u_terms:
             for vn, vw, _, v_pieces in v_terms:
                 arrays = next(terms)[:3]
+                assert all(a.ndim == 1 and a.size == arrays[2].size for a in arrays)
                 if u_pieces is not None and v_pieces is not None:
                     continue
                 want = (np.repeat(un, vn.size), np.tile(vn, un.size), np.outer(uw, vw).ravel())
-                assert all(np.array_equal(a, b) for a, b in zip(cloud(*arrays), want))
+                assert all(np.array_equal(a, b) for a, b in zip(arrays, want))
                 seen += 1
     assert seen >= len(UNGRADED_POINTS)
 
