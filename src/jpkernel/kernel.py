@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 import numpy as np
@@ -345,12 +346,12 @@ def _grading_delta(t_min: float, theta: float, phi: float, coupling: float,
     return pi_measures.snap_delta(max(0.25 * d_min / coupling, floor))
 
 
-def _grading(t_min, theta, phi, delta_floor):
+def _grading(params, t_min, theta, phi, delta_floor):
     """(delta_u, delta_v): the integral route's grading of its u and v axes
-    for t >= t_min (_grading_delta toward the corner (1, 1))."""
-    p_coupling, q_coupling = _pq(theta, phi)
-    return (_grading_delta(t_min, theta, phi, p_coupling, delta_floor),
-            _grading_delta(t_min, theta, phi, q_coupling, delta_floor))
+    for t >= t_min (_grading_delta toward the corner (1, 1)).  An atomic
+    axis (gamma = -1/2) has no rule to grade and reports 1/2."""
+    return tuple(0.5 if gamma == -0.5 else _grading_delta(t_min, theta, phi, coupling, delta_floor)
+                 for gamma, coupling in zip((params.alpha, params.beta), _pq(theta, phi)))
 
 
 def _axis_terms(gamma: float, n: int, delta: float):
@@ -465,7 +466,7 @@ def _integral_terms(params, t_min, theta, phi, n_nodes, delta_floor=pi_measures.
     flattened u-major.  The clouds are built per call from the cached 1-D
     pieces.
     """
-    delta_u, delta_v = _grading(t_min, theta, phi, delta_floor)
+    delta_u, delta_v = _grading(params, t_min, theta, phi, delta_floor)
     u_terms = _axis_terms(params.alpha, n_nodes, delta_u)
     v_terms = _axis_terms(params.beta, n_nodes, delta_v)
     terms = []
@@ -502,7 +503,7 @@ class _Workspace:
         return out
 
 
-def _graded_bands(t_arr, theta, phi, delta_floor):
+def _graded_bands(params, t_arr, theta, phi, delta_floor):
     """The bands of a t batch that share one grading, as (smallest t,
     indices into t_arr) in increasing t.
 
@@ -510,8 +511,9 @@ def _graded_bands(t_arr, theta, phi, delta_floor):
     last band takes the rest), and each band is graded by its own smallest
     t (_grading): small t needs deep grading that larger t should not pay
     for.  Where 2 sin^2((theta-phi)/4) outweighs cosh(t/2) - 1, consecutive
-    bands snap to the same (delta_u, delta_v); such a run is one band,
-    graded by its first band's smallest t, so its terms are built once.
+    bands snap to the same (delta_u, delta_v) (an atomic axis reports 1/2 in
+    every band); such a run is one band, graded by its first band's
+    smallest t, so its terms are built once.
     """
     runs = []  # (grading, smallest t, the run's log-bands)
     t_max = float(t_arr.max())
@@ -521,7 +523,7 @@ def _graded_bands(t_arr, theta, phi, delta_floor):
         band = np.flatnonzero((t_arr >= lo) & ((t_arr < hi) | (hi >= t_max)))
         if band.size:
             t_min = float(t_arr[band].min())
-            grading = _grading(t_min, theta, phi, delta_floor)
+            grading = _grading(params, t_min, theta, phi, delta_floor)
             if runs and runs[-1][0] == grading:
                 runs[-1][2].append(band)
             else:
@@ -556,7 +558,7 @@ def _integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, wit
     """
     out = np.zeros_like(t_arr)
     mass = np.zeros_like(t_arr) if with_mass else None
-    for t_min, band in _graded_bands(t_arr, theta, phi, delta_floor):
+    for t_min, band in _graded_bands(params, t_arr, theta, phi, delta_floor):
         t_band = t_arr[band].reshape(-1, 1)
         for u, v, w, K, R in _integral_terms(params, t_min, theta, phi, n_nodes, delta_floor):
             rows = min(band.size, max(1, _BLOCK_ELEMS // w.size))
@@ -578,12 +580,19 @@ def _integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, wit
     return out, mass
 
 
-def _check_resolution(base_nodes, max_doublings):
-    """Raise ValueError unless base_nodes >= 1 and max_doublings >= 0."""
+def _check_resolution(base_nodes, max_doublings, delta_floor):
+    """Raise ValueError unless base_nodes is an integer >= 1, max_doublings
+    an integer >= 0 and 0 < delta_floor <= 1/2 (snap_delta would clamp a
+    smaller floor, and a larger one turns the grading off)."""
+    for name, value in (("base_nodes", base_nodes), ("max_doublings", max_doublings)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not base_nodes >= 1:
         raise ValueError(f"base_nodes must be at least 1, got {base_nodes}")
     if not max_doublings >= 0:
         raise ValueError(f"max_doublings must be nonnegative, got {max_doublings}")
+    if not 0.0 < delta_floor <= 0.5:
+        raise ValueError(f"delta_floor must lie in (0, 1/2], got {delta_floor}")
 
 
 def _refine(once, rtol, route, point, terms, base_nodes=BASE_NODES,
@@ -669,7 +678,7 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
     _check_angles(theta, phi)
     if not 0.0 < rtol < math.inf:
         raise ValueError(f"rtol must be positive and finite, got {rtol}")
-    _check_resolution(base_nodes, max_doublings)
+    _check_resolution(base_nodes, max_doublings, delta_floor)
     if not t_arr.size:
         return np.empty(np.shape(t))
     route = f"integral route (alpha={params.alpha}, beta={params.beta}, deriv={deriv})"
@@ -703,7 +712,7 @@ def t_integral_H(params: JacobiParams, theta: float, phi: float, N: int, L: int,
         raise UnsupportedOrderError(
             f"t-integral route supports 1 <= N <= 3 and L <= 1, got N={N}, L={L}")
     _check_angles(theta, phi)
-    _check_resolution(base_nodes, max_doublings)
+    _check_resolution(base_nodes, max_doublings, delta_floor)
     if theta == phi:
         raise ValueError(f"the t-integral of H diverges on the diagonal theta = phi = {theta}")
     route = f"t-integral route (alpha={params.alpha}, beta={params.beta}, N={N}, L={L})"

@@ -72,3 +72,33 @@ def chebyshev_H(t, theta, phi):
         return (r * np.cos(x) - r * r) / (1 - 2 * r * np.cos(x) + r * r)
 
     return (1 + s(theta - phi) + s(theta + phi)) / math.pi
+
+
+def trig_H(alpha: float, beta: float, t: float, theta: float, phi: float) -> float:
+    """H at the four trigonometric pairs (alpha, beta) in {+-1/2}^2, from
+    the Poisson sums closed into forms whose terms are all positive, with
+    1 - r and 1 - s^2 from expm1, so they cancel at no t, theta or phi
+    (r = e^(-t), s = e^(-t/2)).  At (1/2, -1/2) theta and phi turn into
+    pi - theta and pi - phi of the (-1/2, 1/2) form."""
+    if (alpha, beta) not in [(-0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (0.5, -0.5)]:
+        raise ValueError(f"no trigonometric form at (alpha, beta) = {(alpha, beta)}")
+    r, one_minus_r = math.exp(-t), -math.expm1(-t)
+
+    def den(x):
+        return one_minus_r**2 + 4.0 * r * math.sin(0.5 * x) ** 2
+
+    if alpha == beta == -0.5:
+        return one_minus_r * (1.0 + r) / (2.0 * math.pi) * (1.0 / den(theta - phi)
+                                                           + 1.0 / den(theta + phi))
+    if alpha == beta == 0.5:
+        return 8.0 * r * one_minus_r * (1.0 + r) / (math.pi * den(theta - phi) * den(theta + phi))
+    if alpha == 0.5:
+        theta, phi = math.pi - theta, math.pi - phi
+    s = math.exp(-0.5 * t)  # s^2 = r, 1 - s^2 = 1 - r
+
+    def e(y):
+        return one_minus_r**2 + 4.0 * r * math.sin(y) ** 2
+
+    spread = one_minus_r**2 + 4.0 * r * (math.sin(0.5 * theta) ** 2 + math.sin(0.5 * phi) ** 2)
+    return 2.0 / math.pi * s * one_minus_r * spread / (e(0.5 * (theta - phi))
+                                                        * e(0.5 * (theta + phi)))

@@ -43,7 +43,7 @@ from _integral_reference import (
     t_integral_integrand,
     weighted_rows,
 )
-from _oracles import chebyshev_H
+from _oracles import chebyshev_H, trig_H
 
 CHEB = JacobiParams(-0.5, -0.5)
 NON_FINITE = [math.inf, -math.inf, math.nan]
@@ -566,40 +566,47 @@ def test_blocked_sum_at_full_size():
 # The scan preset's t rule: 40 nodes over [1e-5, 1], nine log-bands, at the
 # scan preset's 10 nodes and floor 2^-16.  At theta = 1, phi = 2 all nine
 # snap to one grading, 2 sin^2(1/4) outweighing cosh(t/2) - 1; at phi = 1.05
-# the first six share one and the last three grade alone.
+# the first six share one and the last three grade alone.  An atomic axis
+# takes no grading, so at alpha = beta = -1/2 all nine share one.
 SCAN_TS = czkernels._small_t_rule(1e-5, 5, 8)[0]
 SCAN_FLOOR, SCAN_NODES = 2.0**-16, 10
 SCAN_ANGLES = pytest.mark.parametrize("theta, phi", [(1.0, 2.0), (1.0, 1.05)],
                                       ids=["one-grading", "four-gradings"])
 
 
-def _log_band_gradings(ts, theta, phi, floor):
+def _log_band_gradings(p, ts, theta, phi, floor):
     """(delta_u, delta_v) of each nonempty log-band [lo, 4 lo) of ts, from
-    _grading_delta at the band's smallest t."""
+    _grading_delta at the band's smallest t, or 1/2 on an atomic axis."""
     P, Q = kernel._pq(theta, phi)
     gradings, lo = [], float(ts.min())
     while lo <= ts.max():
         band = ts[(ts >= lo) & (ts < 4.0 * lo)]
         if band.size:
             t_min = float(band.min())
-            gradings.append((kernel._grading_delta(t_min, theta, phi, P, floor),
-                             kernel._grading_delta(t_min, theta, phi, Q, floor)))
+            gradings.append(tuple(
+                0.5 if gamma == -0.5 else kernel._grading_delta(t_min, theta, phi, c, floor)
+                for gamma, c in [(p.alpha, P), (p.beta, Q)]))
         lo *= 4.0
     return gradings
 
 
+GRADING_SETS = [(-0.75, -0.75), (0.5, 0.5), (-0.5, -0.5)]
+GRADING_IDS = ["profiles", "densities", "atoms"]
+
+
 @pytest.mark.parametrize("block_rows", [None, 3, 0.4], ids=["one-block", "3-rows", "slices"])
 @pytest.mark.parametrize("with_mass", [False, True], ids=["values", "mass"])
-@pytest.mark.parametrize("ab", [(-0.75, -0.75), (0.5, 0.5)], ids=["profiles", "densities"])
+@pytest.mark.parametrize("ab", GRADING_SETS, ids=GRADING_IDS)
 @SCAN_ANGLES
 def test_merged_bands_are_the_per_band_sum(monkeypatch, theta, phi, ab, with_mass, block_rows):
     # Log-bands with equal gradings are evaluated as one band, with one term
     # build; every t row must still be the per-band reference's, bit for
-    # bit.  At -3/4 the terms are a corner cloud and the atoms' tensors.
+    # bit.  At -3/4 the terms are a corner cloud and the atoms' tensors; at
+    # -1/2 the one term is the atoms' tensor, which every band shares.
     # block_rows sizes the budget in rows of the largest term: 3 rows split
     # the merged band into several blocks, 0.4 fills each row in slices.
     p = JacobiParams(*ab)
-    gradings = _log_band_gradings(SCAN_TS, theta, phi, SCAN_FLOOR)
+    gradings = _log_band_gradings(p, SCAN_TS, theta, phi, SCAN_FLOOR)
     assert len(set(gradings)) < len(gradings)
     if block_rows is not None:
         largest = max(w.size for _, _, w, *_ in _integral_terms(
@@ -614,11 +621,13 @@ def test_merged_bands_are_the_per_band_sum(monkeypatch, theta, phi, ab, with_mas
         assert (got[1] is None) if not with_mass else np.array_equal(got[1], want[1]), (M, N, L)
 
 
-@pytest.mark.parametrize("ab", [(-0.75, -0.75), (0.5, 0.5)], ids=["profiles", "densities"])
+@pytest.mark.parametrize("ab", GRADING_SETS + [(-0.5, 0.5)], ids=GRADING_IDS + ["atoms-density"])
 @SCAN_ANGLES
 def test_one_term_build_per_grading(monkeypatch, theta, phi, ab):
     # A work-count guard: one resolution of a batch builds its terms once per
-    # distinct grading of its log-bands, not once per band.
+    # distinct grading of its log-bands, not once per band.  An atomic axis
+    # takes no grading: at alpha = beta = -1/2 the four gradings of phi =
+    # 1.05 are one, at (-1/2, 1/2) the v axis keeps them four.
     p = JacobiParams(*ab)
     calls = []
 
@@ -629,7 +638,7 @@ def test_one_term_build_per_grading(monkeypatch, theta, phi, ab):
     monkeypatch.setattr(kernel, "_integral_terms", counted)
     h_script_integral(p, SCAN_TS, theta, phi, base_nodes=SCAN_NODES, max_doublings=0,
                       delta_floor=SCAN_FLOOR)
-    gradings = _log_band_gradings(SCAN_TS, theta, phi, SCAN_FLOOR)
+    gradings = _log_band_gradings(p, SCAN_TS, theta, phi, SCAN_FLOOR)
     assert len(calls) == len(set(gradings)) < len(gradings)
 
 
@@ -753,10 +762,30 @@ def test_t_integral_refuses_orders_before_any_work(monkeypatch, N, L):
                  "base_nodes must be at least 1, got 0", id="t-integral-base_nodes=0"),
     pytest.param(lambda: kernel.t_integral_H(HALF, 1.0, 2.0, 1, 0, 10, -1, 2.0**-16),
                  "max_doublings must be nonnegative, got -1", id="t-integral-max_doublings=-1"),
+    pytest.param(lambda: h_script_integral(HALF, 0.05, 1.0, 1.02, base_nodes=2.5),
+                 "base_nodes must be an integer, got 2.5", id="integral-base_nodes=2.5"),
+    pytest.param(lambda: h_script_integral(HALF, 0.05, 1.0, 1.02, max_doublings=1.5),
+                 "max_doublings must be an integer, got 1.5", id="integral-max_doublings=1.5"),
+    *[pytest.param(lambda floor=floor: h_script_integral(HALF, 0.05, 1.0, 1.02, delta_floor=floor),
+                   rf"delta_floor must lie in \(0, 1/2\], got {floor}", id=f"integral-delta_floor={floor}")
+      for floor in [0.0, -1.0, math.nan, 1.0, math.inf]],
+    pytest.param(lambda: kernel.t_integral_H(HALF, 1.0, 1.02, 1, 0, 10.0, 0, 2.0**-16),
+                 "base_nodes must be an integer, got 10.0", id="t-integral-base_nodes=10.0"),
+    pytest.param(lambda: kernel.t_integral_H(HALF, 1.0, 1.02, 1, 0, 10, 0, 0.0),
+                 r"delta_floor must lie in \(0, 1/2\], got 0.0", id="t-integral-delta_floor=0"),
+    pytest.param(lambda: kernel.t_integral_H(HALF, 1.0, 1.02, 1, 0, 10, 0, math.inf),
+                 r"delta_floor must lie in \(0, 1/2\], got inf", id="t-integral-delta_floor=inf"),
+    pytest.param(lambda: kernel.kernel_H_batch(HALF, [0.05, 0.5], 1.0, 1.02, max_doublings=1.5),
+                 "max_doublings must be an integer, got 1.5", id="batch-max_doublings=1.5"),
+    pytest.param(lambda: kernel.kernel_H_batch(HALF, [0.05, 0.5], 1.0, 1.02, delta_floor=math.nan),
+                 r"delta_floor must lie in \(0, 1/2\], got nan", id="batch-delta_floor=nan"),
 ])
 def test_quadrature_routes_reject_bad_resolutions(monkeypatch, call, match):
     # These used to raise QuadratureError ("did not stabilize at 24 nodes per
-    # piece", "Gauss-Jacobi node solver failed for n=0") after evaluating.
+    # piece", "Gauss-Jacobi node solver failed for n=0") after evaluating; a
+    # fractional base_nodes reached that solver too, a fractional
+    # max_doublings raised a bare TypeError, and snap_delta clamped a
+    # delta_floor of 0, -1 or nan, or let 1 or inf turn the grading off.
     monkeypatch.setattr(kernel, "_integral_terms", _no_evaluation)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -884,3 +913,70 @@ def test_corner_rule_is_as_accurate_as_the_tensor_rule(monkeypatch, acceptance_p
             if np.any(excess > 0):
                 nudged = _errors(p, ts, np.nextafter(theta, 2.0), theta + sep, deriv)
                 assert np.all(excess <= np.abs(nudged - tensor)), (deriv, corner, tensor, nudged)
+
+
+# The closed forms at the four trigonometric pairs (_oracles.trig_H) against
+# every route that takes the point, each at its own tolerance: the series
+# where t >= T_MIN_SERIES, F4 inside its convergence domain, the integral
+# and general routes plus jph_correction.  The angles lie on the diagonal,
+# 1e-7 off it, far from it, next to theta = 0 and next to theta = phi = pi.
+TRIG_PAIRS = [(-0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (0.5, -0.5)]
+TRIG_TS = [1e-4, 0.01, 0.3, 2.0]
+TRIG_ANGLES = [(1.0, 1.0), (1.0, 1.0 + 1e-7), (0.4, 2.5), (1e-6, 0.3), (3.1, 3.1)]
+_NEAR_DIAGONAL = [TRIG_ANGLES[i] for i in (0, 1, 4)]
+_FAR = TRIG_ANGLES[2:4]
+# Where a route fails today.  At t = 1e-4 on or 1e-7 off the diagonal the
+# integral and general routes miss by 2.6e-8 to 8.3e-8 or refuse: D
+# cancels (ROADMAP item 3).  At t = 0.01 away from the diagonal the series
+# misses SERIES_RTOL by 1.5e-13 to 3.1e-10: its terms cancel (item 6).  At
+# t = 0.01 on and next to the diagonal at alpha = beta = 1/2 the general
+# route refuses at its roundoff floor (item 3).
+_REFUSED = {  # (route, (alpha, beta), t, (theta, phi)) that raise QuadratureError
+    ("integral", (0.5, 0.5), 1e-4, TRIG_ANGLES[0]), ("integral", (0.5, 0.5), 1e-4, TRIG_ANGLES[1]),
+    ("integral", (-0.5, 0.5), 1e-4, TRIG_ANGLES[1]),
+    *[("general", (0.5, 0.5), 1e-4, a) for a in _NEAR_DIAGONAL],
+    *[("general", (-0.5, 0.5), 1e-4, a) for a in TRIG_ANGLES[:2]],
+    *[("general", (0.5, -0.5), 1e-4, a) for a in _NEAR_DIAGONAL],
+    *[("general", (0.5, 0.5), 0.01, a) for a in TRIG_ANGLES[:2]],
+}
+_OFF = {  # (route, t, (theta, phi)) that miss at every pair, unless refused
+    *[(route, 1e-4, a) for route in ("integral", "general") for a in _NEAR_DIAGONAL],
+    *[("series", 0.01, a) for a in _FAR],
+}
+
+
+def _trig_cases():
+    for ab in TRIG_PAIRS:
+        for t in TRIG_TS:
+            for theta, phi in TRIG_ANGLES:
+                routes = ["integral", "general"]
+                if math.cos(0.5 * (theta - phi)) / math.cosh(0.5 * t) < 1.0 - kernel.F4_EPS_CONV:
+                    routes.insert(0, "f4")
+                if t >= kernel.T_MIN_SERIES:
+                    routes.insert(0, "series")
+                for route in routes:
+                    case = (route, ab, t, (theta, phi))
+                    marks = []
+                    if case in _REFUSED:
+                        marks = pytest.mark.xfail(strict=True, raises=QuadratureError,
+                                                  reason="refused: ROADMAP item 3")
+                    elif (route, t, (theta, phi)) in _OFF:
+                        item = 6 if route == "series" else 3
+                        marks = pytest.mark.xfail(strict=True, raises=AssertionError,
+                                                  reason=f"off the closed form: ROADMAP item {item}")
+                    yield pytest.param(*case, marks=marks,
+                                       id=f"{route}-{ab}-t={t:g}-({theta:g}, {phi:.8g})")
+
+
+@pytest.mark.parametrize("route, ab, t, angles", _trig_cases())
+def test_routes_match_the_trigonometric_forms(route, ab, t, angles):
+    p, (theta, phi) = JacobiParams(*ab), angles
+    if route == "series":
+        got, rtol = series_H(p, t, theta, phi), kernel.SERIES_RTOL
+    else:
+        fn, rtol = {"f4": (h_script_f4, kernel.F4_RTOL),
+                    "integral": (h_script_integral, kernel.INTEGRAL_RTOL),
+                    "general": (h_script_general, kernel.GENERAL_RTOL)}[route]
+        got = float(fn(p, t, theta, phi)) + float(jph_correction(p, t))
+    want = trig_H(*ab, t, theta, phi)
+    assert abs(got - want) <= rtol * abs(want), (got, want)
