@@ -29,7 +29,6 @@ derivative along the axis against the profile plus the half-atoms at +-1.
 
 from __future__ import annotations
 
-import inspect
 import math
 import numbers
 from dataclasses import dataclass
@@ -863,9 +862,10 @@ def kernel_H_batch(params: JacobiParams, t_arr, theta: float, phi: float, M=0, N
     correction) below split and the series route from split on; the path
     of every series, integral and auto evaluation (kernel_eval's one point
     as the scans' t batches).  integral (rtol, base_nodes, max_doublings,
-    delta_floor) goes to h_script_integral, whose defaults fill the rest; a
-    keyword it does not take raises its TypeError even when no t lies below
-    split (the series path keeps its own derivative orders)."""
+    delta_floor) goes to h_script_integral, whose defaults fill the rest,
+    and is checked by it even when no t lies below split: a keyword it does
+    not take raises its TypeError, a bad value its ValueError (the series
+    path keeps its own derivative orders)."""
     t_arr = np.asarray(t_arr, dtype=float)
     out = np.empty_like(t_arr)
     small = t_arr < split
@@ -875,7 +875,7 @@ def kernel_H_batch(params: JacobiParams, t_arr, theta: float, phi: float, M=0, N
             vals = vals + jph_correction(params, t_arr[small], M=M)
         out[small] = vals
     elif integral:
-        inspect.signature(h_script_integral).bind(params, t_arr, theta, phi, **integral)
+        h_script_integral(params, t_arr[small], theta, phi, **integral)
     if np.any(~small):
         out[~small] = series_H(params, t_arr[~small], theta, phi, M=M, N=N, L=L)
     return out

@@ -779,13 +779,18 @@ def test_t_integral_refuses_orders_before_any_work(monkeypatch, N, L):
                  "max_doublings must be an integer, got 1.5", id="batch-max_doublings=1.5"),
     pytest.param(lambda: kernel.kernel_H_batch(HALF, [0.05, 0.5], 1.0, 1.02, delta_floor=math.nan),
                  r"delta_floor must lie in \(0, 1/2\], got nan", id="batch-delta_floor=nan"),
+    pytest.param(lambda: kernel.kernel_H_batch(HALF, [1.0], 1.0, 2.0, base_nodes=2.5),
+                 "base_nodes must be an integer, got 2.5", id="series-only-batch-base_nodes=2.5"),
+    pytest.param(lambda: kernel.kernel_H_batch(HALF, [1.0], 1.0, 2.0, rtol=0.0),
+                 "rtol must be positive and finite, got 0.0", id="series-only-batch-rtol=0"),
 ])
 def test_quadrature_routes_reject_bad_resolutions(monkeypatch, call, match):
     # These used to raise QuadratureError ("did not stabilize at 24 nodes per
     # piece", "Gauss-Jacobi node solver failed for n=0") after evaluating; a
     # fractional base_nodes reached that solver too, a fractional
     # max_doublings raised a bare TypeError, and snap_delta clamped a
-    # delta_floor of 0, -1 or nan, or let 1 or inf turn the grading off.
+    # delta_floor of 0, -1 or nan, or let 1 or inf turn the grading off.  A
+    # batch with no t below the split returned the series' value.
     monkeypatch.setattr(kernel, "_integral_terms", _no_evaluation)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
