@@ -10,6 +10,7 @@ is what ties everything to standard Gauss-Jacobi machinery.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,7 +42,7 @@ def _tables(alpha: float, beta: float, n_max: int):
     for and sliced on return.  A grown entry replaces the old one whole, so a
     thread that read an entry keeps a consistent one while another grows it.
     Each coefficient is formed elementwise in the operation order of the
-    scalar formula, and each norm is norm_constant's (from array gammaln
+    scalar formula, and each norm comes from _norm_constants (array gammaln
     calls), so every value has the bits of the per-degree loop.
     """
     holder = _holder(alpha, beta)
@@ -87,40 +88,26 @@ def _classical_all(alpha: float, beta: float, n_max: int, x):
     return out.reshape((n_max + 1,) + x.shape)
 
 
-def _log_h2(alpha: float, beta: float, n: int) -> float:
-    """log of the squared d(mu)-norm of the classical polynomial p_n.
-
-    The n = 0 entry avoids the generic formula, which is indeterminate when
-    alpha + beta + 1 = 0.
-    """
-    ab1 = alpha + beta + 1.0
-    if n == 0:
-        return specfun.gammaln(alpha + 1.0) + specfun.gammaln(beta + 1.0) - specfun.gammaln(ab1 + 1.0)
-    return (
-        -math.log(2.0 * n + ab1)
-        + specfun.gammaln(n + alpha + 1.0)
-        + specfun.gammaln(n + beta + 1.0)
-        - specfun.gammaln(n + ab1)
-        - specfun.gammaln(n + 1.0)
-    )
-
-
-def norm_constant(alpha: float, beta: float, n: int) -> float:
-    """h_n such that p_n(cos theta)/h_n has unit L^2(d mu) norm."""
-    return math.exp(0.5 * _log_h2(alpha, beta, n))
-
-
 def _norm_constants(alpha: float, beta: float, n_lo: int, n_max: int) -> list:
-    """norm_constant(alpha, beta, n) for n = n_lo..n_max, bit for bit.
+    """The norm constants h_n = exp(log(h_n^2) / 2) for n = n_lo..n_max, h_n
+    such that p_n(cos theta)/h_n has unit L^2(d mu) norm.
 
-    _log_h2's four gammaln terms are four array calls over the degrees and
-    are combined in its order; the log and the exp stay math.log and
-    math.exp per degree, because np.log and np.exp may differ from libm by
-    an ulp.
+    log h_n^2 = -log(2n + a + b + 1) + gammaln(n + a + 1) + gammaln(n + b + 1)
+    - gammaln(n + a + b + 1) - gammaln(n + 1), whose four gammaln terms are
+    four array calls over the degrees, combined in that order.  The n = 0
+    entry is gammaln(a + 1) + gammaln(b + 1) - gammaln(a + b + 2), as the
+    general formula is indeterminate when a + b + 1 = 0.  The log and the
+    exp stay math.log and math.exp per degree, because np.log and np.exp
+    may differ from libm by an ulp; tests/_basis_reference.py keeps the
+    scalar formula that every value equals bit for bit.
     """
-    out = [norm_constant(alpha, beta, 0)] if n_lo == 0 else []
-    n = np.arange(max(n_lo, 1), n_max + 1, dtype=float)
     ab1 = alpha + beta + 1.0
+    out = []
+    if n_lo == 0:
+        log_h2 = (specfun.gammaln(alpha + 1.0) + specfun.gammaln(beta + 1.0)
+                  - specfun.gammaln(ab1 + 1.0))
+        out.append(math.exp(0.5 * log_h2))
+    n = np.arange(max(n_lo, 1), n_max + 1, dtype=float)
     log_h2 = (
         np.array([-math.log(x) for x in (2.0 * n + ab1).tolist()])
         + specfun.gammaln(n + alpha + 1.0)
@@ -149,6 +136,15 @@ class OrthonormalBasis:
             raise ValueError(f"n_max must be nonnegative, got {self.n_max}")
 
 
+def check_integer_orders(*orders):
+    """Refuse with UnsupportedOrderError derivative orders that are not
+    integers (a float order would reach range() or a power, and fail there
+    with a bare TypeError or a RuntimeWarning)."""
+    if not all(isinstance(k, numbers.Integral) for k in orders):
+        named = orders[0] if len(orders) == 1 else orders
+        raise UnsupportedOrderError(f"derivative orders must be integers, got {named}")
+
+
 def trig_poly_table(params: JacobiParams, n_max: int, theta, order: int = 0):
     """Values of d^order P_n(theta) for all n = 0..n_max at once,
     shape (n_max+1,) + theta.shape; used by the series kernel route.
@@ -158,6 +154,7 @@ def trig_poly_table(params: JacobiParams, n_max: int, theta, order: int = 0):
     max(order, 1) of them), over recurrence coefficients and norm constants
     cached per (alpha, beta).
     """
+    check_integer_orders(order)
     if order < 0 or order > MAX_DERIV_ORDER:
         raise UnsupportedOrderError(f"derivative order {order} unsupported (max {MAX_DERIV_ORDER})")
     if n_max < 0:

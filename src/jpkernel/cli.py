@@ -5,10 +5,11 @@ library call; this module only parses flags, shuttles files and formats
 output.  Exit codes: 0 success/pass, 2 usage error, 3 numeric failure,
 4 estimate-cap (or tolerance) violation.
 
-Flag values take precedence over an optional --config JSON file, which
-takes precedence over built-in defaults; a value neither sets keeps the
-library's default.  Floats are printed with repr (shortest round-trip
-form); the kernel command prints 15 significant digits.
+Optional flag values take precedence over an optional --config JSON file,
+which takes precedence over built-in defaults; a value neither sets keeps
+the library's default.  Required flags come from the command line only.
+Floats are printed with repr (shortest round-trip form); the kernel
+command prints 15 significant digits.
 """
 
 from __future__ import annotations
@@ -158,13 +159,11 @@ def cmd_kernel(args) -> int:
     config = _load_config(args.config)
     params = _params(args, config)
     query = KernelQuery(
-        t=float(_opt(args, config, "t")),
-        theta=float(_opt(args, config, "theta")),
-        phi=float(_opt(args, config, "phi")),
+        t=args.t, theta=args.theta, phi=args.phi,
         **_given(args, config, deriv=("deriv", _parse_deriv), method=("method", str)),
     )
     value = kernel_eval(params, query)
-    print(f"{value:.15g}")
+    _emit(f"{value:.15g}\n", args.out)
     return EXIT_OK
 
 
@@ -218,7 +217,7 @@ def cmd_compare(args) -> int:
 
 
 def _scan_report(args, config, params) -> EstimateReport:
-    which = _opt(args, config, "scan")
+    which = args.scan
     limits = _given(args, config, cap=("cap", float))
     if not 1.0 <= limits.get("cap", 1.0) < math.inf:  # an unset cap passes
         raise UsageError(f"cap must be at least 1 and finite, got {limits['cap']}")
@@ -267,7 +266,7 @@ def cmd_apply(args) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise UsageError(f"malformed expansion file: {exc}") from exc
 
-    op = _opt(args, config, "op")
+    op = args.op
     eval_at = _opt(args, config, "eval-at")
     if op in ("riesz", "gfun"):
         if eval_at is None:

@@ -10,17 +10,17 @@ Realized kernels (theta != phi), with their Banach-space norms:
 
 Every kernel but riesz of order 1 gets its H values from
 kernel.kernel_H_batch: stieltjes at its atoms with the default resolution,
-the others through _KernelBase._H at the resolution preset's integral-route
-settings.  The maximal kernel's t grid splits between the integral and
-series routes at AUTO_SPLIT_T, as 'auto' does.  Riesz of order 1 takes its
-t-integral exactly under the integral representation
-(kernel.t_integral_H, one (u, v) quadrature at the same preset settings;
-see RieszKernel).  The other t-integrals (riesz of order 2, gfun, laplace)
-split at t = 1: below, all their log-spaced Gauss nodes take the t-uniform
-integral route; above, exact per-mode upper incomplete-Gamma closures of
-the spectral series (for riesz and gfun) or geometrically-paneled Gauss
-with the series route plus a certified drop of the exponentially small
-remainder (laplace).
+the others through _KernelBase._H at the resolution preset's integral
+dict, the integral route's own keywords.  The maximal kernel's t grid
+splits between the integral and series routes at AUTO_SPLIT_T, as 'auto'
+does.  Riesz of order 1 takes its t-integral exactly under the integral
+representation (kernel.t_integral_H, one (u, v) quadrature under the same
+dict; see RieszKernel).  The other t-integrals (riesz of order 2, gfun,
+laplace) split at t = 1: below, all their log-spaced Gauss nodes take the
+t-uniform integral route; above, exact per-mode upper incomplete-Gamma
+closures of the spectral series (for riesz and gfun) or
+geometrically-paneled Gauss with the series route plus a certified drop of
+the exponentially small remainder (laplace).
 
 Scans check the growth bound against 1/mu(ball), the gradient bound against
 1/(|theta-phi| mu(ball)), and sample the first smoothness bound directly on
@@ -46,10 +46,9 @@ from jpkernel import specfun
 from jpkernel._parallel import pair_map
 from jpkernel.basis import mu_ball, mu_total, trig_poly_table
 from jpkernel.errors import TailError
-from jpkernel.kernel import (AUTO_SPLIT_T, BASE_NODES, MAX_DOUBLINGS, check_angle_range,
-                             kernel_H_batch, series_H, t_integral_H)
+from jpkernel.kernel import AUTO_SPLIT_T, check_angle_range, kernel_H_batch, series_H, t_integral_H
 from jpkernel.params import JacobiParams
-from jpkernel.pi_measures import DELTA_FLOOR, gauss_panels
+from jpkernel.pi_measures import gauss_panels
 from jpkernel.report import EstimateReport, check_cap
 
 TAIL_N_CUT = 64
@@ -61,18 +60,19 @@ _T_STAR_CAP = 4000.0
 
 # Resolution presets: 'accurate' for single evaluations and oracle tests (the
 # kernels' default), 'scan' for grid scans whose caps are order-of-magnitude
-# statements.
+# statements.  integral holds the integral route's resolution in its own
+# keywords (base_nodes, max_doublings, delta_floor), passed as they stand;
+# 'accurate' keeps the route's defaults.
 DEFAULT_QUALITY = "accurate"
 PRESETS = {
-    "accurate": dict(t_lo=1e-9, panels=12, t_nodes=16, base_nodes=BASE_NODES,
-                     doublings=MAX_DOUBLINGS, delta_floor=DELTA_FLOOR, golden_iters=36,
+    "accurate": dict(t_lo=1e-9, panels=12, t_nodes=16, integral={}, golden_iters=36,
                      sup_t_lo=1e-4, sup_per_decade=64),
-    "scan": dict(t_lo=1e-5, panels=5, t_nodes=8, base_nodes=10,
-                 doublings=0, delta_floor=2.0**-16, golden_iters=0,
-                 sup_t_lo=1e-3, sup_per_decade=16),
-    "scan_fine": dict(t_lo=1e-8, panels=8, t_nodes=12, base_nodes=20,
-                      doublings=0, delta_floor=2.0**-20, golden_iters=12,
-                      sup_t_lo=1e-3, sup_per_decade=24),
+    "scan": dict(t_lo=1e-5, panels=5, t_nodes=8,
+                 integral=dict(base_nodes=10, max_doublings=0, delta_floor=2.0**-16),
+                 golden_iters=0, sup_t_lo=1e-3, sup_per_decade=16),
+    "scan_fine": dict(t_lo=1e-8, panels=8, t_nodes=12,
+                      integral=dict(base_nodes=20, max_doublings=0, delta_floor=2.0**-20),
+                      golden_iters=12, sup_t_lo=1e-3, sup_per_decade=24),
 }
 
 
@@ -151,15 +151,15 @@ def _mid_t_rule(t_star: float):
 
 
 @lru_cache(maxsize=200_000)
-def _coef(alpha: float, beta: float, angle: float, order: int):
-    return trig_poly_table(JacobiParams(alpha, beta), TAIL_N_CUT, np.float64(angle), order=order)
+def _coef(params: JacobiParams, angle: float, order: int):
+    return trig_poly_table(params, TAIL_N_CUT, np.float64(angle), order=order)
 
 
 class _KernelBase:
     """A kernel at one resolution preset: its small-t Gauss rule and its one
-    path to H values, kernel_H_batch at the preset's integral-route nodes,
-    doublings and grading floor (and kernel_H_batch's default rtol).  The
-    order-1 Riesz kernel passes the same settings to kernel.t_integral_H."""
+    path to H values, kernel_H_batch with the preset's integral dict
+    forwarded as keywords (and kernel_H_batch's default rtol).  The order-1
+    Riesz kernel forwards the same dict to kernel.t_integral_H."""
 
     _split = math.inf  # the t-integrals' t < 1 nodes all take the integral route
 
@@ -179,10 +179,8 @@ class _KernelBase:
         integral route below self._split and the series route from it on."""
         if theta == phi:
             raise ValueError(f"the {self.name} kernel is evaluated off the diagonal only")
-        p = self.preset
         return kernel_H_batch(self.params, ts, theta, phi, M, N, L, split=self._split,
-                              base_nodes=p["base_nodes"], max_doublings=p["doublings"],
-                              delta_floor=p["delta_floor"])
+                              **self.preset["integral"])
 
 
 # Norms of the scalar-valued kernels (Riesz, Laplace, Stieltjes), bound as
@@ -313,14 +311,12 @@ class RieszKernel(_KernelBase):
         N = self.N
         p = self.params
         if N == 1:
-            pre = self.preset
-            return t_integral_H(p, theta, phi, 1 + dth, dph, pre["base_nodes"],
-                                pre["doublings"], pre["delta_floor"])
+            return t_integral_H(p, theta, phi, 1 + dth, dph, **self.preset["integral"])
         ts, ws = self._t_rule()
         vals = self._H(ts, theta, phi, 0, N + dth, dph)
         small = float(np.sum(ws * vals * ts ** (N - 1)))
         a = p.rates(TAIL_N_CUT)
-        coef = _coef(p.alpha, p.beta, theta, N + dth) * _coef(p.alpha, p.beta, phi, dph)
+        coef = _coef(p, theta, N + dth) * _coef(p, phi, dph)
         nz = a > 0
         tail = float(np.sum(coef[nz] * specfun.gammaincc_times_gamma(N, a[nz]) / a[nz] ** N))
         return (small + tail) / math.gamma(N)
@@ -346,8 +342,8 @@ class SquareFunctionKernel(_KernelBase):
         p = self.params
         ts, _ = self._t_rule()
         vals = self._H(ts, theta, phi, self.M, self.N + dth, dph)
-        coef = (-p.rates(TAIL_N_CUT)) ** self.M * _coef(
-            p.alpha, p.beta, theta, self.N + dth) * _coef(p.alpha, p.beta, phi, dph)
+        coef = (-p.rates(TAIL_N_CUT)) ** self.M * _coef(p, theta, self.N + dth) * _coef(
+            p, phi, dph)
         return vals, coef
 
     def _l2_sq(self, vals, coef):
@@ -403,7 +399,7 @@ class LaplaceKernel(_KernelBase):
         ts, ws = self._t_rule()
         small = np.sum(ws * self.profile.fn(ts) * self._H(ts, theta, phi, 1, dth, dph))
         a = p.rates(TAIL_N_CUT)
-        coef = np.abs(_coef(p.alpha, p.beta, theta, dth) * _coef(p.alpha, p.beta, phi, dph))
+        coef = np.abs(_coef(p, theta, dth) * _coef(p, phi, dph))
         nz = a > 0
         t_star = self.t_star
         while True:

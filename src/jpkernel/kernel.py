@@ -36,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from jpkernel import pi_measures
-from jpkernel.basis import trig_poly_table
+from jpkernel.basis import check_integer_orders, trig_poly_table
 from jpkernel.errors import (
     QuadratureError,
     SlowConvergenceError,
@@ -78,6 +78,7 @@ class KernelQuery:
         _check_t(self.t)
         check_angle_range(self.theta, self.phi)
         M, N, L = self.deriv
+        check_integer_orders(M, N, L)
         if min(M, N, L) < 0 or M + N + L > 3:
             raise UnsupportedOrderError(f"derivative orders {self.deriv} exceed M+N+L <= 3")
         if self.method not in METHODS:
@@ -166,6 +167,7 @@ def series_H(params: JacobiParams, t, theta: float, phi, M=0, N=0, L=0):
     t_arr = np.asarray(t, dtype=float).ravel()
     _check_t(t_arr)
     _check_angles(theta, phi)
+    check_integer_orders(M, N, L)
     if min(M, N, L) < 0:
         raise UnsupportedOrderError(f"derivative orders (M, N, L) must be nonnegative, got {(M, N, L)}")
     if not t_arr.size:
@@ -454,20 +456,19 @@ def _corner_cloud(u, v):
     return _flatten(cells)
 
 
-def _integral_terms(params, t_min, theta, phi, n_nodes, delta_floor=pi_measures.DELTA_FLOOR):
-    """The double sums of the integral representation at one resolution,
-    graded for t >= t_min: the products of the u and v axes' terms, u-major,
-    as (u nodes, v nodes, weights, K, R), each term one flat point cloud of
-    three 1-D arrays of one length.
+def _integral_terms(params, grading, n_nodes):
+    """The double sums of the integral representation at n_nodes base nodes
+    under grading = (delta_u, delta_v) (_grading): the products of the u
+    and v axes' terms, u-major, as (u nodes, v nodes, weights, K, R), each
+    term one flat point cloud of three 1-D arrays of one length.
 
     Two graded axes take the corner-graded rule (_corner_cloud).  A term
     with an ungraded or atomic axis is one cell, the two axes' tensor,
     flattened u-major.  The clouds are built per call from the cached 1-D
     pieces.
     """
-    delta_u, delta_v = _grading(params, t_min, theta, phi, delta_floor)
-    u_terms = _axis_terms(params.alpha, n_nodes, delta_u)
-    v_terms = _axis_terms(params.beta, n_nodes, delta_v)
+    u_terms = _axis_terms(params.alpha, n_nodes, grading[0])
+    v_terms = _axis_terms(params.beta, n_nodes, grading[1])
     terms = []
     for un, uw, K, u_pieces in u_terms:
         for vn, vw, R, v_pieces in v_terms:
@@ -503,32 +504,31 @@ class _Workspace:
 
 
 def _graded_bands(params, t_arr, theta, phi, delta_floor):
-    """The bands of a t batch that share one grading, as (smallest t,
-    indices into t_arr) in increasing t.
+    """The bands of a t batch that share one grading, as ((delta_u,
+    delta_v), indices into t_arr) in increasing t.
 
     The batch splits into log-bands [lo, 4 lo) from its smallest t on (the
     last band takes the rest), and each band is graded by its own smallest
     t (_grading): small t needs deep grading that larger t should not pay
     for.  Where 2 sin^2((theta-phi)/4) outweighs cosh(t/2) - 1, consecutive
     bands snap to the same (delta_u, delta_v) (an atomic axis reports 1/2 in
-    every band); such a run is one band, graded by its first band's
-    smallest t, so its terms are built once.
+    every band); such a run is one band under that grading, so its terms
+    are built once.
     """
-    runs = []  # (grading, smallest t, the run's log-bands)
+    runs = []  # (grading, the run's log-bands)
     t_max = float(t_arr.max())
     lo = float(t_arr.min())
     while True:
         hi = lo * 4.0
         band = np.flatnonzero((t_arr >= lo) & ((t_arr < hi) | (hi >= t_max)))
         if band.size:
-            t_min = float(t_arr[band].min())
-            grading = _grading(params, t_min, theta, phi, delta_floor)
+            grading = _grading(params, float(t_arr[band].min()), theta, phi, delta_floor)
             if runs and runs[-1][0] == grading:
-                runs[-1][2].append(band)
+                runs[-1][1].append(band)
             else:
-                runs.append((grading, t_min, [band]))
+                runs.append((grading, [band]))
         if hi >= t_max:
-            return [(first, np.concatenate(bands)) for _, first, bands in runs]
+            return [(grading, np.concatenate(bands)) for grading, bands in runs]
         lo = hi
 
 
@@ -544,9 +544,11 @@ def _integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, wit
 
     The batch is evaluated band by band (_graded_bands): consecutive
     log-bands whose snapped gradings agree share one term build and one run
-    of blocks, and every t keeps the grading of its own log-band.
+    of blocks, and every t keeps the grading of its own log-band.  Each
+    band's grading is passed through to _integral_terms, which builds the
+    terms from it and the node count alone.
 
-    Within a band, each term (_integral_terms) fills blocks of whole t rows;
+    Within a band, each term fills blocks of whole t rows;
     a row of more than _BLOCK_ELEMS points is a block alone and is filled
     in slices of its points.  Psi and the weighting run on pieces of about
     _BLOCK_ELEMS elements, in psi's out and work buffers, views of space
@@ -557,9 +559,9 @@ def _integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, wit
     """
     out = np.zeros_like(t_arr)
     mass = np.zeros_like(t_arr) if with_mass else None
-    for t_min, band in _graded_bands(params, t_arr, theta, phi, delta_floor):
+    for grading, band in _graded_bands(params, t_arr, theta, phi, delta_floor):
         t_band = t_arr[band].reshape(-1, 1)
-        for u, v, w, K, R in _integral_terms(params, t_min, theta, phi, n_nodes, delta_floor):
+        for u, v, w, K, R in _integral_terms(params, grading, n_nodes):
             rows = min(band.size, max(1, _BLOCK_ELEMS // w.size))
             cols = min(w.size, _BLOCK_ELEMS)
             buf, work = space.views((rows, w.size), (rows, cols))
@@ -581,8 +583,9 @@ def _integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, wit
 
 def _check_resolution(base_nodes, max_doublings, delta_floor):
     """Raise ValueError unless base_nodes is an integer >= 1, max_doublings
-    an integer >= 0 and 0 < delta_floor <= 1/2 (snap_delta would clamp a
-    smaller floor, and a larger one turns the grading off)."""
+    an integer >= 0 and pi_measures.DELTA_FLOOR <= delta_floor <= 1/2
+    (snap_delta would clamp a smaller floor silently, and a larger one
+    turns the grading off)."""
     for name, value in (("base_nodes", base_nodes), ("max_doublings", max_doublings)):
         if not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -590,8 +593,9 @@ def _check_resolution(base_nodes, max_doublings, delta_floor):
         raise ValueError(f"base_nodes must be at least 1, got {base_nodes}")
     if not max_doublings >= 0:
         raise ValueError(f"max_doublings must be nonnegative, got {max_doublings}")
-    if not 0.0 < delta_floor <= 0.5:
-        raise ValueError(f"delta_floor must lie in (0, 1/2], got {delta_floor}")
+    if not pi_measures.DELTA_FLOOR <= delta_floor <= 0.5:
+        raise ValueError(f"delta_floor must lie in [2^{math.log2(pi_measures.DELTA_FLOOR):.0f}, "
+                         f"1/2], got {delta_floor}")
 
 
 def _refine(once, rtol, route, point, terms, base_nodes=BASE_NODES,
@@ -668,6 +672,7 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
     empty included; an array t gives an array of its shape.
     """
     M, N, L = deriv
+    check_integer_orders(M, N, L)
     if L not in (0, 1) or N < 0 or M < 0 or N + M > 3:
         raise UnsupportedOrderError(
             f"integral route supports L <= 1 and N + M <= 3, got {deriv}"
@@ -694,7 +699,8 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
 
 
 def t_integral_H(params: JacobiParams, theta: float, phi: float, N: int, L: int,
-                 base_nodes: int, max_doublings: int, delta_floor: float) -> float:
+                 base_nodes=BASE_NODES, max_doublings=MAX_DOUBLINGS,
+                 delta_floor=pi_measures.DELTA_FLOOR) -> float:
     """int_0^inf d_theta^N d_phi^L H_t dt, 1 <= N <= 3 and L <= 1 (the
     integral route's orders), off the diagonal: the integral representation
     with its t-integral taken exactly (PsiEvaluator.t_integral), one (u, v)
@@ -703,10 +709,13 @@ def t_integral_H(params: JacobiParams, theta: float, phi: float, N: int, L: int,
     on a one-row batch at t = 0, so its axes are graded by d_min =
     2 sin^2((theta-phi)/4) and it shares that route's clouds, point slicing
     and fixed-order row sums; node counts double from base_nodes under the
-    acceptance rule of _refine at INTEGRAL_RTOL.  On the diagonal the
+    acceptance rule of _refine at INTEGRAL_RTOL.  base_nodes, max_doublings
+    and delta_floor are h_script_integral's, with its defaults (the
+    operator kernels' presets pass theirs by keyword).  On the diagonal the
     integral diverges, and a D that rounds below zero at the corner
     (u, v) = (1, 1) is refused, as on the integral route.
     """
+    check_integer_orders(N, L)
     if not (1 <= N <= 3 and L in (0, 1)):
         raise UnsupportedOrderError(
             f"t-integral route supports 1 <= N <= 3 and L <= 1, got N={N}, L={L}")
@@ -862,10 +871,11 @@ def kernel_H_batch(params: JacobiParams, t_arr, theta: float, phi: float, M=0, N
     correction) below split and the series route from split on; the path
     of every series, integral and auto evaluation (kernel_eval's one point
     as the scans' t batches).  integral (rtol, base_nodes, max_doublings,
-    delta_floor) goes to h_script_integral, whose defaults fill the rest,
-    and is checked by it even when no t lies below split: a keyword it does
-    not take raises its TypeError, a bad value its ValueError (the series
-    path keeps its own derivative orders)."""
+    delta_floor; an operator-kernel preset's integral dict as it stands)
+    goes to h_script_integral, whose defaults fill the rest, and is checked
+    by it even when no t lies below split: a keyword it does not take
+    raises its TypeError, a bad value its ValueError (the series path keeps
+    its own derivative orders)."""
     t_arr = np.asarray(t_arr, dtype=float)
     out = np.empty_like(t_arr)
     small = t_arr < split

@@ -231,9 +231,5 @@ class PsiEvaluator:
 
 
 @lru_cache(maxsize=64)
-def _psi_evaluator(alpha: float, beta: float) -> PsiEvaluator:
-    return PsiEvaluator(JacobiParams(alpha, beta))
-
-
 def psi_evaluator(params: JacobiParams) -> PsiEvaluator:
-    return _psi_evaluator(params.alpha, params.beta)
+    return PsiEvaluator(params)

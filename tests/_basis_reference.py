@@ -4,8 +4,9 @@ This is the straightforward form of `basis.trig_poly_table`: one degree n at
 a time, the value by the three-term recurrence and each theta-derivative by
 the ladder identity written out recursively in n.  Its cost grows with the
 derivative order, but every step of the formula is written out plainly.
-The tests compare `trig_poly_table` against it, and `basis._classical_all`
-bit for bit against the per-degree recurrence loop `classical_all`.
+The tests compare `trig_poly_table` against it, `basis._classical_all`
+bit for bit against the per-degree recurrence loop `classical_all`, and
+`basis._norm_constants` bit for bit against the scalar `norm_constant`.
 """
 
 from __future__ import annotations
@@ -14,8 +15,33 @@ import math
 
 import numpy as np
 
-from jpkernel.basis import MAX_DERIV_ORDER, norm_constant
+from jpkernel import specfun
+from jpkernel.basis import MAX_DERIV_ORDER
 from jpkernel.errors import UnsupportedOrderError
+
+
+def _log_h2(alpha: float, beta: float, n: int) -> float:
+    """log of the squared d(mu)-norm of the classical polynomial p_n.
+
+    The n = 0 entry avoids the generic formula, which is indeterminate when
+    alpha + beta + 1 = 0.
+    """
+    ab1 = alpha + beta + 1.0
+    if n == 0:
+        return specfun.gammaln(alpha + 1.0) + specfun.gammaln(beta + 1.0) - specfun.gammaln(ab1 + 1.0)
+    return (
+        -math.log(2.0 * n + ab1)
+        + specfun.gammaln(n + alpha + 1.0)
+        + specfun.gammaln(n + beta + 1.0)
+        - specfun.gammaln(n + ab1)
+        - specfun.gammaln(n + 1.0)
+    )
+
+
+def norm_constant(alpha: float, beta: float, n: int) -> float:
+    """h_n such that p_n(cos theta)/h_n has unit L^2(d mu) norm, one degree
+    at a time (the scalar formula basis._norm_constants must match)."""
+    return math.exp(0.5 * _log_h2(alpha, beta, n))
 
 
 def classical_all(alpha: float, beta: float, n_max: int, x):

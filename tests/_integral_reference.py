@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from jpkernel.kernel import _integral_terms
+from jpkernel.kernel import _grading, _integral_terms
 from jpkernel.qpsi import psi_evaluator
 
 
@@ -62,8 +62,8 @@ def integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, with
         band = np.flatnonzero((t_arr >= lo) & ((t_arr < hi) | (hi >= t_max)))
         if band.size:
             tc = t_arr[band].reshape(-1, 1)
-            for u, v, w, K, R in _integral_terms(params, float(tc.min()), theta, phi, n_nodes,
-                                                 delta_floor):
+            grading = _grading(params, float(tc.min()), theta, phi, delta_floor)
+            for u, v, w, K, R in _integral_terms(params, grading, n_nodes):
                 vals, absvals = row_sums(weighted_rows(evaluate, tc, u, v, w, K, R), with_mass)
                 out[band] += vals
                 if with_mass:

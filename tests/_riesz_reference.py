@@ -24,7 +24,7 @@ def riesz1_value(kernel: RieszKernel, theta, phi, dth=0, dph=0):
     ts, ws = kernel._t_rule()
     small = float(np.sum(ws * kernel._H(ts, theta, phi, 0, 1 + dth, dph)))
     a = p.rates(TAIL_N_CUT)
-    coef = _coef(p.alpha, p.beta, theta, 1 + dth) * _coef(p.alpha, p.beta, phi, dph)
+    coef = _coef(p, theta, 1 + dth) * _coef(p, phi, dph)
     nz = a > 0
     tail = float(np.sum(coef[nz] * specfun.gammaincc_times_gamma(1, a[nz]) / a[nz]))
     return small + tail

@@ -16,14 +16,19 @@ from jpkernel.basis import (
     _tables,
     mu_ball,
     mu_total,
-    norm_constant,
     theta_quad_rule,
     trig_poly_table,
 )
 from jpkernel.errors import UnsupportedOrderError
 from jpkernel.params import JacobiParams
 
-from _basis_reference import classical_all, classical_jacobi_eval, trig_poly_deriv, trig_poly_eval
+from _basis_reference import (
+    classical_all,
+    classical_jacobi_eval,
+    norm_constant,
+    trig_poly_deriv,
+    trig_poly_eval,
+)
 from _oracles import jacobi_series, mu_interval_quad
 from conftest import ACCEPTANCE_SETS
 

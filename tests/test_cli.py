@@ -51,6 +51,16 @@ class TestKernelCommand:
         ref = p.c_ab * math.sinh(0.35) / math.cosh(0.35) ** p.sigma + jph_correction(p, 0.7)
         assert out.strip() == f"{ref:.15g}"
 
+    def test_out_gets_the_value_line(self, capsys, tmp_path):
+        # --out used to be ignored: the value went to stdout and no file was made.
+        argv = ("kernel", "--alpha", "0.5", "--beta", "0.5", "--t", "1", "--theta", "1",
+                "--phi", "2")
+        _, printed, _ = run_cli(capsys, *argv)
+        out_path = tmp_path / "k.txt"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(out_path))
+        assert code == 0 and out == ""
+        assert out_path.read_text() == printed == "0.589073755416933\n"
+
     def test_invalid_alpha_usage_exit(self, capsys):
         code, _, err = run_cli(
             capsys, "kernel", "--alpha", "-1.5", "--beta", "0",

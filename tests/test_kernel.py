@@ -212,8 +212,9 @@ class TestIntegral:
             half_pi = math.pi / 2
             evaluate = psi_integrand(p, half_pi, half_pi, 0, 0, 0)
             tc = np.full((1, 1), 0.5)
+            grading = kernel._grading(p, 0.5, half_pi, half_pi, pi_measures.DELTA_FLOOR)
             parts = [float(row_sums(weighted_rows(evaluate, tc, *term))[0][0])
-                     for term in _integral_terms(p, 0.5, half_pi, half_pi, 96)]
+                     for term in _integral_terms(p, grading, 96)]
             assert all(x >= 0 for x in parts)
             assert_allclose(sum(parts), float(h_script_integral(p, 0.5, math.pi / 2, math.pi / 2)),
                             rtol=1e-9)
@@ -538,8 +539,8 @@ def test_blocked_sum_is_the_full_tensor_sum(monkeypatch, n_t, block_rows, with_m
         ts = np.zeros(1)
         cases = [((N, L), t_integral_integrand(p, theta, phi, N, L))
                  for L in (0, 1) for N in (1, 2, 3)]
-    largest = max(w.size for _, _, w, *_ in _integral_terms(p, float(ts.min()), theta, phi,
-                                                           n_nodes))
+    grading = kernel._grading(p, float(ts.min()), theta, phi, floor)
+    largest = max(w.size for _, _, w, *_ in _integral_terms(p, grading, n_nodes))
     monkeypatch.setattr(kernel, "_BLOCK_ELEMS", max(1, int(block_rows * largest)))
     for orders, evaluate in cases:
         got = kernel._integral_sum(p, ts, theta, phi, evaluate, floor, n_nodes, with_mass,
@@ -609,8 +610,8 @@ def test_merged_bands_are_the_per_band_sum(monkeypatch, theta, phi, ab, with_mas
     gradings = _log_band_gradings(p, SCAN_TS, theta, phi, SCAN_FLOOR)
     assert len(set(gradings)) < len(gradings)
     if block_rows is not None:
-        largest = max(w.size for _, _, w, *_ in _integral_terms(
-            p, float(SCAN_TS.min()), theta, phi, SCAN_NODES, SCAN_FLOOR))
+        grading = kernel._grading(p, float(SCAN_TS.min()), theta, phi, SCAN_FLOOR)
+        largest = max(w.size for _, _, w, *_ in _integral_terms(p, grading, SCAN_NODES))
         monkeypatch.setattr(kernel, "_BLOCK_ELEMS", max(1, int(block_rows * largest)))
     for M, N, L in ROUTE_DERIVS:
         evaluate = psi_integrand(p, theta, phi, M, N, L)
@@ -627,7 +628,8 @@ def test_one_term_build_per_grading(monkeypatch, theta, phi, ab):
     # A work-count guard: one resolution of a batch builds its terms once per
     # distinct grading of its log-bands, not once per band.  An atomic axis
     # takes no grading: at alpha = beta = -1/2 the four gradings of phi =
-    # 1.05 are one, at (-1/2, 1/2) the v axis keeps them four.
+    # 1.05 are one, at (-1/2, 1/2) the v axis keeps them four.  Each build
+    # is passed its run's grading, in increasing t.
     p = JacobiParams(*ab)
     calls = []
 
@@ -639,7 +641,28 @@ def test_one_term_build_per_grading(monkeypatch, theta, phi, ab):
     h_script_integral(p, SCAN_TS, theta, phi, base_nodes=SCAN_NODES, max_doublings=0,
                       delta_floor=SCAN_FLOOR)
     gradings = _log_band_gradings(p, SCAN_TS, theta, phi, SCAN_FLOOR)
-    assert len(calls) == len(set(gradings)) < len(gradings)
+    assert calls == list(dict.fromkeys(gradings))
+    assert len(calls) < len(gradings)
+
+
+@pytest.mark.parametrize("ab", GRADING_SETS + [(-0.5, 0.5)], ids=GRADING_IDS + ["atoms-density"])
+@SCAN_ANGLES
+def test_one_grading_per_log_band(monkeypatch, theta, phi, ab):
+    # Each log-band's grading is worked out once, where the batch is split
+    # (_graded_bands); the term build takes it as given and grades nothing
+    # again.
+    p = JacobiParams(*ab)
+    calls = []
+    grading = kernel._grading
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return grading(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "_grading", counted)
+    h_script_integral(p, SCAN_TS, theta, phi, base_nodes=SCAN_NODES, max_doublings=0,
+                      delta_floor=SCAN_FLOOR)
+    assert len(calls) == len(_log_band_gradings(p, SCAN_TS, theta, phi, SCAN_FLOOR)) == 9
 
 
 def test_concurrent_calls_keep_their_buffers(monkeypatch):
@@ -698,6 +721,29 @@ def test_series_path_rejects_bad_arguments(call, match):
             call()
 
 
+@pytest.mark.parametrize("call, orders", [
+    pytest.param(lambda: kernel_eval(HALF, KernelQuery(1.0, 1.0, 2.0, deriv=(0.5, 0, 0))),
+                 "(0.5, 0, 0)", id="query-M=0.5"),
+    pytest.param(lambda: series_H(HALF, 1.0, 1.0, 2.0, M=0.5), "(0.5, 0, 0)", id="series-M=0.5"),
+    pytest.param(lambda: series_H(HALF, 1.0, 1.0, 2.0, N=1.5), "(0, 1.5, 0)", id="series-N=1.5"),
+    pytest.param(lambda: h_script_integral(HALF, 0.1, 1.0, 2.0, deriv=(0, 1.0, 0)),
+                 "(0, 1.0, 0)", id="integral-N=1.0"),
+    pytest.param(lambda: kernel.t_integral_H(HALF, 1.0, 2.0, 1.5, 0), "(1.5, 0)",
+                 id="t-integral-N=1.5"),
+    pytest.param(lambda: kernel.kernel_H_batch(HALF, [0.1, 1.0], 1.0, 2.0, 0, 0.5, 0),
+                 "(0, 0.5, 0)", id="batch-N=0.5"),
+    pytest.param(lambda: trig_poly_table(HALF, 10, 1.0, order=1.5), "1.5", id="table-order=1.5"),
+])
+def test_non_integer_orders_are_refused(call, orders):
+    # These used to give nan with a RuntimeWarning (a fractional M) or a bare
+    # TypeError from range() (a fractional N, L or table order).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedOrderError) as info:
+            call()
+    assert str(info.value) == f"derivative orders must be integers, got {orders}"
+
+
 @pytest.mark.parametrize("ts", [[1.0], [0.1, 1.0]], ids=["series-only", "mixed"])
 def test_batch_refuses_a_keyword_the_integral_route_does_not_take(ts):
     # The series-only batch used to drop the misspelled keyword and return a value.
@@ -751,6 +797,9 @@ def test_t_integral_refuses_orders_before_any_work(monkeypatch, N, L):
             kernel.t_integral_H(HALF, theta, phi, N, L, 10, 0, 2.0**-16)
 
 
+FLOOR_RANGE = r"delta_floor must lie in \[2\^-40, 1/2\], got "
+
+
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: h_script_integral(HALF, 0.1, 1.0, 2.0, max_doublings=-1),
                  "max_doublings must be nonnegative, got -1", id="integral-max_doublings=-1"),
@@ -767,18 +816,22 @@ def test_t_integral_refuses_orders_before_any_work(monkeypatch, N, L):
     pytest.param(lambda: h_script_integral(HALF, 0.05, 1.0, 1.02, max_doublings=1.5),
                  "max_doublings must be an integer, got 1.5", id="integral-max_doublings=1.5"),
     *[pytest.param(lambda floor=floor: h_script_integral(HALF, 0.05, 1.0, 1.02, delta_floor=floor),
-                   rf"delta_floor must lie in \(0, 1/2\], got {floor}", id=f"integral-delta_floor={floor}")
-      for floor in [0.0, -1.0, math.nan, 1.0, math.inf]],
+                   FLOOR_RANGE + str(floor), id=f"integral-delta_floor={floor}")
+      for floor in [0.0, -1.0, math.nan, 1.0, math.inf, 1e-20]],
     pytest.param(lambda: kernel.t_integral_H(HALF, 1.0, 1.02, 1, 0, 10.0, 0, 2.0**-16),
                  "base_nodes must be an integer, got 10.0", id="t-integral-base_nodes=10.0"),
     pytest.param(lambda: kernel.t_integral_H(HALF, 1.0, 1.02, 1, 0, 10, 0, 0.0),
-                 r"delta_floor must lie in \(0, 1/2\], got 0.0", id="t-integral-delta_floor=0"),
+                 FLOOR_RANGE + "0.0", id="t-integral-delta_floor=0"),
     pytest.param(lambda: kernel.t_integral_H(HALF, 1.0, 1.02, 1, 0, 10, 0, math.inf),
-                 r"delta_floor must lie in \(0, 1/2\], got inf", id="t-integral-delta_floor=inf"),
+                 FLOOR_RANGE + "inf", id="t-integral-delta_floor=inf"),
+    pytest.param(lambda: kernel.t_integral_H(HALF, 1.0, 1.02, 1, 0, 10, 0, 1e-20),
+                 FLOOR_RANGE + "1e-20", id="t-integral-delta_floor=1e-20"),
     pytest.param(lambda: kernel.kernel_H_batch(HALF, [0.05, 0.5], 1.0, 1.02, max_doublings=1.5),
                  "max_doublings must be an integer, got 1.5", id="batch-max_doublings=1.5"),
     pytest.param(lambda: kernel.kernel_H_batch(HALF, [0.05, 0.5], 1.0, 1.02, delta_floor=math.nan),
-                 r"delta_floor must lie in \(0, 1/2\], got nan", id="batch-delta_floor=nan"),
+                 FLOOR_RANGE + "nan", id="batch-delta_floor=nan"),
+    pytest.param(lambda: kernel.kernel_H_batch(HALF, [0.05, 0.5], 1.0, 1.02, delta_floor=1e-20),
+                 FLOOR_RANGE + "1e-20", id="batch-delta_floor=1e-20"),
     pytest.param(lambda: kernel.kernel_H_batch(HALF, [1.0], 1.0, 2.0, base_nodes=2.5),
                  "base_nodes must be an integer, got 2.5", id="series-only-batch-base_nodes=2.5"),
     pytest.param(lambda: kernel.kernel_H_batch(HALF, [1.0], 1.0, 2.0, rtol=0.0),
@@ -789,8 +842,9 @@ def test_quadrature_routes_reject_bad_resolutions(monkeypatch, call, match):
     # piece", "Gauss-Jacobi node solver failed for n=0") after evaluating; a
     # fractional base_nodes reached that solver too, a fractional
     # max_doublings raised a bare TypeError, and snap_delta clamped a
-    # delta_floor of 0, -1 or nan, or let 1 or inf turn the grading off.  A
-    # batch with no t below the split returned the series' value.
+    # delta_floor of 0, -1, nan or 1e-20 (below its 2^-40), or let 1 or inf
+    # turn the grading off.  A batch with no t below the split returned the
+    # series' value.
     monkeypatch.setattr(kernel, "_integral_terms", _no_evaluation)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -834,7 +888,8 @@ def test_corner_clouds_integrate_products_as_the_tensor(acceptance_params, n):
         P, Q = kernel._pq(theta, phi)
         u_terms = kernel._axis_terms(p.alpha, n, kernel._grading_delta(t_min, theta, phi, P))
         v_terms = kernel._axis_terms(p.beta, n, kernel._grading_delta(t_min, theta, phi, Q))
-        terms = iter(kernel._integral_terms(p, t_min, theta, phi, n))
+        grading = kernel._grading(p, t_min, theta, phi, pi_measures.DELTA_FLOOR)
+        terms = iter(kernel._integral_terms(p, grading, n))
         for un, uw, K, _ in u_terms:
             for vn, vw, R, _ in v_terms:
                 *arrays, K_term, R_term = next(terms)
@@ -862,7 +917,8 @@ def test_ungraded_and_atomic_terms_are_the_flattened_tensor(ab):
         P, Q = kernel._pq(theta, phi)
         u_terms = kernel._axis_terms(p.alpha, 24, kernel._grading_delta(t_min, theta, phi, P))
         v_terms = kernel._axis_terms(p.beta, 24, kernel._grading_delta(t_min, theta, phi, Q))
-        terms = iter(kernel._integral_terms(p, t_min, theta, phi, 24))
+        grading = kernel._grading(p, t_min, theta, phi, pi_measures.DELTA_FLOOR)
+        terms = iter(kernel._integral_terms(p, grading, 24))
         for un, uw, _, u_pieces in u_terms:
             for vn, vw, _, v_pieces in v_terms:
                 arrays = next(terms)[:3]

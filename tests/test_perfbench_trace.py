@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from jpkernel import basis, czkernels, kernel, operators
+from jpkernel import basis, czkernels, kernel, operators, pi_measures
 from jpkernel.params import JacobiParams
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
@@ -63,7 +63,8 @@ def test_qpsi_spans_count_every_element_of_a_blocked_call():
     p = JacobiParams(0.5, -0.75)
     ts = np.linspace(0.02, 0.06, 64)  # one log-band
     theta, phi, base = 1.0, 1.05, 24
-    terms = [kernel._integral_terms(p, float(ts.min()), theta, phi, n) for n in (base, 2 * base)]
+    grading = kernel._grading(p, float(ts.min()), theta, phi, pi_measures.DELTA_FLOOR)
+    terms = [kernel._integral_terms(p, grading, n) for n in (base, 2 * base)]
     want = sum(ts.size * w.size for resolution in terms for _, _, w, *_ in resolution)
     tracer = spans.Tracer()
     tracer.install()

@@ -1,0 +1,63 @@
+"""tools/replay.py: exact records of a benchmark round and their comparison.
+
+The tool is loaded from its path; no workload is run.
+"""
+
+import importlib.util
+import json
+import math
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "replay.py"
+_spec = importlib.util.spec_from_file_location("replay", _PATH)
+replay = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(replay)
+
+OPS = [["integral", 0.05, 1.0, 1.02], ["series", 0.5, 1.0, 2.0], ["f4", 0.5, 1.0, 2.0]]
+OUTS = [30.6, 0.589073755416933, ValueError("t must be positive and finite, got 0.0")]
+
+
+def _write(path, outs, ops=OPS):
+    with open(path, "w") as fh:
+        for op, out in zip(ops, outs):
+            fh.write(json.dumps({"op": op, "out": replay._exact(out)}, sort_keys=True) + "\n")
+    return path
+
+
+def test_equal_records_compare_equal(tmp_path, capsys):
+    a, b = _write(tmp_path / "a.jsonl", OUTS), _write(tmp_path / "b.jsonl", OUTS)
+    assert replay.main(["--compare", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "3 ops identical\n"
+
+
+def test_one_bit_names_the_first_differing_op(tmp_path, capsys):
+    nudged = [OUTS[0], math.nextafter(OUTS[1], math.inf), OUTS[2]]
+    a, b = _write(tmp_path / "a.jsonl", OUTS), _write(tmp_path / "b.jsonl", nudged)
+    assert replay.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"op 1 differs: {OPS[1]}\n")
+    assert OUTS[1].hex() in out and nudged[1].hex() in out
+
+
+def test_record_counts_differ(tmp_path, capsys):
+    a, b = _write(tmp_path / "a.jsonl", OUTS), _write(tmp_path / "b.jsonl", OUTS[:2])
+    assert replay.main(["--compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out == f"{a} holds 3 ops, {b} holds 2\n"
+
+
+def test_exact_keeps_bits_and_exceptions():
+    assert replay._exact(0.1) == "0x1.999999999999ap-4"
+    assert float.fromhex(replay._exact(OUTS[1])) == OUTS[1]
+    assert replay._exact(OUTS[2]) == {"raised": "ValueError",
+                                     "message": "t must be positive and finite, got 0.0"}
+    assert replay._exact({"value": 1.0, "deriv": (2.0, -0.5)}) == {
+        "value": "0x1.0000000000000p+0", "deriv": ["0x1.0000000000000p+1", "-0x1.0000000000000p-1"]}
+
+
+def test_workload_needs_seed_and_out(capsys):
+    with pytest.raises(SystemExit) as info:
+        replay.main(["--workload", "sharp"])
+    assert info.value.code == 2
+    assert "--workload, --seed and --out go together" in capsys.readouterr().err
