@@ -9,7 +9,8 @@ Routes:
   series   -- direct spectral sum (computes H), any t bounded below by
               T_MIN_SERIES; derivatives term by term;
   f4       -- companion kernel through the Appell-F4 double power series
-              (all terms nonnegative), values only;
+              (all terms nonnegative), values only: swept by anti-diagonals
+              when short, by one 2F1 recurrence over columns when long;
   integral -- companion kernel through the integral representation against
               the Pi measure family; t-uniform, derivative orders
               N + M <= 3, L <= 1;
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from functools import partial
 import numpy as np
 
-from jpkernel import pi_measures
+from jpkernel import pi_measures, specfun
 from jpkernel.basis import check_integer_orders, trig_poly_table
 from jpkernel.errors import (
     QuadratureError,
@@ -55,7 +56,7 @@ GENERAL_RTOL = 5e-8
 SERIES_CAP = 100_000
 F4_EPS_CONV = 5e-4
 F4_MAX_DIAGONALS = 80_000
-F4_WINDOW_START = 1_024
+F4_COLUMN_START = 1_024
 _EPS = float(np.finfo(float).eps)
 
 METHODS = ("series", "f4", "integral", "general", "auto")
@@ -77,6 +78,9 @@ class KernelQuery:
     def __post_init__(self):
         _check_t(self.t)
         check_angle_range(self.theta, self.phi)
+        if not (isinstance(self.deriv, tuple) and len(self.deriv) == 3):
+            raise UnsupportedOrderError(
+                f"deriv must be a tuple of three integer orders (M, N, L), got {self.deriv!r}")
         M, N, L = self.deriv
         check_integer_orders(M, N, L)
         if min(M, N, L) < 0 or M + N + L > 3:
@@ -189,55 +193,48 @@ def series_H(params: JacobiParams, t, theta: float, phi, M=0, N=0, L=0):
 # ---------------------------------------------------------------------------
 
 def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float) -> float:
-    """Companion kernel via the Appell-F4 double series.
+    """Companion kernel via the Appell-F4 double series F4(a, b; c, c'; x, y),
+    a = sigma/2, b = (sigma+1)/2, c = alpha+1, c' = beta+1, whose terms
+    T(m, n) = (a)_{m+n} (b)_{m+n} x^m y^n / ((c)_m (c')_n m! n!) are all
+    nonnegative and decay geometrically with ratio
+    rho^2 = (sqrt x + sqrt y)^2 = (cos((theta-phi)/2) / cosh(t/2))^2.
 
-    Sums the terms T(m, n) = (a1)_s (a2)_s x^m y^n / ((b1)_m (b2)_n m! n!),
-    s = m + n, along anti-diagonals s; all terms are nonnegative, and the
-    block sums eventually decay geometrically with ratio
-    rho^2 = (sqrt x + sqrt y)^2, which drives the stopping rule (rtol = F4_RTOL).
+    Switch.  If the geometric estimate of the anti-diagonal count,
+    ln F4_RTOL / ln rho^2, is below F4_COLUMN_START, the series is swept
+    along its anti-diagonals (_f4_sweep, O(s) work for diagonal s, with the
+    arithmetic of tests/_f4_reference.py).  The real count exceeds the
+    estimate by 3% near the diagonal and by up to 60% on an axis at large
+    sigma (1,643 at alpha = beta = 5, theta = 0); the compare golden takes
+    at most 419.  A longer series is summed by columns at O(1) work each
+    (_f4_columns), over the powers of the smaller of x and y, swapping
+    (c, x) and (c', y), under which F4 is symmetric: at alpha = -1/2,
+    beta = 1/2, (t, theta, phi) = (0.02, 2.9, 3.0) that is 108 columns
+    against 9,950.
 
-    Window.  Each diagonal is summed over a window of columns [lo, hi] only
-    (column m holds x^m).  On diagonal s + 1 the columns lo..hi are the
-    y-steps of diagonal s, and column hi + 1 is the x-step of its column hi,
-    so between trims the right edge stays on one y-power n0 = s - hi.  From
-    diagonal F4_WINDOW_START on, each renormalization (every 32 diagonals)
-    trims both edges with one vectorized test: the window shrinks to the
-    span from the first to the last entry whose weighted value exceeds tau
-    times the diagonal's largest, tau = eps rtol / F4_MAX_DIAGONALS.  Below
-    F4_WINDOW_START the window is the whole diagonal and the arithmetic is
-    that of tests/_f4_reference.py.
+    Columns (Burchnall & Chaundy, Quart. J. Math. 11, 1940).  F4 = sum_m u_m,
+    u_m = (a)_m (b)_m / ((c)_m m!) x^m f_m, f_m = 2F1(a+m, b+m; c'; y), and
+    at A = a+m, B = b+m, S = A+B-c',
+        (1-y)^2 f_{m+1} + (q0 + q1 y) f_m + r0 f_{m-1} = 0,
+        q0 = -S (2AB - (A+B) c' + c'^2 - c') / (AB (S-1)),
+        q1 = -S (A^2 + B^2 - (A+B) c' + c' - 1) / (AB (S-1)),
+        r0 = (A-c')(B-c')(S+1) / (AB (S-1)).
+    f_m is the growing solution, like (1 - sqrt y)^(-2m) against
+    (1 + sqrt y)^(-2m), so the forward recurrence is stable.
+    - Start: f_0 and f_1 from specfun.hyp2f1, the recurrence from m = 1.
+      There S - 1 = gamma + 1/2 + 2m >= 3/2, gamma > -1 the summed axis's
+      alpha or beta; at m = 0 it is gamma + 1/2, and at gamma = -1/2 + 1e-12
+      a step from m = 0 put f_1 1e-4 off.
+    - Scale: f_m alone would overflow a double past m ~ 390 at y = 0.36,
+      where the sum takes 9,698 columns.  So the recurrence carries the
+      terms u_m, which stay below the sum: each step folds in the ratio
+      k_m = AB x / ((c+m)(m+1)) of their coefficients, whose AB cancels that
+      of q0, q1 and r0.
 
-    Why a dropped entry stays negligible.  The ratio of neighbours on
-    diagonal s,
-        q_s(m) = T(m+1, s-m-1) / T(m, s-m)
-               = x (b2 + s-m-1) (s-m) / (y (b1 + m) (m + 1)),
-    falls with m (b1, b2 > 0), so each diagonal is log-concave with one
-    peak.  At fixed m, q_s(m) rises with s: from one diagonal to the next,
-    column m loses ground against column m + 1, hence against every column
-    right of it.  At fixed n = s-m-1, q_s(m) falls with s: the y-power n
-    loses ground against n + 1, hence against every larger y-power.  So a
-    column m left of the largest entry T(p, s-p) and below tau T(p, s-p) on
-    diagonal s has T(m, s'-m) <= tau T(p, s'-p) <= tau B_s' on every later
-    diagonal s' (B_s' the full block), and so has a y-power n < s-p with
-    T(s-n, n) below tau T(p, s-p).  Left trimming is therefore one-way, and
-    the rebuilt right column leaves out only y-powers below n0, each
-    trimmed on this or an earlier renormalization.  (With x = 0 the columns
-    right of the first are exact zeros.)  A diagonal s drops at most s
-    entries, each at most tau B_s, so the dropped mass is at most
-    F4_MAX_DIAGONALS tau sum_s B_s = eps rtol H for the full sum H: below
-    the last bit of the result.
-
-    Cost: below F4_WINDOW_START a diagonal s costs O(s) flops, and S
-    diagonals O(S^2).  Past it the window holds the peak out to about 12
-    standard deviations of its O(sqrt s) width on each side (tau ~ 3e-32
-    at F4_RTOL), so the cost grows like S^1.5, and near rho -> 1 the
-    floor is the interpreter: about 8 microseconds per diagonal on a 2-core
-    VM, even for a window of one column.  S grows like log(rtol) /
-    log(rho^2) as rho -> 1.  The start constant keeps every call of fewer
-    diagonals (the goldens take at most 419) bit-identical to the full
-    sweep; below it the rows are too short for the window to save much.
-    Each diagonal is three vector passes (divide, multiply, dot) over
-    buffers allocated once per call.
+    Stop.  Both forms stop after a nonincreasing block B (a diagonal or a
+    column) past the fifth with B 2 rho^2 / (1 - rho^2) <= F4_RTOL times the
+    running sum.  The columns' own ratio tends to (sqrt x / (1 - sqrt y))^2
+    <= rho^2, so the rule is conservative for them.  F4_MAX_DIAGONALS caps
+    either count.
     """
     _check_t(t)
     _check_angles(theta, phi)
@@ -251,64 +248,92 @@ def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float) -> flo
             f"F4 series too close to its convergence boundary: "
             f"cos((theta-phi)/2)/cosh(t/2) = {rho:.8f} >= {1.0 - F4_EPS_CONV}"
         )
-    a1 = 0.5 * params.sigma
-    a2 = 0.5 * (params.sigma + 1.0)
-    b1 = params.alpha + 1.0
-    b2 = params.beta + 1.0
+    a = 0.5 * params.sigma
+    b = 0.5 * (params.sigma + 1.0)
+    c = params.alpha + 1.0
+    c2 = params.beta + 1.0
 
     rho2 = rho * rho
     geo = 2.0 * rho2 / (1.0 - rho2)
-    # Row s holds (a1)_s (a2)_s x^m y^n / ((b1)_m (b2)_n m! n!), m + n = s, as
-    # mantissa * exp(logw) per entry: the pure-x edge underflows double range
-    # long before its column stops mattering, so magnitudes are carried in
-    # log space and mantissas are renormalized periodically.  A new column
-    # takes its left neighbour's logw, so the renormalization fills logw and
-    # ew for the columns the next renorm_every diagonals add.
-    # The buffers are allocated untouched, so only the pages of the live
-    # columns are ever used.  den[K - n] = (b2 + n)(n + 1), K =
-    # F4_MAX_DIAGONALS, is the y-step denominator of y-power n, stored
-    # backwards so that the window reads den[K - (s - m)] forwards.  Each
-    # entry is rounded as row[m] * ((fac y) / den[K - (s - m)]); folding fac
-    # into den or multiplying by 1/den would change the last bit against the
-    # plain per-diagonal loop that tests/_f4_reference.py keeps.
+    # ln F4_RTOL / ln rho^2 < F4_COLUMN_START, without a log of rho = 0
+    if rho2 < F4_RTOL ** (1.0 / F4_COLUMN_START):
+        total = _f4_sweep(a, b, c, c2, x, y, geo)
+    elif x <= y:
+        total = _f4_columns(a, b, c, c2, x, y, geo)
+    else:
+        total = _f4_columns(a, b, c2, c, y, x, geo)
+    return params.c_ab * math.sinh(0.5 * t) / ch**params.sigma * total
+
+
+def _f4_sweep(a, b, c, c2, x, y, geo):
+    """F4(a, b; c, c2; x, y) summed along whole anti-diagonals s.
+
+    Row s holds T(m, s-m) as mantissa * exp(logw) per column m: the pure-x
+    edge underflows double range long before its column stops mattering,
+    so magnitudes are carried in log space and the mantissas renormalized
+    every 32 diagonals.  A new column takes its left neighbour's logw, so
+    each renormalization fills logw and ew = exp(logw) for the columns the
+    next 32 diagonals add.  The buffers are allocated untouched, so only the
+    pages of the live columns are used.  den[n] = (c2 + n)(n + 1) is the
+    y-step denominator of y-power n, read backwards along a row.  Each entry
+    is rounded as row[m] * ((fac y) / den[s - m]); folding fac into den or
+    multiplying by 1/den would change the last bit against the plain loop
+    that tests/_f4_reference.py keeps.
+    """
     renorm_every = 32
     K = F4_MAX_DIAGONALS
     row, nxt, tmp, logw, ew, den = np.empty((6, K + 2))
     row[0] = 1.0
-    logw[: renorm_every + 1], ew[: renorm_every + 1] = 0.0, 1.0  # ew = exp(logw)
-    log_tau = math.log(_EPS * F4_RTOL / K)
-    lo = hi = 0  # the live window of the current diagonal
+    logw[: renorm_every + 1], ew[: renorm_every + 1] = 0.0, 1.0
     total = 1.0
     prev_block = 1.0
     for s in range(K):
-        fac = (a1 + s) * (a2 + s)
-        den[K - s] = (b2 + s) * (s + 1.0)
-        step = tmp[lo: hi + 1]
-        np.divide(fac * y, den[K - s + lo: K - s + hi + 1], out=step)
-        np.multiply(row[lo: hi + 1], step, out=nxt[lo: hi + 1])
-        nxt[hi + 1] = row[hi] * (fac * x / ((b1 + hi) * (hi + 1.0)))
-        hi += 1
-        block = float(np.dot(nxt[lo: hi + 1], ew[lo: hi + 1]))
+        fac = (a + s) * (b + s)
+        den[s] = (c2 + s) * (s + 1.0)
+        np.divide(fac * y, den[s::-1], out=tmp[: s + 1])
+        np.multiply(row[: s + 1], tmp[: s + 1], out=nxt[: s + 1])
+        nxt[s + 1] = row[s] * (fac * x / ((c + s) * (s + 1.0)))
+        block = float(np.dot(nxt[: s + 2], ew[: s + 2]))
         total += block
         if s >= 4 and block <= prev_block and block * geo <= F4_RTOL * total:
-            break
+            return total
         prev_block = block
         row, nxt = nxt, row
         if (s + 1) % renorm_every == 0:
-            live, lw = row[lo: hi + 1], logw[lo: hi + 1]
+            live, lw = row[: s + 2], logw[: s + 2]
             pos = live > 0.0
-            np.add(lw, np.log(live, where=pos, out=tmp[lo: hi + 1]), out=lw, where=pos)
+            np.add(lw, np.log(live, where=pos, out=tmp[: s + 2]), out=lw, where=pos)
             np.copyto(live, pos)
-            if s + 1 >= F4_WINDOW_START:
-                keep = np.flatnonzero(pos & (lw > lw.max(where=pos, initial=-math.inf) + log_tau))
-                lo, hi = lo + int(keep[0]), lo + int(keep[-1])
             with np.errstate(under="ignore"):
-                np.exp(logw[lo: hi + 1], out=ew[lo: hi + 1])
-            logw[hi + 1: hi + renorm_every + 1] = logw[hi]
-            ew[hi + 1: hi + renorm_every + 1] = ew[hi]
-    else:
-        raise SlowConvergenceError(f"F4 series did not converge in {F4_MAX_DIAGONALS} blocks")
-    return params.c_ab * math.sinh(0.5 * t) / ch**params.sigma * total
+                np.exp(lw, out=ew[: s + 2])
+            logw[s + 2: s + renorm_every + 2] = logw[s + 1]
+            ew[s + 2: s + renorm_every + 2] = ew[s + 1]
+    raise SlowConvergenceError(f"F4 series did not converge in {F4_MAX_DIAGONALS} blocks")
+
+
+def _f4_columns(a, b, c, c2, x, y, geo):
+    """F4(a, b; c, c2; x, y) summed by columns over the powers of x, each
+    from the last two by h_script_f4's recurrence on the terms u_m."""
+    k_prev = a * b * x / c  # k_{m-1}
+    prev = float(specfun.hyp2f1(a, b, c2, y))
+    cur = k_prev * float(specfun.hyp2f1(a + 1.0, b + 1.0, c2, y))
+    total = prev + cur
+    prev_block = cur
+    w = x / (1.0 - y) ** 2
+    for m in range(1, F4_MAX_DIAGONALS):
+        A, B = a + m, b + m
+        S = A + B - c2
+        p = S * (2.0 * A * B - (A + B) * c2 + c2 * (c2 - 1.0)
+                 + (A * A + B * B - (A + B) * c2 + c2 - 1.0) * y)
+        r = (A - c2) * (B - c2) * (S + 1.0) * k_prev
+        nxt = w * (p * cur - r * prev) / ((S - 1.0) * (c + m) * (m + 1.0))
+        total += nxt
+        if m >= 4 and nxt <= prev_block and nxt * geo <= F4_RTOL * total:
+            return total
+        prev_block = nxt
+        prev, cur = cur, nxt
+        k_prev = A * B * x / ((c + m) * (m + 1.0))
+    raise SlowConvergenceError(f"F4 series did not converge in {F4_MAX_DIAGONALS} blocks")
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
-"""Reference loop of the F4 route, kept to pin the production sweep bit for bit.
+"""Reference loop of the F4 route, kept to pin the production sum.
 
-This is the straightforward form of `kernel.h_script_f4` without its window:
-each anti-diagonal is built whole with fresh arrays (`np.arange`,
-`np.append`), so its cost is O(S^2) with a large constant factor, but every
-rounding step is written out plainly.  `h_script_f4` must return exactly
-(==) what this returns for every call that ends before
-`kernel.F4_WINDOW_START` anti-diagonals; past it the window sums fewer
-entries, in another order, and the two agree to about 1e-13.
+This is the straightforward anti-diagonal sweep: each anti-diagonal is built
+whole with fresh arrays (`np.arange`, `np.append`), so its cost is O(S^2)
+with a large constant factor, but every rounding step is written out
+plainly.  `h_script_f4` must return exactly (==) what this returns on its
+sweep path, the calls whose estimated diagonal count is below
+`kernel.F4_COLUMN_START`.  On its column path it sums the same series in
+another order, by one 2F1 recurrence per column, and each form stops within
+F4_RTOL of the sum, so there the two agree to F4_RTOL.
 """
 
 from __future__ import annotations

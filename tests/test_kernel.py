@@ -51,25 +51,32 @@ NON_FINITE = [math.inf, -math.inf, math.nan]
 with open(Path(__file__).parent / "golden" / "compare_cheb.csv", newline="") as _fh:
     _COMPARE_POINTS = [(CHEB, float(r["t"]), float(r["theta"]), float(r["phi"]))
                        for r in csv.DictReader(_fh)]
-# (params, t, theta, phi) where the F4 sweep is checked against the reference
-# loop: the compare golden (at most 419 anti-diagonals); theta = 0 (x = 0,
-# 1,267 diagonals) and phi = pi (y ~ 4e-33, 1,927 diagonals), whose zero and
-# underflowing entries meet the renormalization mask; the theta = 0, phi = pi
-# corner; 801 diagonals at alpha = beta = 0, whose last bit a window trimmed
-# from the first diagonal would change; and rho = 1/cosh(0.05) ~ 0.99875
-# (10,426 diagonals).  All but the last must be equal bit for bit: the
-# golden and the 801-diagonal points end before F4_WINDOW_START, and past it
-# the edges' window drops only exact zeros (x = 0) or entries below half an
-# ulp of their block (y ~ 4e-33).  The last point's window drops entries
-# below eps rtol of the sum, so it sums in another order and agrees to 1e-13.
-F4_WINDOWED_POINT = (JacobiParams(2.0, -0.25), 0.1, 1.2, 1.2)
+# (params, t, theta, phi) where the F4 route is checked against the reference
+# loop.  On the sweep path, equal bit for bit: the compare golden (at most 419
+# anti-diagonals); the theta = 0, phi = pi corner; and 801 diagonals at
+# alpha = beta = 0, close below the switch.  On the column path, within
+# F4_RTOL, because the columns sum the same series in another order:
+# theta = 0 (x = 0, 1,267 diagonals) and phi = pi (y ~ 4e-33, 1,927
+# diagonals), whose zero and underflowing entries meet the sweep's
+# renormalization mask, and rho = 1/cosh(0.05) ~ 0.99875 (10,426 diagonals).
 F4_SWEEP_POINTS = _COMPARE_POINTS + [
-    (JacobiParams(0.5, -0.75), 0.05, 0.0, 0.3),
-    (JacobiParams(-0.75, 0.5), 0.05, 2.9, math.pi),
     (JacobiParams(0.0, 0.0), 0.7, 0.0, math.pi),
     (JacobiParams(0.0, 0.0), 0.3, 1.5, 1.3),
-    F4_WINDOWED_POINT,
 ]
+F4_COLUMN_POINTS = [
+    (JacobiParams(0.5, -0.75), 0.05, 0.0, 0.3),
+    (JacobiParams(-0.75, 0.5), 0.05, 2.9, math.pi),
+    (JacobiParams(2.0, -0.25), 0.1, 1.2, 1.2),
+]
+# The column path near the case boundary alpha, beta = -1/2, where the
+# recurrence's first denominator gamma + 1/2 + 2m would vanish at m = 0 for
+# the summed axis's gamma, and at the edge of the parameter range.  Each set
+# is checked at one point with x < y (columns over alpha's axis) and one
+# with x > y (over beta's).
+_NEAR_HALF = [-0.5 + d for d in (0.0, 1e-3, -1e-3, 1e-9, -1e-9, 1e-12, -1e-12)]
+F4_COLUMN_SETS = ([(g, 0.3) for g in _NEAR_HALF] + [(0.3, g) for g in _NEAR_HALF]
+                  + [(-0.5, -0.5), (-0.99, -0.99), (-0.99, 0.3), (0.3, -0.99)])
+F4_ORIENTED_POINTS = [(0.05, 0.5, 0.6), (0.05, 2.6, 2.7)]  # x < y, x > y
 
 # The general route's sweep: the acceptance sets at angle pairs near 0, near
 # pi, mid-range and 1e-3 off the diagonal.  Near the diagonal (or the
@@ -142,6 +149,23 @@ class TestSeries:
             assert np.isfinite(kernel_eval(JacobiParams(0.5, 0.5), query))
 
 
+def _f4_point_id(v):
+    return f"{v:g}" if isinstance(v, float) else f"a{v.alpha}_b{v.beta}"
+
+
+@pytest.fixture
+def column_calls(monkeypatch):
+    """The argument tuples of every kernel._f4_columns call in the test."""
+    calls, columns = [], kernel._f4_columns
+
+    def spy(*args):
+        calls.append(args)
+        return columns(*args)
+
+    monkeypatch.setattr(kernel, "_f4_columns", spy)
+    return calls
+
+
 class TestF4:
     def test_zero_argument_case(self):
         # theta = 0, phi = pi kills both series variables
@@ -168,20 +192,42 @@ class TestF4:
         with pytest.raises(SlowConvergenceError):
             h_script_f4(JacobiParams(0, 0), 1e-4, 1.0, 1.0)
 
-    @pytest.mark.parametrize(
-        "p, t, th, ph", F4_SWEEP_POINTS,
-        ids=lambda v: f"{v:g}" if isinstance(v, float) else f"a{v.alpha}_b{v.beta}",
-    )
-    def test_sweep_is_bitwise_the_reference_loop(self, p, t, th, ph):
-        got, ref = h_script_f4(p, t, th, ph), h_script_f4_reference(p, t, th, ph)
-        if (p, t, th, ph) == F4_WINDOWED_POINT:
-            assert_allclose(got, ref, rtol=1e-13, atol=0.0)
-        else:
-            assert got == ref
+    @pytest.mark.parametrize("p, t, th, ph", F4_SWEEP_POINTS, ids=_f4_point_id)
+    def test_sweep_is_bitwise_the_reference_loop(self, p, t, th, ph, column_calls):
+        assert h_script_f4(p, t, th, ph) == h_script_f4_reference(p, t, th, ph)
+        assert column_calls == []
+
+    @pytest.mark.parametrize("p, t, th, ph", F4_COLUMN_POINTS, ids=_f4_point_id)
+    def test_columns_match_the_reference_loop(self, p, t, th, ph, column_calls):
+        assert_allclose(h_script_f4(p, t, th, ph), h_script_f4_reference(p, t, th, ph),
+                        rtol=kernel.F4_RTOL, atol=0.0)
+        assert len(column_calls) == 1
+
+    @pytest.mark.parametrize("t, th, ph", F4_ORIENTED_POINTS, ids=["x<y", "x>y"])
+    @pytest.mark.parametrize("ab", F4_COLUMN_SETS, ids=str)
+    def test_columns_against_the_series(self, ab, t, th, ph, column_calls):
+        p = JacobiParams(*ab)
+        ref = series_H(p, t, th, ph) - jph_correction(p, t)
+        assert_allclose(h_script_f4(p, t, th, ph), ref, rtol=kernel.F4_RTOL, atol=0.0)
+        assert len(column_calls) == 1
+
+    # H^(alpha,beta)(theta, phi) = H^(beta,alpha)(pi - theta, pi - phi) swaps
+    # x and y, so one side of each pair sums its columns over x and the other
+    # over y.  The two sides reach x and y through different roundings
+    # (pi - theta, and a sine against a cosine), which move H by up to about
+    # 7e-14 at these points.
+    @pytest.mark.parametrize("t, th, ph", [(0.05, 0.5, 0.6), (0.05, 1.5, 1.6), (0.1, 2.6, 2.7),
+                                           (0.01, 1.0, 1.1), (0.05, 0.0, 0.2)], ids=str)
+    @pytest.mark.parametrize("ab", [(-0.75, 0.5), (2.0, -0.25), (-0.5, 0.3), (0.5, 0.5),
+                                    (-0.99, 0.3)], ids=str)
+    def test_reflection_swaps_the_column_orientation(self, ab, t, th, ph):
+        got = h_script_f4(JacobiParams(*ab), t, th, ph)
+        mirrored = h_script_f4(JacobiParams(ab[1], ab[0]), t, math.pi - th, math.pi - ph)
+        assert_allclose(got, mirrored, rtol=1e-13, atol=0.0)
 
     # About 23,000 anti-diagonals each (rho ~ 0.99944), where the full
     # reference loop would take seconds: checked against independent values.
-    # theta = 0 (x = 0) and phi = pi (y ~ 4e-33) leave one live column.
+    # theta = 0 (x = 0) and phi = pi (y ~ 4e-33) take four columns.
     @pytest.mark.parametrize("p, t, th, ph", [
         (CHEB, 0.0269, 2.698, 2.759),
         (JacobiParams(-0.75, 0.5), 0.0445, 1.351, 1.401),
@@ -406,6 +452,15 @@ class TestKernelEval:
             KernelQuery(t=1.0, theta=1.0, phi=1.0, deriv=(2, 2, 0))
         with pytest.raises(UnsupportedOrderError):
             KernelQuery(t=1.0, theta=1.0, phi=1.0, deriv=(1, 0, 0), method="f4")
+
+
+@pytest.mark.parametrize("deriv", [None, (0, 0), (0, 0, 0, 0), [0, 0, 0], 1], ids=repr)
+def test_query_refuses_a_deriv_that_is_not_three_orders(deriv):
+    # None used to raise a bare TypeError from unpacking, and a tuple of the
+    # wrong length a ValueError that named no argument.
+    with pytest.raises(UnsupportedOrderError,
+                       match=r"^deriv must be a tuple of three integer orders \(M, N, L\), got "):
+        KernelQuery(t=1.0, theta=1.0, phi=2.0, deriv=deriv)
 
 
 @pytest.mark.parametrize("t", NON_FINITE, ids=str)

@@ -41,6 +41,24 @@ def test_one_bit_names_the_first_differing_op(tmp_path, capsys):
     assert OUTS[1].hex() in out and nudged[1].hex() in out
 
 
+def test_every_differing_op_and_key_is_named(tmp_path, capsys):
+    ops = OPS + [["pointwise", 0.1, 1.0, 1.05]]
+    routes = {"f4": 0.25, "series": 0.25, "general": ValueError("no")}
+    moved = {"f4": 0.25 * (1 + 2**-40), "series": 0.25, "general": ValueError("no!")}
+    nudged = [OUTS[0] * 2, OUTS[1], OUTS[2], moved]
+    a = _write(tmp_path / "a.jsonl", OUTS + [routes], ops)
+    b = _write(tmp_path / "b.jsonl", nudged, ops)
+    assert replay.main(["--compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"op 0 differs: {OPS[0]}",
+        f"  out: {(30.6).hex()} != {(61.2).hex()} (relative 5.00e-01)",
+        f"op 3 differs: {ops[3]}",
+        f"  out.f4: {(0.25).hex()} != {moved['f4'].hex()} (relative 9.09e-13)",
+        "  out.general.message: no != no!",
+        f"2 of 4 ops differ between {a} and {b}",
+    ]
+
+
 def test_record_counts_differ(tmp_path, capsys):
     a, b = _write(tmp_path / "a.jsonl", OUTS), _write(tmp_path / "b.jsonl", OUTS[:2])
     assert replay.main(["--compare", str(a), str(b)]) == 1

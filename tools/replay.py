@@ -9,10 +9,13 @@ and writes one JSON line per op: the op and its output, exactly.  A float is
 kept as its bits (float.hex), a scan report as its to_json(), and an
 exception as its type and message; pointwise ops record every route.
 
-The second form exits 1 and names the first op whose records differ, or
-exits 0.  Running the first form in two checkouts, say a parent commit and
-a change to it, and comparing the files shows whether the change moved any
-value, last bits and error messages included.  perfbench is only imported.
+The second form exits 1 and names every op whose records differ, or exits
+0.  For each such op it prints every output key that differs (a route's
+name, a report field, the exception's type or message), both values, and
+the relative difference of two floats.  Running the first form in two
+checkouts, say a parent commit and a change to it, and comparing the files
+shows whether the change moved any value, last bits and error messages
+included.  perfbench is only imported.
 """
 
 from __future__ import annotations
@@ -59,18 +62,65 @@ def record(workload: str, seed: int, path: Path) -> int:
     return len(ops)
 
 
+def _leaves(out, key="out"):
+    """{key path: leaf} of a record's out; a scan report's JSON is opened up."""
+    if isinstance(out, dict):
+        items = out.items()
+    elif isinstance(out, list):
+        items = enumerate(out)
+    else:
+        return {key: out}
+    leaves = {}
+    for name, v in items:
+        if name == "report" and isinstance(v, str):
+            v = json.loads(v)
+        leaves.update(_leaves(v, f"{key}.{name}"))
+    return leaves
+
+
+def _as_float(v):
+    """v as a float if it is a number or a float's hex record, else None."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return float(v)
+    if isinstance(v, str) and v.lstrip("-").startswith("0x"):
+        return float.fromhex(v)
+    return None
+
+
+def _differences(x, y):
+    """One line per output key whose leaves differ between records x and y."""
+    left, right = _leaves(x["out"]), _leaves(y["out"])
+    lines = []
+    for key in sorted(left.keys() | right.keys()):
+        u, v = left.get(key, "<absent>"), right.get(key, "<absent>")
+        if u == v:
+            continue
+        line = f"  {key}: {u} != {v}"
+        fu, fv = _as_float(u), _as_float(v)
+        if fu is not None and fv is not None and max(abs(fu), abs(fv)) > 0.0:
+            line += f" (relative {abs(fu - fv) / max(abs(fu), abs(fv)):.2e})"
+        lines.append(line)
+    return lines
+
+
 def compare(a: Path, b: Path) -> int:
-    """0 if the records of a and b are equal, else 1 after naming the first
-    op that differs."""
+    """0 if the records of a and b are equal, else 1 after naming every op
+    that differs and how."""
     with open(a) as fa, open(b) as fb:
         left, right = fa.read().splitlines(), fb.read().splitlines()
+    differing = 0
     for i, (x, y) in enumerate(zip(left, right)):
         if x != y:
             rx, ry = json.loads(x), json.loads(y)
-            print(f"op {i} differs: {rx['op']}\n  {a}: {rx['out']}\n  {b}: {ry['out']}")
-            return 1
+            differing += 1
+            print(f"op {i} differs: {rx['op']}")
+            print("\n".join(_differences(rx, ry) or [f"  op: {rx['op']} != {ry['op']}"]))
+    if differing:
+        print(f"{differing} of {min(len(left), len(right))} ops differ between {a} and {b}")
     if len(left) != len(right):
         print(f"{a} holds {len(left)} ops, {b} holds {len(right)}")
+        return 1
+    if differing:
         return 1
     print(f"{len(left)} ops identical")
     return 0
