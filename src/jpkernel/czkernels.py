@@ -12,8 +12,10 @@ Every kernel but riesz of order 1 gets its H values from
 kernel.kernel_H_batch: stieltjes at its atoms with the default resolution,
 the others through _KernelBase._H at the resolution preset's integral
 dict, the integral route's own keywords.  The maximal kernel's t grid
-splits between the integral and series routes at AUTO_SPLIT_T, as 'auto'
-does.  Riesz of order 1 takes its t-integral exactly under the integral
+and the Stieltjes atoms split at AUTO_SPLIT_T, as 'auto' does: below the
+split a value takes F4 columns where they are predicted to be few, and
+the integral route (at the dict's resolution) elsewhere, as every
+derivative does.  Riesz of order 1 takes its t-integral exactly under the integral
 representation (kernel.t_integral_H, one (u, v) quadrature under the same
 dict; see RieszKernel).  The other t-integrals (riesz of order 2, gfun,
 laplace) split at t = 1: below, all their log-spaced Gauss nodes take the

@@ -18,6 +18,12 @@ Routes:
               representation on (0, 1]^2, values only; the independent
               cross-check of the integral route.
 
+auto takes the series from AUTO_SPLIT_T on.  Below it, a value whose F4
+columns are predicted to number at most AUTO_F4_COLUMNS
+(_f4_column_estimate) is summed by them, and every other value and every
+derivative takes the integral route (kernel_H_batch).  The named methods
+call their route directly (kernel_eval).
+
 t_integral_H gives int_0^inf of a theta derivative of H over t, by the
 integral route's (u, v) rules with the t-integral of the integrand in
 closed form: the order-1 Riesz kernel.
@@ -57,6 +63,7 @@ SERIES_CAP = 100_000
 F4_EPS_CONV = 5e-4
 F4_MAX_DIAGONALS = 80_000
 F4_COLUMN_START = 1_024
+AUTO_F4_COLUMNS = 700
 _EPS = float(np.finfo(float).eps)
 
 METHODS = ("series", "f4", "integral", "general", "auto")
@@ -112,6 +119,9 @@ def _check_angles(theta, phi):
 
 def check_angle_range(theta, phi):
     """_check_angles, then refuse the first theta or phi entry outside [0, pi]."""
+    if isinstance(theta, float) and isinstance(phi, float) and (
+            0.0 <= theta <= math.pi and 0.0 <= phi <= math.pi):
+        return  # two admissible floats, the common case, without the arrays
     _check_angles(theta, phi)
     for name, angle in (("theta", theta), ("phi", phi)):
         arr = np.asarray(angle, dtype=float)
@@ -238,6 +248,20 @@ def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float) -> flo
     """
     _check_t(t)
     _check_angles(theta, phi)
+    (a, b, c, c2, x, y, geo), rho2, prefactor = _f4_head(params, t, theta, phi)
+    # ln F4_RTOL / ln rho^2 < F4_COLUMN_START, without a log of rho = 0
+    if rho2 < F4_RTOL ** (1.0 / F4_COLUMN_START):
+        total = _f4_sweep(a, b, c, c2, x, y, geo)
+    else:
+        total = _f4_oriented_columns(a, b, c, c2, x, y, geo)
+    return prefactor * total
+
+
+def _f4_head(params, t, theta, phi):
+    """What both F4 forms need at one point: the arguments (a, b, c, c', x,
+    y, geo) of h_script_f4's sums, rho^2, and the prefactor
+    c_ab sinh(t/2) / cosh(t/2)^sigma that multiplies F4.  Raises
+    SlowConvergenceError outside the domain rho < 1 - F4_EPS_CONV."""
     ch = math.cosh(0.5 * t)
     sx = math.sin(0.5 * theta) * math.sin(0.5 * phi) / ch
     sy = math.cos(0.5 * theta) * math.cos(0.5 * phi) / ch
@@ -252,17 +276,32 @@ def h_script_f4(params: JacobiParams, t: float, theta: float, phi: float) -> flo
     b = 0.5 * (params.sigma + 1.0)
     c = params.alpha + 1.0
     c2 = params.beta + 1.0
-
     rho2 = rho * rho
     geo = 2.0 * rho2 / (1.0 - rho2)
-    # ln F4_RTOL / ln rho^2 < F4_COLUMN_START, without a log of rho = 0
-    if rho2 < F4_RTOL ** (1.0 / F4_COLUMN_START):
-        total = _f4_sweep(a, b, c, c2, x, y, geo)
-    elif x <= y:
-        total = _f4_columns(a, b, c, c2, x, y, geo)
-    else:
-        total = _f4_columns(a, b, c2, c, y, x, geo)
-    return params.c_ab * math.sinh(0.5 * t) / ch**params.sigma * total
+    return (a, b, c, c2, x, y, geo), rho2, params.c_ab * math.sinh(0.5 * t) / ch**params.sigma
+
+
+def _f4_oriented_columns(a, b, c, c2, x, y, geo):
+    """_f4_columns over the powers of the smaller of x and y."""
+    if x <= y:
+        return _f4_columns(a, b, c, c2, x, y, geo)
+    return _f4_columns(a, b, c2, c, y, x, geo)
+
+
+def _f4_column_estimate(t, theta, phi):
+    """The column count _f4_columns is predicted to take at each t of an
+    array, before any work: ln F4_RTOL / ln r, with r = (s_lo / (1 -
+    s_hi))^2 the columns' limiting ratio, where s_lo and s_hi are the
+    smaller and larger of sqrt x and sqrt y; inf outside F4's domain
+    rho = s_lo + s_hi < 1 - F4_EPS_CONV, and 0 where s_lo = 0."""
+    ch = np.array([math.cosh(0.5 * s) for s in t.tolist()])  # as _f4_head rounds it
+    sx = math.sin(0.5 * theta) * math.sin(0.5 * phi) / ch
+    sy = math.cos(0.5 * theta) * math.cos(0.5 * phi) / ch
+    s_lo, s_hi = np.minimum(sx, sy), np.maximum(sx, sy)
+    inside = s_lo + s_hi < 1.0 - F4_EPS_CONV
+    with np.errstate(divide="ignore"):
+        log_r = 2.0 * np.log(s_lo / (1.0 - s_hi), where=inside, out=np.full_like(ch, -np.inf))
+    return np.where(inside, math.log(F4_RTOL) / log_r, math.inf)
 
 
 def _f4_sweep(a, b, c, c2, x, y, geo):
@@ -860,8 +899,11 @@ def jph_correction(params: JacobiParams, t, M: int = 0):
     """The explicit sinh correction turning the companion kernel into H.
 
     Zero when alpha + beta >= -1; its theta/phi derivatives vanish
-    identically, t-derivatives are exact.
+    identically, t-derivatives (M, a nonnegative integer) are exact.
     """
+    check_integer_orders(M)
+    if M < 0:
+        raise UnsupportedOrderError(f"derivative order M must be nonnegative, got {M}")
     lam = params.lam
     t = np.asarray(t, dtype=float)
     if lam >= 0.0:
@@ -872,45 +914,73 @@ def jph_correction(params: JacobiParams, t, M: int = 0):
 
 
 def resolve_method(method: str, t: float) -> str:
+    """The route a method takes at t for derivatives: itself, or for 'auto'
+    the series from AUTO_SPLIT_T on and the integral route below.  auto's
+    values below the split may take F4 columns instead, point by point
+    (kernel_H_batch)."""
     if method != "auto":
         return method
     return "series" if t >= AUTO_SPLIT_T else "integral"
 
 
 def kernel_eval(params: JacobiParams, query: KernelQuery) -> float:
-    """H_t (or a derivative) by the requested route, correction included:
-    a one-point kernel_H_batch split at 0 (series), inf (integral) or
-    AUTO_SPLIT_T (auto); f4 and general give values only."""
-    if query.method in ("f4", "general"):
-        route = h_script_f4 if query.method == "f4" else h_script_general
-        base = float(route(params, query.t, query.theta, query.phi))
-        return base + float(jph_correction(params, query.t))
-    split = {"series": 0.0, "integral": math.inf, "auto": AUTO_SPLIT_T}[query.method]
-    return float(kernel_H_batch(params, [query.t], query.theta, query.phi, *query.deriv,
-                                split=split)[0])
+    """H_t (or a derivative) by the requested route, correction included.
+    series and integral call their route, f4 and general (values only)
+    theirs plus the correction; auto is a one-point kernel_H_batch."""
+    t, theta, phi = query.t, query.theta, query.phi
+    M, N, L = query.deriv
+    if query.method == "auto":
+        return float(kernel_H_batch(params, [t], theta, phi, M, N, L)[0])
+    if query.method == "series":
+        return float(series_H(params, t, theta, phi, M=M, N=N, L=L))
+    if query.method == "integral":
+        base = h_script_integral(params, t, theta, phi, deriv=query.deriv)
+    else:
+        base = (h_script_f4 if query.method == "f4" else h_script_general)(params, t, theta, phi)
+    return float(base) + (float(jph_correction(params, t, M=M)) if N == 0 and L == 0 else 0.0)
+
+
+def _f4_column_value(params, t, theta, phi):
+    """The companion kernel at one point by F4 columns, whatever rho is."""
+    args, _, prefactor = _f4_head(params, t, theta, phi)
+    return prefactor * _f4_oriented_columns(*args)
 
 
 def kernel_H_batch(params: JacobiParams, t_arr, theta: float, phi: float, M=0, N=0, L=0,
                    split=AUTO_SPLIT_T, **integral):
-    """H derivatives over a t array, the integral route (plus the sinh
-    correction) below split and the series route from split on; the path
-    of every series, integral and auto evaluation (kernel_eval's one point
-    as the scans' t batches).  integral (rtol, base_nodes, max_doublings,
-    delta_floor; an operator-kernel preset's integral dict as it stands)
-    goes to h_script_integral, whose defaults fill the rest, and is checked
-    by it even when no t lies below split: a keyword it does not take
-    raises its TypeError, a bad value its ValueError (the series path keeps
-    its own derivative orders)."""
+    """H derivatives over a t array, plus the sinh correction below split
+    and the series route from split on; the path of every auto evaluation
+    (kernel_eval's one point as the scans' t batches).
+
+    Below split, a value (M = N = L = 0) at a t whose predicted F4 column
+    count (_f4_column_estimate) is at most AUTO_F4_COLUMNS is summed by F4
+    columns, whatever rho is; every other t below split takes the integral
+    route.  theta and phi must lie in [0, pi], which the prediction assumes.
+    integral (rtol, base_nodes, max_doublings, delta_floor; an
+    operator-kernel preset's integral dict as it stands) goes to
+    h_script_integral, whose defaults fill the rest, and is checked by it
+    even when no t takes that route: a keyword it does not take raises its
+    TypeError, a bad value its ValueError (the series path keeps its own
+    derivative orders)."""
     t_arr = np.asarray(t_arr, dtype=float)
+    _check_t(t_arr)
+    check_angle_range(theta, phi)
     out = np.empty_like(t_arr)
-    small = t_arr < split
-    if np.any(small):
-        vals = h_script_integral(params, t_arr[small], theta, phi, deriv=(M, N, L), **integral)
+    series = t_arr >= split
+    f4 = np.zeros_like(series)
+    if M == 0 and N == 0 and L == 0 and not series.all():
+        f4[~series] = _f4_column_estimate(t_arr[~series], theta, phi) <= AUTO_F4_COLUMNS
+    below = ~(series | f4)
+    if np.any(below):
+        vals = h_script_integral(params, t_arr[below], theta, phi, deriv=(M, N, L), **integral)
         if N == 0 and L == 0:
-            vals = vals + jph_correction(params, t_arr[small], M=M)
-        out[small] = vals
+            vals = vals + jph_correction(params, t_arr[below], M=M)
+        out[below] = vals
     elif integral:
-        h_script_integral(params, t_arr[small], theta, phi, **integral)
-    if np.any(~small):
-        out[~small] = series_H(params, t_arr[~small], theta, phi, M=M, N=N, L=L)
+        h_script_integral(params, t_arr[below], theta, phi, **integral)
+    if np.any(f4):
+        out[f4] = ([_f4_column_value(params, t, theta, phi) for t in t_arr[f4].tolist()]
+                   + jph_correction(params, t_arr[f4]))
+    if np.any(series):
+        out[series] = series_H(params, t_arr[series], theta, phi, M=M, N=N, L=L)
     return out

@@ -5,8 +5,11 @@ Short time (t <= 1) the kernel is comparable with
     * (t^2 + (pi-theta)^2 + (pi-phi)^2)^(-beta-1/2) * t / (t^2 + (theta-phi)^2),
 long time (t >= 1) with exp(-t |lam| / 2) for H and exp(-t lam / 2) for the
 companion kernel.  The comparability constants are not specified by the
-theory, so scans record the empirical min/max ratio (the kernel by
-kernel_H_batch at SCAN_RTOL) and check max/min against a configurable cap.
+theory, so scans record the empirical min/max ratio and check max/min
+against a configurable cap.  The kernel comes from kernel_H_batch, as
+'auto' evaluates it: the series from AUTO_SPLIT_T on and, below, F4
+columns away from the diagonal and the integral route at SCAN_RTOL near
+it.  Angles outside [0, pi] are refused.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from jpkernel.params import JacobiParams
 from jpkernel.report import EstimateReport, check_cap
 
 EXCLUDE_NEAR_MINUS_ONE = -0.9  # scans beyond this are reported, not gated
-SCAN_RTOL = 1e-7  # the integral route's rtol in ratio scans
+SCAN_RTOL = 1e-7  # the integral route's rtol in ratio scans (F4 columns keep F4_RTOL)
 COMPARATORS = ("H", "Hscript")  # the kernels a comparator bounds: H and the companion
 
 
@@ -33,9 +36,10 @@ def _check_which(which):
 
 def comparator(params: JacobiParams, t: float, theta: float, phi: float, which: str = "H") -> float:
     """Short-time comparator for t <= 1, long-time for t > 1 (both regimes
-    are valid at t = 1 exactly)."""
+    are valid at t = 1 exactly); theta and phi must lie in [0, pi]."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
+    check_angle_range(theta, phi)
     _check_which(which)
     if t > 1.0:
         lam = params.lam

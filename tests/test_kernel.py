@@ -156,14 +156,7 @@ def _f4_point_id(v):
 @pytest.fixture
 def column_calls(monkeypatch):
     """The argument tuples of every kernel._f4_columns call in the test."""
-    calls, columns = [], kernel._f4_columns
-
-    def spy(*args):
-        calls.append(args)
-        return columns(*args)
-
-    monkeypatch.setattr(kernel, "_f4_columns", spy)
-    return calls
+    return _spy_on(monkeypatch, "_f4_columns")
 
 
 class TestF4:
@@ -404,12 +397,22 @@ class TestKernelEval:
         got = kernel_eval(CHEB, KernelQuery(t=0.7, theta=2.0, phi=2.2))
         assert_allclose(got, closed_form_chebyshev(0.7, 2.0, 2.2), rtol=1e-10)
 
-    def test_auto_dispatch(self):
+    def test_auto_dispatch(self, column_calls, monkeypatch):
+        # Below AUTO_SPLIT_T away from the diagonal auto sums a value by F4
+        # columns and a derivative by the integral route; from the split on
+        # it takes the series.
         p = JacobiParams(0.0, 0.0)
+        integral_calls = _spy_on(monkeypatch, "h_script_integral")
         small = kernel_eval(p, KernelQuery(t=0.1, theta=1.0, phi=1.5))
-        assert_allclose(small, float(h_script_integral(p, 0.1, 1.0, 1.5)), rtol=1e-12)
+        assert len(column_calls) == 1 and integral_calls == []
+        assert_allclose(small, h_script_f4(p, 0.1, 1.0, 1.5), rtol=kernel.F4_RTOL)
+        d_theta = kernel_eval(p, KernelQuery(t=0.1, theta=1.0, phi=1.5, deriv=(0, 1, 0)))
+        assert len(column_calls) == 1 and len(integral_calls) == 1
+        assert d_theta == h_script_integral(p, 0.1, 1.0, 1.5, deriv=(0, 1, 0))
         large = kernel_eval(p, KernelQuery(t=1.0, theta=1.0, phi=1.5))
         assert_allclose(large, series_H(p, 1.0, 1.0, 1.5), rtol=1e-14)
+        assert len(column_calls) == 1 and len(integral_calls) == 1
+        assert small == kernel._f4_column_value(p, 0.1, 1.0, 1.5)  # lam > 0: no correction
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -818,7 +821,15 @@ def test_integral_route_keeps_the_shape_of_t(t_shape):
     got = h_script_integral(HALF, ts, 1.0, 2.0)
     assert got.shape == t_shape
     assert np.array_equal(got.ravel(), h_script_integral(HALF, ts.ravel(), 1.0, 2.0))
-    assert np.array_equal(got, kernel.kernel_H_batch(HALF, ts, 1.0, 2.0, split=math.inf))
+    # A derivative below the split takes the integral route, a value here F4 columns.
+    d_theta = h_script_integral(HALF, ts, 1.0, 2.0, deriv=(0, 1, 0))
+    assert d_theta.shape == t_shape
+    assert np.array_equal(d_theta, kernel.kernel_H_batch(HALF, ts, 1.0, 2.0, N=1, split=math.inf))
+    values = kernel.kernel_H_batch(HALF, ts, 1.0, 2.0, split=math.inf)
+    assert values.shape == t_shape
+    assert np.array_equal(values.ravel(),
+                          [kernel._f4_column_value(HALF, t, 1.0, 2.0) for t in ts.ravel()])
+    assert_allclose(values, got, rtol=kernel.INTEGRAL_RTOL, atol=0.0)
 
 
 @pytest.mark.parametrize("t_shape", [(0,), (0, 3), (2, 0)], ids=str)
@@ -835,6 +846,134 @@ def test_series_keeps_the_shape_of_t():
     got = series_H(HALF, ts, 1.0, 2.0, N=1)
     assert got.shape == (1, 3)
     assert np.array_equal(got[0], series_H(HALF, ts[0], 1.0, 2.0, N=1))
+
+
+# ---------------------------------------------------------------------------
+# auto's cost rule: values below the split by F4 columns where few are needed
+# ---------------------------------------------------------------------------
+
+def _spy_on(monkeypatch, name):
+    """The argument tuples of every call of kernel.<name> in the test."""
+    calls, fn = [], getattr(kernel, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, name, spy)
+    return calls
+
+
+def test_mixed_batch_equals_each_route(monkeypatch, column_calls):
+    # At theta = 1, phi = 1.1 the predicted column count falls from about
+    # 2,500 at t <= 0.02 (integral) to about 560 at t = 0.19 (F4); t >= 0.2
+    # takes the series, which must not reach t = 1e-3 (below T_MIN_SERIES).
+    p, theta, phi = JacobiParams(-0.75, -0.75), 1.0, 1.1  # lam < 0: a nonzero correction
+    ts = np.array([0.5, 0.19, 1e-3, 1.0, 0.02, 0.185])
+    f4, integral, series = [1, 5], [2, 4], [0, 3]
+    integral_calls = _spy_on(monkeypatch, "h_script_integral")
+    series_calls = _spy_on(monkeypatch, "series_H")
+    got = kernel.kernel_H_batch(p, ts, theta, phi)
+    assert [args[1].tolist() for args in integral_calls] == [ts[integral].tolist()]
+    assert [args[1].tolist() for args in series_calls] == [ts[series].tolist()]
+    assert len(column_calls) == len(f4)
+    assert np.array_equal(got[integral], h_script_integral(p, ts[integral], theta, phi)
+                          + jph_correction(p, ts[integral]))
+    assert np.array_equal(got[series], series_H(p, ts[series], theta, phi))
+    for i in f4:
+        corr = float(jph_correction(p, ts[i]))
+        assert got[i] == kernel._f4_column_value(p, ts[i], theta, phi) + corr
+        assert_allclose(got[i], h_script_f4(p, ts[i], theta, phi) + corr, rtol=kernel.F4_RTOL)
+
+
+@pytest.mark.parametrize("deriv", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 0, 1)], ids=str)
+def test_derivatives_never_reach_the_columns(column_calls, deriv):
+    got = kernel.kernel_H_batch(HALF, [0.05, 0.1, 0.5], 0.4, 2.5, *deriv)
+    assert column_calls == []
+    assert np.array_equal(got[:2], h_script_integral(HALF, [0.05, 0.1], 0.4, 2.5, deriv=deriv))
+
+
+@pytest.mark.parametrize("ab", [(0.5, 0.5), (-0.75, 0.5), (2.0, -0.25)], ids=str)
+def test_diagonal_and_out_of_domain_values_never_raise(column_calls, ab):
+    # On the diagonal rho = 1 / cosh(t/2), outside F4's domain below
+    # t = 0.063; inside it, near the diagonal, the count is large until t
+    # nears the split, and at theta = phi = 0 or pi it is 0 (x or y is 0).
+    p = JacobiParams(*ab)
+    ts = np.array([0.005, 0.02, 0.1, 0.19])
+    for theta, phi in [(0.0, 0.0), (1.0, 1.0), (1.0, 1.0 + 1e-7), (math.pi, math.pi)]:
+        got = kernel.kernel_H_batch(p, ts, theta, phi)
+        assert np.all(np.isfinite(got) & (got > 0.0))
+    # Some diagonal t did take F4: (0, 0) and (pi, pi) at t >= 0.1, (1, 1) at 0.19.
+    assert len(column_calls) >= 5
+
+
+def _columns_taken(monkeypatch, args):
+    """The least F4_MAX_DIAGONALS at which _f4_columns(*args) returns, one
+    less than the number of columns it sums (a cap K allows K - 1
+    recurrence steps after the two columns from hyp2f1)."""
+    cap = kernel.F4_MAX_DIAGONALS
+    lo, hi = 1, cap
+    while lo < hi:
+        mid = (lo + hi) // 2
+        monkeypatch.setattr(kernel, "F4_MAX_DIAGONALS", mid)
+        try:
+            kernel._f4_columns(*args)
+            hi = mid
+        except SlowConvergenceError:
+            lo = mid + 1
+    monkeypatch.setattr(kernel, "F4_MAX_DIAGONALS", cap)
+    return lo
+
+
+@pytest.mark.parametrize("t, theta, phi", [
+    (0.01, 0.4, 2.5), (0.1, 1.0, 1.5), (0.05, 0.5, 0.6), (0.19, 1.0, 1.1), (0.1, 2.9, 3.0),
+    (0.19, 1.0, 1.0), (0.01, 3.0, 3.1), (0.05, 0.0, 1.0), (0.15, 1.5, 1.52)], ids=str)
+def test_column_estimate_bounds_the_columns_taken(monkeypatch, acceptance_params, t, theta, phi):
+    # The columns' ratio tends to r from below, after a peak that the stop
+    # rule's geo and F4_RTOL margin lengthen: n_hat <= taken <= 1.3 n_hat + 5
+    # (five columns at least; up to 1.27 n_hat on these points).
+    n_hat = float(kernel._f4_column_estimate(np.array([t]), theta, phi)[0])
+    (a, b, c, c2, x, y, geo), _, _ = kernel._f4_head(acceptance_params, t, theta, phi)
+    args = (a, b, c, c2, x, y, geo) if x <= y else (a, b, c2, c, y, x, geo)
+    taken = _columns_taken(monkeypatch, args)
+    assert n_hat <= taken <= 1.3 * n_hat + 5, (n_hat, taken)
+
+
+@pytest.mark.parametrize("method", ["integral", "series"])
+def test_named_routes_never_call_the_columns(column_calls, method):
+    p = JacobiParams(-0.75, -0.75)
+    for t, theta, phi in [(0.05, 0.4, 2.5), (0.1, 1.0, 1.5), (0.15, 0.0, 1.0)]:
+        got = kernel_eval(p, KernelQuery(t=t, theta=theta, phi=phi, method=method))
+        if method == "integral":
+            assert got == float(h_script_integral(p, t, theta, phi)) + float(jph_correction(p, t))
+        else:
+            assert got == series_H(p, t, theta, phi)
+    assert column_calls == []
+
+
+@pytest.mark.parametrize("theta, phi, match", [
+    (4.0, 2.0, r"theta must lie in \[0, pi\], got 4.0"),
+    (0.5, -1e-9, r"phi must lie in \[0, pi\], got -1e-09"),
+    (math.inf, 2.0, "theta must be finite, got inf"),
+])
+def test_batch_refuses_angles_outside_the_range(monkeypatch, theta, phi, match):
+    # kernel_H_batch(HALF, [0.5], 4.0, 2.0) used to return 2.5665.
+    monkeypatch.setattr(kernel, "series_H", _no_evaluation)
+    monkeypatch.setattr(kernel, "_integral_terms", _no_evaluation)
+    for ts in ([0.5], [0.05, 0.5]):
+        with pytest.raises(ValueError, match=match):
+            kernel.kernel_H_batch(HALF, ts, theta, phi)
+
+
+@pytest.mark.parametrize("ab", [(0.5, 0.5), (-0.75, -0.75)], ids=str)
+@pytest.mark.parametrize("M, match", [(0.5, "derivative orders must be integers, got 0.5"),
+                                      (1.0, "derivative orders must be integers, got 1.0"),
+                                      (-1, "derivative order M must be nonnegative, got -1")])
+def test_correction_refuses_orders_that_are_not_nonnegative_integers(ab, M, match):
+    # M = 0.5 used to raise a bare TypeError at alpha + beta < -1, and M = -1
+    # returned -1.11 there.
+    with pytest.raises(UnsupportedOrderError, match=match):
+        jph_correction(JacobiParams(*ab), 0.5, M=M)
 
 
 def _no_evaluation(*args, **kwargs):
@@ -1096,3 +1235,16 @@ def test_routes_match_the_trigonometric_forms(route, ab, t, angles):
         got = float(fn(p, t, theta, phi)) + float(jph_correction(p, t))
     want = trig_H(*ab, t, theta, phi)
     assert abs(got - want) <= rtol * abs(want), (got, want)
+
+
+# auto's values where the cost rule picks F4 columns, against the same forms.
+@pytest.mark.parametrize("ab", TRIG_PAIRS, ids=str)
+def test_auto_matches_the_trigonometric_forms_on_f4_points(column_calls, ab):
+    p = JacobiParams(*ab)
+    points = [(t, theta, phi) for t in (0.01, 0.05, 0.15)
+              for theta, phi in [(0.4, 2.5), (1e-6, 0.3), (1.0, 1.3), (2.9, 3.1)]]
+    for t, theta, phi in points:
+        got = kernel_eval(p, KernelQuery(t=t, theta=theta, phi=phi))
+        want = trig_H(*ab, t, theta, phi)
+        assert abs(got - want) <= kernel.F4_RTOL * abs(want), (t, theta, phi, got, want)
+    assert len(column_calls) == len(points)

@@ -59,6 +59,44 @@ def test_every_differing_op_and_key_is_named(tmp_path, capsys):
     ]
 
 
+def test_rtol_counts_close_floats_as_equal(tmp_path, capsys):
+    routes = {"f4": 0.25, "series": 0.25, "general": ValueError("no")}
+    moved = {"f4": 0.25 * (1 + 2**-40), "series": 0.25, "general": ValueError("no")}
+    ops = OPS + [["pointwise", 0.1, 1.0, 1.05]]
+    a = _write(tmp_path / "a.jsonl", OUTS + [routes], ops)
+    b = _write(tmp_path / "b.jsonl", [OUTS[0] * (1 + 1e-9)] + OUTS[1:] + [moved], ops)
+    assert replay.main(["--compare", str(a), str(b), "--rtol", "1e-7"]) == 0
+    assert capsys.readouterr().out == (
+        "4 ops equal within relative 1e-07: 2 not bitwise, the largest relative difference 1.00e-09\n")
+    # The default stays exact.
+    assert replay.main(["--compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == f"2 of 4 ops differ between {a} and {b}"
+
+
+def test_rtol_keeps_every_other_difference(tmp_path, capsys):
+    far = [OUTS[0] * (1 + 1e-6), OUTS[1] * (1 + 1e-9), ValueError("t must be positive")]
+    a, b = _write(tmp_path / "a.jsonl", OUTS), _write(tmp_path / "b.jsonl", far)
+    assert replay.main(["--compare", str(a), str(b), "--rtol", "1e-7"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"op 0 differs: {OPS[0]}",
+        f"  out: {OUTS[0].hex()} != {far[0].hex()} (relative 1.00e-06)",
+        f"op 2 differs: {OPS[2]}",
+        f"  out.message: {OUTS[2]} != {far[2]}",
+        f"2 of 3 ops differ between {a} and {b}",
+    ]
+
+
+@pytest.mark.parametrize("argv", [["--compare", "a", "b", "--rtol", "-1"],
+                                  ["--compare", "a", "b", "--rtol", "nan"],
+                                  ["--workload", "sharp", "--seed", "3", "--out", "x", "--rtol", "1e-7"]],
+                         ids=["negative", "nan", "without-compare"])
+def test_rtol_is_refused_where_it_means_nothing(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        replay.main(argv)
+    assert info.value.code == 2
+    assert "--rtol" in capsys.readouterr().err
+
+
 def test_record_counts_differ(tmp_path, capsys):
     a, b = _write(tmp_path / "a.jsonl", OUTS), _write(tmp_path / "b.jsonl", OUTS[:2])
     assert replay.main(["--compare", str(a), str(b)]) == 1

@@ -53,6 +53,17 @@ class TestComparator:
         with pytest.raises(ValueError):
             comparator(p, 1.0, 1.0, 2.0, which="bogus")
 
+    @pytest.mark.parametrize("theta, phi, match", [
+        (-1.0, 2.0, "theta must lie in \\[0, pi\\], got -1.0"),
+        (1.0, 4.0, "phi must lie in \\[0, pi\\], got 4.0"),
+        (math.nan, 2.0, "theta must be finite, got nan"),
+    ])
+    @pytest.mark.parametrize("t", [0.5, 2.0], ids=["short", "long"])
+    def test_angles_outside_the_range_are_refused(self, t, theta, phi, match):
+        # comparator(HALF, 0.5, -1.0, 2.0) used to return 5.5e-4.
+        with pytest.raises(ValueError, match=match):
+            comparator(JacobiParams(0.5, 0.5), t, theta, phi)
+
 
 class TestRatioScan:
     def test_chebyshev_reference(self):
@@ -196,6 +207,11 @@ class TestLongTime:
         limit = 1.0 / mu_total(p)
         assert_allclose(ratio, limit, rtol=2e-3)
         assert abs(ratio[2] - limit) < abs(ratio[0] - limit)
+
+    def test_fit_refuses_an_angle_outside_the_range(self):
+        # long_time_fit(HALF, 5.0, 1.0) used to return a fit.
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\], got 5.0"):
+            long_time_fit(JacobiParams(0.5, 0.5), 5.0, 1.0)
 
     def test_fit_rate_meets_bound(self):
         for a, b in [(0.5, 0.5), (-0.75, -0.75)]:

@@ -1,7 +1,7 @@
 """Record the exact outputs of one benchmark round, and compare two records.
 
     python tools/replay.py --workload W --seed S --out FILE
-    python tools/replay.py --compare A B
+    python tools/replay.py --compare A B [--rtol R]
 
 The first form runs round 1 of a perfbench workload (`rounds` and `CALL` of
 perfbench/workloads.py) against the src/ of the checkout this file sits in,
@@ -15,13 +15,18 @@ name, a report field, the exception's type or message), both values, and
 the relative difference of two floats.  Running the first form in two
 checkouts, say a parent commit and a change to it, and comparing the files
 shows whether the change moved any value, last bits and error messages
-included.  perfbench is only imported.
+included.  With --rtol R (default 0, exact), two floats within R relative
+of each other count as equal, and an op whose every difference is such a
+pair is counted, with the largest relative difference, but does not fail
+the comparison; any other difference still does.  perfbench is only
+imported.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -87,34 +92,55 @@ def _as_float(v):
     return None
 
 
-def _differences(x, y):
-    """One line per output key whose leaves differ between records x and y."""
+def _relative(u, v):
+    """The relative difference of two float leaves, or None unless both
+    are floats and one is nonzero."""
+    fu, fv = _as_float(u), _as_float(v)
+    if fu is None or fv is None or max(abs(fu), abs(fv)) == 0.0:
+        return None
+    return abs(fu - fv) / max(abs(fu), abs(fv))
+
+
+def _differences(x, y, rtol=0.0):
+    """(one line per output key whose leaves differ between records x and
+    y, the largest relative difference of the float pairs within rtol,
+    which make no line); rtol = 0 keeps every difference."""
     left, right = _leaves(x["out"]), _leaves(y["out"])
-    lines = []
+    lines, close = [], 0.0
     for key in sorted(left.keys() | right.keys()):
         u, v = left.get(key, "<absent>"), right.get(key, "<absent>")
         if u == v:
             continue
+        rel = _relative(u, v)
+        if rtol > 0.0 and rel is not None and rel <= rtol:
+            close = max(close, rel)
+            continue
         line = f"  {key}: {u} != {v}"
-        fu, fv = _as_float(u), _as_float(v)
-        if fu is not None and fv is not None and max(abs(fu), abs(fv)) > 0.0:
-            line += f" (relative {abs(fu - fv) / max(abs(fu), abs(fv)):.2e})"
+        if rel is not None:
+            line += f" (relative {rel:.2e})"
         lines.append(line)
-    return lines
+    return lines, close
 
 
-def compare(a: Path, b: Path) -> int:
-    """0 if the records of a and b are equal, else 1 after naming every op
-    that differs and how."""
+def compare(a: Path, b: Path, rtol: float = 0.0) -> int:
+    """0 if the records of a and b are equal (their floats within rtol
+    relative), else 1 after naming every op that differs and how."""
     with open(a) as fa, open(b) as fb:
         left, right = fa.read().splitlines(), fb.read().splitlines()
-    differing = 0
+    differing = close = 0
+    worst = 0.0
     for i, (x, y) in enumerate(zip(left, right)):
         if x != y:
             rx, ry = json.loads(x), json.loads(y)
+            lines, rel = _differences(rx, ry, rtol)
+            if not lines and rx["op"] != ry["op"]:
+                lines = [f"  op: {rx['op']} != {ry['op']}"]
+            if not lines:
+                close, worst = close + 1, max(worst, rel)
+                continue
             differing += 1
             print(f"op {i} differs: {rx['op']}")
-            print("\n".join(_differences(rx, ry) or [f"  op: {rx['op']} != {ry['op']}"]))
+            print("\n".join(lines))
     if differing:
         print(f"{differing} of {min(len(left), len(right))} ops differ between {a} and {b}")
     if len(left) != len(right):
@@ -122,7 +148,11 @@ def compare(a: Path, b: Path) -> int:
         return 1
     if differing:
         return 1
-    print(f"{len(left)} ops identical")
+    if close:
+        print(f"{len(left)} ops equal within relative {rtol:g}: {close} not bitwise, "
+              f"the largest relative difference {worst:.2e}")
+    else:
+        print(f"{len(left)} ops identical")
     return 0
 
 
@@ -132,9 +162,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", type=Path)
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="with --compare: floats within this relative difference count as equal")
     args = parser.parse_args(argv)
+    if not 0.0 <= args.rtol < math.inf:
+        parser.error(f"--rtol must be nonnegative and finite, got {args.rtol}")
     if args.compare:
-        return compare(*args.compare)
+        return compare(*args.compare, rtol=args.rtol)
+    if args.rtol:
+        parser.error("--rtol goes with --compare A B")
     if args.workload is None or args.seed is None or args.out is None:
         parser.error("--workload, --seed and --out go together, or give --compare A B")
     n = record(args.workload, args.seed, args.out)
