@@ -18,11 +18,13 @@ Routes:
               representation on (0, 1]^2, values only; the independent
               cross-check of the integral route.
 
-auto takes the series from AUTO_SPLIT_T on.  Below it, a value whose F4
-columns are predicted to number at most AUTO_F4_COLUMNS
-(_f4_column_estimate) is summed by them, and every other value and every
-derivative takes the integral route (kernel_H_batch).  The named methods
-call their route directly (kernel_eval).
+auto takes the series from AUTO_SPLIT_T on.  Below it, a value on the
+diagonal theta == phi, where every series term is nonnegative, takes the
+series at each t whose truncation is at most AUTO_SERIES_TERMS terms; any
+other value whose F4 columns are predicted to number at most
+AUTO_F4_COLUMNS (_f4_column_estimate) is summed by them, and every other
+value and every derivative takes the integral route (kernel_H_batch).  The
+named methods call their route directly (kernel_eval).
 
 t_integral_H gives int_0^inf of a theta derivative of H over t, by the
 integral route's (u, v) rules with the t-integral of the integrand in
@@ -64,6 +66,7 @@ F4_EPS_CONV = 5e-4
 F4_MAX_DIAGONALS = 80_000
 F4_COLUMN_START = 1_024
 AUTO_F4_COLUMNS = 700
+AUTO_SERIES_TERMS = 5_000
 _EPS = float(np.finfo(float).eps)
 
 METHODS = ("series", "f4", "integral", "general", "auto")
@@ -150,25 +153,39 @@ def closed_form_chebyshev(t, theta, phi):
 # series route
 # ---------------------------------------------------------------------------
 
-def _series_cut(params: JacobiParams, t_min: float, M: int, N: int, L: int) -> int:
+def _series_terms(params: JacobiParams, t_min: float, M: int, N: int, L: int) -> int:
     """Smallest n with a tail bound below SERIES_RTOL, via the crude growth bound
-    n^(alpha+beta+2) on the polynomials (+1 safety in the exponent).
+    n^(alpha+beta+2) on the polynomials (+1 safety in the exponent), for any
+    t_min > 0 and without the cap: the truncation _series_cut checks and
+    auto's diagonal rule predicts with.
 
-    At large t the fixed point falls below one term, so the iteration takes
-    the log of at least 1 and the cut keeps its floor of 8 terms."""
-    if t_min < T_MIN_SERIES:
-        raise TruncationError(f"series route needs t >= {T_MIN_SERIES}, got {t_min}")
+    n is the fixed point of n -> (log_goal + p log n) / t_min, iterated at
+    most 60 times from 20 / t_min + 20; a step that returns its own input
+    has reached it, so the iteration stops there.  At large t the fixed
+    point falls below one term, so the iteration takes the log of at least
+    1 and the cut keeps its floor of 8 terms."""
     p = 2.0 * params.sigma + 3.0 * (N + L) + M + 1.0
     log_goal = math.log(1.0 / SERIES_RTOL) + math.log(1.0 / -math.expm1(-t_min)) + 1.0
     n = 20.0 / t_min + 20.0
     for _ in range(60):
-        n = (log_goal + p * math.log(max(n, 1.0))) / t_min
-    n = int(math.ceil(n))
+        step = (log_goal + p * math.log(max(n, 1.0))) / t_min
+        if step == n:
+            break
+        n = step
+    return max(int(math.ceil(n)), 8)
+
+
+def _series_cut(params: JacobiParams, t_min: float, M: int, N: int, L: int) -> int:
+    """_series_terms, refused with TruncationError below T_MIN_SERIES or
+    above SERIES_CAP terms."""
+    if t_min < T_MIN_SERIES:
+        raise TruncationError(f"series route needs t >= {T_MIN_SERIES}, got {t_min}")
+    n = _series_terms(params, t_min, M, N, L)
     if n > SERIES_CAP:
         raise TruncationError(
             f"series truncation needs {n} terms (cap {SERIES_CAP}) at t={t_min}"
         )
-    return max(n, 8)
+    return n
 
 
 def series_H(params: JacobiParams, t, theta: float, phi, M=0, N=0, L=0):
@@ -189,9 +206,11 @@ def series_H(params: JacobiParams, t, theta: float, phi, M=0, N=0, L=0):
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
     n_cut = _series_cut(params, float(t_arr.min()), M, N, L)
     rates = params.rates(n_cut)
-    coef = trig_poly_table(params, n_cut, np.float64(theta), order=N)[:, None] * trig_poly_table(
-        params, n_cut, phi_arr, order=L
-    )
+    left = trig_poly_table(params, n_cut, np.float64(theta), order=N)[:, None]
+    if np.ndim(phi) == 0 and phi == theta and L == N:
+        coef = left * left  # phi's table is theta's, bit for bit
+    else:
+        coef = left * trig_poly_table(params, n_cut, phi_arr, order=L)
     if M > 0:
         coef = coef * ((-rates) ** M)[:, None]
     vals = (np.exp(-np.outer(t_arr, rates)) @ coef).reshape(np.shape(t) + np.shape(phi))
@@ -916,8 +935,8 @@ def jph_correction(params: JacobiParams, t, M: int = 0):
 def resolve_method(method: str, t: float) -> str:
     """The route a method takes at t for derivatives: itself, or for 'auto'
     the series from AUTO_SPLIT_T on and the integral route below.  auto's
-    values below the split may take F4 columns instead, point by point
-    (kernel_H_batch)."""
+    values below the split may take F4 columns instead, point by point, and
+    on the diagonal theta == phi the series (kernel_H_batch)."""
     if method != "auto":
         return method
     return "series" if t >= AUTO_SPLIT_T else "integral"
@@ -952,10 +971,17 @@ def kernel_H_batch(params: JacobiParams, t_arr, theta: float, phi: float, M=0, N
     and the series route from split on; the path of every auto evaluation
     (kernel_eval's one point as the scans' t batches).
 
-    Below split, a value (M = N = L = 0) at a t whose predicted F4 column
-    count (_f4_column_estimate) is at most AUTO_F4_COLUMNS is summed by F4
-    columns, whatever rho is; every other t below split takes the integral
-    route.  theta and phi must lie in [0, pi], which the prediction assumes.
+    Below split, a value (M = N = L = 0) at theta == phi takes the series
+    at each t from T_MIN_SERIES on whose truncation (_series_terms) is at
+    most AUTO_SERIES_TERMS: there the terms e^(-t r_n) P_n(theta)^2 are all
+    nonnegative, so the sum cannot cancel, and below that many terms it
+    costs less than the integral route.  The truncation falls as t grows,
+    so the diagonal t from some t* on take the series, in one call with the
+    t from split on (cut at the smallest t of both).  Any other value at a
+    t whose predicted F4 column count (_f4_column_estimate) is at most
+    AUTO_F4_COLUMNS is summed by F4 columns, whatever rho is; every other t
+    below split takes the integral route.  theta and phi must lie in
+    [0, pi], which the prediction assumes.
     integral (rtol, base_nodes, max_doublings, delta_floor; an
     operator-kernel preset's integral dict as it stands) goes to
     h_script_integral, whose defaults fill the rest, and is checked by it
@@ -969,7 +995,12 @@ def kernel_H_batch(params: JacobiParams, t_arr, theta: float, phi: float, M=0, N
     series = t_arr >= split
     f4 = np.zeros_like(series)
     if M == 0 and N == 0 and L == 0 and not series.all():
-        f4[~series] = _f4_column_estimate(t_arr[~series], theta, phi) <= AUTO_F4_COLUMNS
+        if theta == phi:
+            series[~series] = [t >= T_MIN_SERIES
+                               and _series_terms(params, t, 0, 0, 0) <= AUTO_SERIES_TERMS
+                               for t in t_arr[~series].tolist()]
+        if not series.all():
+            f4[~series] = _f4_column_estimate(t_arr[~series], theta, phi) <= AUTO_F4_COLUMNS
     below = ~(series | f4)
     if np.any(below):
         vals = h_script_integral(params, t_arr[below], theta, phi, deriv=(M, N, L), **integral)

@@ -7,7 +7,8 @@ long time (t >= 1) with exp(-t |lam| / 2) for H and exp(-t lam / 2) for the
 companion kernel.  The comparability constants are not specified by the
 theory, so scans record the empirical min/max ratio and check max/min
 against a configurable cap.  The kernel comes from kernel_H_batch, as
-'auto' evaluates it: the series from AUTO_SPLIT_T on and, below, F4
+'auto' evaluates it: the series from AUTO_SPLIT_T on and, below, the
+series on the diagonal theta == phi where its truncation is short, F4
 columns away from the diagonal and the integral route at SCAN_RTOL near
 it.  Angles outside [0, pi] are refused.
 """
@@ -24,7 +25,7 @@ from jpkernel.params import JacobiParams
 from jpkernel.report import EstimateReport, check_cap
 
 EXCLUDE_NEAR_MINUS_ONE = -0.9  # scans beyond this are reported, not gated
-SCAN_RTOL = 1e-7  # the integral route's rtol in ratio scans (F4 columns keep F4_RTOL)
+SCAN_RTOL = 1e-7  # the integral route's rtol in ratio scans (the series and F4 keep theirs)
 COMPARATORS = ("H", "Hscript")  # the kernels a comparator bounds: H and the companion
 
 

@@ -897,14 +897,95 @@ def test_derivatives_never_reach_the_columns(column_calls, deriv):
 def test_diagonal_and_out_of_domain_values_never_raise(column_calls, ab):
     # On the diagonal rho = 1 / cosh(t/2), outside F4's domain below
     # t = 0.063; inside it, near the diagonal, the count is large until t
-    # nears the split, and at theta = phi = 0 or pi it is 0 (x or y is 0).
+    # nears the split, and next to theta = phi = 0 or pi it is 0 (x or y is
+    # 0).  On the diagonal itself the series takes every t whose truncation
+    # is short (0.1 and 0.19 here, and 0.02 but at (2, -1/4)).
     p = JacobiParams(*ab)
     ts = np.array([0.005, 0.02, 0.1, 0.19])
-    for theta, phi in [(0.0, 0.0), (1.0, 1.0), (1.0, 1.0 + 1e-7), (math.pi, math.pi)]:
+    for theta, phi in [(0.0, 0.0), (0.0, 1e-7), (1.0, 1.0), (1.0, 1.0 + 1e-7),
+                       (math.pi, math.pi), (math.pi - 1e-7, math.pi)]:
         got = kernel.kernel_H_batch(p, ts, theta, phi)
         assert np.all(np.isfinite(got) & (got > 0.0))
-    # Some diagonal t did take F4: (0, 0) and (pi, pi) at t >= 0.1, (1, 1) at 0.19.
+    # Some t next to the diagonal did take F4: (0, 1e-7) and (pi - 1e-7, pi)
+    # at t >= 0.1, (1, 1 + 1e-7) at 0.19.
     assert len(column_calls) >= 5
+
+
+# ---------------------------------------------------------------------------
+# auto's diagonal rule: values at theta == phi by the series where it is short
+# ---------------------------------------------------------------------------
+
+def _series_terms_reference(params, t_min, M, N, L):
+    """kernel._series_terms as sixty steps of its fixed-point map, with no
+    early stop."""
+    p = 2.0 * params.sigma + 3.0 * (N + L) + M + 1.0
+    log_goal = math.log(1.0 / kernel.SERIES_RTOL) + math.log(1.0 / -math.expm1(-t_min)) + 1.0
+    n = 20.0 / t_min + 20.0
+    for _ in range(60):
+        n = (log_goal + p * math.log(max(n, 1.0))) / t_min
+    return max(int(math.ceil(n)), 8)
+
+
+def test_series_terms_stop_at_the_fixed_point(rng):
+    for _ in range(2000):
+        ab = rng.uniform(-0.99, 6.0, size=2)
+        t = 10.0 ** rng.uniform(-5.0, 1.5)
+        M, N, L = (int(k) for k in rng.integers(0, 4, size=3))
+        p = JacobiParams(*ab)
+        assert kernel._series_terms(p, t, M, N, L) == _series_terms_reference(p, t, M, N, L)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0, math.pi], ids=str)
+def test_diagonal_values_below_the_split_take_the_series(monkeypatch, column_calls,
+                                                          acceptance_params, theta):
+    p, ts = acceptance_params, np.array([0.05, 0.1, 0.19])
+    integral_calls = _spy_on(monkeypatch, "h_script_integral")
+    got = kernel.kernel_H_batch(p, ts, theta, theta)
+    assert integral_calls == [] and column_calls == []
+    assert np.array_equal(got, series_H(p, ts, theta, theta))
+
+
+@pytest.mark.parametrize("ab, theta", [((0.5, 0.5), 3.0), ((-0.75, 0.5), 1.0), ((5.0, 5.0), 0.3)],
+                         ids=str)
+def test_mixed_diagonal_batch_equals_each_route(monkeypatch, ab, theta):
+    # t = 1e-4 lies below T_MIN_SERIES and t = 0.005 needs 15,957 to 62,459
+    # terms, above AUTO_SERIES_TERMS: both stay on the integral route, and
+    # neither prediction raises.  0.05 (1,327 to 4,931 terms) takes the
+    # series below the split, in one call with 0.5 from the split on.
+    p = JacobiParams(*ab)
+    ts = np.array([0.05, 1e-4, 0.5, 0.005])
+    integral, series = [1, 3], [0, 2]
+    series_calls = _spy_on(monkeypatch, "series_H")
+    got = kernel.kernel_H_batch(p, ts, theta, theta)
+    assert [args[1].tolist() for args in series_calls] == [ts[series].tolist()]
+    assert np.array_equal(got[series], series_H(p, ts[series], theta, theta))
+    assert np.array_equal(got[integral], h_script_integral(p, ts[integral], theta, theta)
+                          + jph_correction(p, ts[integral]))
+
+
+@pytest.mark.parametrize("deriv", [(1, 0, 0), (0, 1, 0)], ids=str)
+def test_diagonal_derivatives_take_the_integral_route(monkeypatch, deriv):
+    p, ts = JacobiParams(-0.75, -0.75), np.array([0.05, 0.1])  # lam < 0
+    series_calls = _spy_on(monkeypatch, "series_H")
+    got = kernel.kernel_H_batch(p, ts, 1.0, 1.0, *deriv)
+    want = h_script_integral(p, ts, 1.0, 1.0, deriv=deriv)
+    if deriv[1] == 0:
+        want = want + jph_correction(p, ts, M=deriv[0])
+    assert series_calls == [] and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("M, N", [(0, 0), (1, 0), (0, 1), (1, 2)], ids=str)
+def test_one_table_series_is_the_two_table_product(acceptance_params, M, N):
+    p, ts = acceptance_params, np.array([0.05, 0.3])
+    n_cut = kernel._series_cut(p, 0.05, M, N, N)
+    rates = p.rates(n_cut)
+    for theta in (0.0, 0.3, 1.5, 3.0, math.pi):
+        coef = (trig_poly_table(p, n_cut, np.float64(theta), order=N)[:, None]
+                * trig_poly_table(p, n_cut, np.array([theta]), order=N))
+        if M:
+            coef = coef * ((-rates) ** M)[:, None]
+        want = (np.exp(-np.outer(ts, rates)) @ coef)[:, 0]
+        assert np.array_equal(series_H(p, ts, theta, theta, M=M, N=N, L=N), want)
 
 
 def _columns_taken(monkeypatch, args):
@@ -1248,3 +1329,16 @@ def test_auto_matches_the_trigonometric_forms_on_f4_points(column_calls, ab):
         want = trig_H(*ab, t, theta, phi)
         assert abs(got - want) <= kernel.F4_RTOL * abs(want), (t, theta, phi, got, want)
     assert len(column_calls) == len(points)
+
+
+# auto on the diagonal, where the series takes every t below the split
+# here (at most 1,723 terms), against the same forms: within 2.5e-14, where
+# the integral route read 5.9e-13 to 7.3e-13 off at each pair.
+@pytest.mark.parametrize("ab", TRIG_PAIRS, ids=str)
+def test_auto_matches_the_trigonometric_forms_on_the_diagonal(ab):
+    p, ts = JacobiParams(*ab), np.array([0.05, 0.1, 0.15, 0.19])
+    for theta in (0.0, 0.01, 0.3, 1.5, 3.0, math.pi - 0.01, math.pi):
+        got = kernel.kernel_H_batch(p, ts, theta, theta)
+        for t, h in zip(ts.tolist(), got.tolist()):
+            want = trig_H(*ab, t, theta, theta)
+            assert abs(h - want) <= 1e-13 * abs(want), (t, theta, h, want)

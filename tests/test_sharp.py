@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from jpkernel import sharp
 from jpkernel.basis import mu_total
-from jpkernel.kernel import jph_correction, kernel_H_batch
+from jpkernel.kernel import jph_correction, kernel_H_batch, series_H
 from jpkernel.params import JacobiParams
 from jpkernel.sharp import comparator, long_time_fit, ratio_scan
 
@@ -163,6 +163,19 @@ class TestMirrorPairs:
         kernel_col = np.array([row[3] for row in report.rows])
         assert_allclose(kernel_col, per_pair_rows(p, self.T_GRID, theta_grid, phi_grid, which),
                         rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("which", ["H", "Hscript"])
+    def test_square_grid_diagonal_rows_are_series_values(self, which):
+        p = JacobiParams(-0.75, -0.75)  # lam < 0: Hscript differs from H
+        t_grid = np.array([0.05, 0.1, 0.5])
+        grid = [0.0, 1.2, math.pi]
+        report = ratio_scan(p, t_grid, grid, grid, which=which)
+        for th in grid:
+            want = series_H(p, t_grid, th, th)
+            if which == "Hscript":
+                want = want - jph_correction(p, t_grid)
+            got = [row[3] for row in report.rows if row[1] == row[2] == th]
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("theta_grid, phi_grid", [
         ([1.0], [math.nan]), ([math.nan], [1.0]), ([1.0, math.nan], [1.0, math.nan]),
