@@ -1,32 +1,24 @@
-"""Deterministic parallel map; JPK_THREADS caps the worker count."""
+"""Ordered maps over a scan's grid pairs, on the calling thread.
+
+A scan's pairs are mostly pure-Python scalar work that holds the
+interpreter lock; a thread pool made every benchmark workload slower.
+Callers may still run scans on threads of their own.
+"""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 
 def thread_count() -> int:
-    """Worker count: os.cpu_count() by default, capped by JPK_THREADS."""
-    cap = os.cpu_count() or 1
-    raw = os.environ.get("JPK_THREADS")
-    if raw is not None:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(f"JPK_THREADS must be an integer, got {raw!r}") from None
-        cap = min(cap, max(n, 1))
-    return cap
+    """Worker count of parallel_map: 1, since it runs on the calling thread.
+
+    Kept for tracers that report how many workers a map used.
+    """
+    return 1
 
 
 def parallel_map(fn, items):
-    """Map preserving input order regardless of completion order."""
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    """[fn(x) for x in items], in order, on the calling thread."""
+    return [fn(x) for x in items]
 
 
 def pair_map(fn, pairs, symmetric):

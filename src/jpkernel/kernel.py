@@ -568,7 +568,8 @@ class _Workspace:
     every block it evaluates, grown when a piece needs more.  Blocks then
     do not page-fault in fresh memory, as they would if each allocated its
     own: the allocator hands equal-size arrays back to the system.  It
-    belongs to the call, because the evaluators are shared between threads.
+    belongs to the call, because the evaluators are cached and shared, also
+    between threads that callers run.
     """
 
     def __init__(self):

@@ -39,8 +39,9 @@ class EstimateReport:
 
     columns names the row schema; every row is a tuple in that order with a
     trailing 'ratio' column; pass means max ratio <= cap (and, when a
-    two-sided cap applies, max/min <= cap).  A scan with no rows has nothing
-    to report and raises ValueError.
+    two-sided cap applies, min > 0 and max/min <= cap: a kernel estimated
+    from both sides is positive, so a ratio <= 0 fails).  A scan with no
+    rows has nothing to report and raises ValueError.
     """
 
     kind: str
@@ -75,7 +76,7 @@ class EstimateReport:
         if any(not math.isfinite(r) for r in self.ratios):
             return False
         if self.two_sided:
-            return self.ratio_max / self.ratio_min <= self.cap
+            return self.ratio_min > 0.0 and self.ratio_max / self.ratio_min <= self.cap
         return self.ratio_max <= self.cap
 
     def summary(self) -> dict:

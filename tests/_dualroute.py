@@ -51,8 +51,6 @@ class RieszKernelRoute:
         self.t_probe = T0 * np.array([1.0, 1.2, 1.45, 1.74, 2.2])
 
         # kernel derivative values on the (t, phi) grid, integral route
-        from jpkernel._parallel import parallel_map
-
         t_all = np.concatenate([self.t_probe, self.t_mid])
 
         def column(phi):
@@ -61,7 +59,7 @@ class RieszKernelRoute:
                 rtol=1e-6, base_nodes=16, max_doublings=0,
             )
 
-        vals = np.stack(parallel_map(column, self.rule.nodes), axis=1)
+        vals = np.stack([column(phi) for phi in self.rule.nodes], axis=1)
         self.v_probe = vals[: self.t_probe.size]
         self.v_mid = vals[self.t_probe.size:]
 

@@ -14,7 +14,6 @@ import pytest
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 
-from jpkernel._parallel import parallel_map
 from jpkernel.basis import OrthonormalBasis, theta_quad_rule, trig_poly_table
 from jpkernel.czkernels import (
     StieltjesAtoms,
@@ -75,7 +74,7 @@ def test_criterion_01_cross_method_agreement():
         for th in GRID_THETA
         for ph in GRID_THETA
     ]
-    for rel, relaxed in parallel_map(one, jobs):
+    for rel, relaxed in map(one, jobs):
         if relaxed:
             worst_relaxed = max(worst_relaxed, rel)
         else:

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from scipy import integrate
 
 from jpkernel import czkernels
-from jpkernel._parallel import thread_count
 from jpkernel.basis import OrthonormalBasis, mu_total, theta_quad_rule, trig_poly_table
 from jpkernel.czkernels import (
     LaplaceKernel,
@@ -339,12 +338,3 @@ class TestChecks:
         assert isinstance(make_kernel(p, "stieltjes"), StieltjesKernel)
         with pytest.raises(ValueError):
             make_kernel(p, "bogus")
-
-
-class TestThreadCount:
-    def test_malformed_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("JPK_THREADS", "1")
-        assert thread_count() == 1
-        monkeypatch.setenv("JPK_THREADS", "two")
-        with pytest.raises(ValueError, match="JPK_THREADS"):
-            thread_count()

@@ -51,10 +51,12 @@ def test_summary_gives_values_medians_iqr_and_wins():
         "  parent 36 38 37 40",
         "  change 80 37.5 79 81",
         "  median parent 37.5 (IQR 1.75), change 79.5; change wins 3 of 4",
+        "  verdict: within bound (bound 0.25)",
         "latency_p50_ms (ms, lower is better)",
         "  parent 25 24 26 24.5",
         "  change 9 12 26 8",
         "  median parent 24.75 (IQR 0.875), change 10.5; change wins 3 of 4",
+        "  verdict: within bound (bound 0.25)",
     ]
 
 
@@ -71,3 +73,28 @@ def test_a_run_that_is_not_correct_fails_the_summary(bad):
     else:
         assert lines[0] == "change run 2: no result line"
         assert "  median parent 36 (IQR 0), change 80; change wins 1 of 1" in lines
+
+
+# Parent runs 40 40 40 40 (IQR 0) or 20 40 60 80 (median 50, IQR 25 > 0.25 * 50).
+@pytest.mark.parametrize("metric, p_vals, c_vals, want", [
+    (METRICS[0], [40, 40, 40, 40], [29, 30, 31, 32], "within bound"),
+    (METRICS[0], [40, 40, 40, 40], [28, 29, 29, 31], "worse"),
+    (METRICS[1], [40, 40, 40, 40], [49, 50, 51, 52], "worse"),
+    (METRICS[1], [40, 40, 40, 40], [39, 48, 49, 50], "within bound"),
+    (METRICS[0], [20, 40, 60, 80], [45, 50, 55, 90], "unresolved"),
+    (METRICS[0], [20, 40, 60, 80], [81, 82, 83, 84], "within bound"),
+    (METRICS[1], [20, 40, 60, 80], [10, 11, 12, 19], "within bound"),
+    (METRICS[1], [20, 40, 60, 80], [10, 11, 12, 21], "unresolved"),
+    (METRICS[1], [20, 40, 60, 80], [60, 70, 75, 80], "worse"),
+])
+def test_verdict_against_the_bound(metric, p_vals, c_vals, want):
+    assert pairs.verdict(p_vals, c_vals, metric) == want
+
+
+def test_summary_reports_each_verdict():
+    parent = [pairs.result_line(_line(40.0, v)) for v in (20.0, 40.0, 60.0, 80.0)]
+    change = [pairs.result_line(_line(v, 45.0)) for v in (28.0, 29.0, 29.0, 31.0)]
+    lines, ok = pairs.summarize(parent, change, METRICS)
+    assert ok
+    assert [line for line in lines if "verdict" in line] == [
+        "  verdict: worse (bound 0.25)", "  verdict: unresolved (bound 0.25)"]

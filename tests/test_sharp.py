@@ -1,15 +1,19 @@
 """Tests for the sharp-bound comparator and ratio scans."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from jpkernel import sharp
+from jpkernel._parallel import pair_map
 from jpkernel.basis import mu_total
 from jpkernel.kernel import jph_correction, kernel_H_batch, series_H
 from jpkernel.params import JacobiParams
+from jpkernel.report import EstimateReport
 from jpkernel.sharp import comparator, long_time_fit, ratio_scan
 
 from _oracles import chebyshev_H
@@ -96,6 +100,32 @@ class TestRatioScan:
         p = JacobiParams(-0.95, 0.0)
         report = ratio_scan(p, [0.5], [1.0], [2.0])
         assert report.meta["excluded_from_pass"] is True
+
+
+def _sharp_report(ratios, two_sided=True):
+    """A canned sharp report whose rows carry ratios (comparator 1)."""
+    rows = [(0.2, 0.05, 3.1, r, 1.0, r) for r in ratios]
+    return EstimateReport(kind="sharp", columns=("t", "theta", "phi", "kernel", "comparator",
+                                                 "ratio"),
+                          rows=rows, cap=50.0, two_sided=two_sided)
+
+
+class TestTwoSidedGate:
+    # A kernel estimated from both sides is positive, so a ratio <= 0 fails.
+    @pytest.mark.parametrize("ratios", [[1.0, 2.0, -1.76e11], [1.0, 0.0, 2.0], [-3.0, -1.0]],
+                             ids=["one negative", "zero", "all negative"])
+    def test_nonpositive_ratio_fails(self, ratios):
+        report = _sharp_report(ratios)
+        assert report.passed is False
+        assert report.summary()["pass"] is False
+        assert '"pass": false' in report.to_json()
+
+    def test_positive_ratios_pass_within_the_cap(self):
+        assert _sharp_report([1.0, 2.0, 40.0]).passed
+        assert not _sharp_report([1.0, 2.0, 60.0]).passed
+
+    def test_one_sided_gate_reads_only_the_max(self):
+        assert _sharp_report([-1.0, 0.0, 2.0], two_sided=False).passed
 
 
 @pytest.fixture
@@ -232,3 +262,28 @@ class TestLongTime:
             rate, _ = long_time_fit(p, 0.9, 2.1)
             eps = min(a + b + 2.0, 1.0)
             assert rate >= 0.8 * eps / 2.0
+
+
+def test_pairs_run_on_the_calling_thread(monkeypatch):
+    # However many cores and whatever JPK_THREADS says, no pair leaves the
+    # calling thread.
+    monkeypatch.setenv("JPK_THREADS", "8")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    idents = []
+
+    def record(theta, phi):
+        idents.append(threading.get_ident())
+        return theta + phi
+
+    pairs = [(0.5, 1.0), (1.0, 0.5), (2.0, 3.0), (1.5, 1.5)]
+    assert pair_map(record, pairs, symmetric=True) == [1.5, 1.5, 5.0, 3.0]
+    assert len(idents) == 3
+
+    def counted(params, t_arr, theta, phi, *args, **kwargs):
+        idents.append(threading.get_ident())
+        return kernel_H_batch(params, t_arr, theta, phi, *args, **kwargs)
+
+    monkeypatch.setattr(sharp, "kernel_H_batch", counted)
+    ratio_scan(JacobiParams(0.5, -0.75), [0.5], [1.0, 2.0], [1.5, 2.5])
+    assert len(idents) == 7
+    assert set(idents) == {threading.get_ident()}

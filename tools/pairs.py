@@ -7,8 +7,9 @@ each checkout, for its run_seconds and with --trace 0, one run after the
 other; pair 1 runs PARENT first, pair 2 CHANGE first, and so on.  For
 every end-to-end metric of BENCHMARK.json it prints each side's values in
 run order, the two medians, the parent's interquartile range (IQR) and
-the number of pairs the change won (ties count for neither side).  It
-exits 1 if any run is not `correct` or printed no result line, else 0.
+the number of pairs the change won (ties count for neither side), and a
+verdict against the metric's bound (see verdict).  It exits 1 if any run
+is not `correct` or printed no result line, else 0.
 BENCHMARK.json is read from the checkout this file sits in; perfbench is
 neither imported nor changed.
 """
@@ -47,6 +48,26 @@ def _quartiles(values):
     return q1, q3
 
 
+def verdict(p_vals, c_vals, metric):
+    """"worse", "unresolved" or "within bound": how the change's values
+    c_vals of one end-to-end metric stand against the parent's p_vals.
+
+    worse: the change's median is worse than the parent's by more than
+    bound times the parent's median.  unresolved: the parent's IQR exceeds
+    bound times its median, and not every change run beats every parent run.
+    """
+    higher = metric["better"] == "higher"
+    p_med, c_med = statistics.median(p_vals), statistics.median(c_vals)
+    slack = metric["bound"] * abs(p_med)
+    if (p_med - c_med if higher else c_med - p_med) > slack:
+        return "worse"
+    q1, q3 = _quartiles(p_vals)
+    beats_all = min(c_vals) > max(p_vals) if higher else max(c_vals) < min(p_vals)
+    if q3 - q1 > slack and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(parent, change, metrics):
     """(report lines, every run correct) for two equally long lists of
     result lines (None for a run that printed none), pair by pair, over
@@ -78,6 +99,7 @@ def summarize(parent, change, metrics):
         lines.append("  change " + " ".join(f"{v:.4g}" for v in c_vals))
         lines.append(f"  median parent {statistics.median(p_vals):.4g} (IQR {q3 - q1:.3g}), "
                      f"change {statistics.median(c_vals):.4g}; change wins {wins} of {len(both)}")
+        lines.append(f"  verdict: {verdict(p_vals, c_vals, metric)} (bound {metric['bound']:g})")
     return lines, ok
 
 
