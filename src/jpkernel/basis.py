@@ -195,7 +195,9 @@ def mu_ball(params: JacobiParams, theta: float, r: float) -> float:
 
     Substituting x = sin^2(theta/2) turns the density into x^alpha (1-x)^beta.
     """
-    if r < 0:
+    if math.isnan(theta):
+        raise ValueError("theta must not be nan")
+    if not r >= 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
     lo = min(max(theta - r, 0.0), math.pi)
     hi = min(max(theta + r, 0.0), math.pi)

@@ -12,10 +12,9 @@ Every kernel but riesz of order 1 gets its H values from
 kernel.kernel_H_batch: stieltjes at its atoms with the default resolution,
 the others through _KernelBase._H at the resolution preset's integral
 dict, the integral route's own keywords.  The maximal kernel's t grid
-and the Stieltjes atoms split at AUTO_SPLIT_T, as 'auto' does: below the
-split a value takes F4 columns where they are predicted to be few, and
-the integral route (at the dict's resolution) elsewhere, as every
-derivative does.  Riesz of order 1 takes its t-integral exactly under the integral
+and the Stieltjes atoms split at AUTO_SPLIT_T, as 'auto' does, and each t
+takes the route kernel.route_plan names (the integral route at the dict's
+resolution).  Riesz of order 1 takes its t-integral exactly under the integral
 representation (kernel.t_integral_H, one (u, v) quadrature under the same
 dict; see RieszKernel).  The other t-integrals (riesz of order 2, gfun,
 laplace) split at t = 1: below, all their log-spaced Gauss nodes take the
@@ -177,8 +176,8 @@ class _KernelBase:
         return _small_t_rule(p["t_lo"], p["panels"], p["t_nodes"])
 
     def _H(self, ts, theta, phi, M, N, L):
-        """H-derivative values on ts at the preset's resolution: the
-        integral route below self._split and the series route from it on."""
+        """H-derivative values on ts at the preset's resolution, by the
+        routes kernel.route_plan names with self._split."""
         if theta == phi:
             raise ValueError(f"the {self.name} kernel is evaluated off the diagonal only")
         return kernel_H_batch(self.params, ts, theta, phi, M, N, L, split=self._split,

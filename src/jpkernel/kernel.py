@@ -18,13 +18,8 @@ Routes:
               representation on (0, 1]^2, values only; the independent
               cross-check of the integral route.
 
-auto takes the series from AUTO_SPLIT_T on.  Below it, a value on the
-diagonal theta == phi, where every series term is nonnegative, takes the
-series at each t whose truncation is at most AUTO_SERIES_TERMS terms; any
-other value whose F4 columns are predicted to number at most
-AUTO_F4_COLUMNS (_f4_column_estimate) is summed by them, and every other
-value and every derivative takes the integral route (kernel_H_batch).  The
-named methods call their route directly (kernel_eval).
+auto's route at each t is decided by route_plan and run by kernel_H_batch.
+The named methods call their route directly (kernel_eval).
 
 t_integral_H gives int_0^inf of a theta derivative of H over t, by the
 integral route's (u, v) rules with the t-integral of the integrand in
@@ -665,11 +660,14 @@ def _integral_sum(params, t_arr, theta, phi, evaluate, delta_floor, n_nodes, wit
     return out, mass
 
 
-def _check_resolution(base_nodes, max_doublings, delta_floor):
-    """Raise ValueError unless base_nodes is an integer >= 1, max_doublings
-    an integer >= 0 and pi_measures.DELTA_FLOOR <= delta_floor <= 1/2
-    (snap_delta would clamp a smaller floor silently, and a larger one
-    turns the grading off)."""
+def _check_integral_options(rtol=INTEGRAL_RTOL, base_nodes=BASE_NODES, max_doublings=MAX_DOUBLINGS,
+                            delta_floor=pi_measures.DELTA_FLOOR):
+    """Raise ValueError unless rtol is positive and finite, base_nodes an
+    integer >= 1, max_doublings an integer >= 0 and DELTA_FLOOR <= delta_floor
+    <= 1/2 (snap_delta would clamp a smaller floor silently, and a larger one
+    turns the grading off); a keyword the integral route does not take raises TypeError."""
+    if not 0.0 < rtol < math.inf:
+        raise ValueError(f"rtol must be positive and finite, got {rtol}")
     for name, value in (("base_nodes", base_nodes), ("max_doublings", max_doublings)):
         if not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -764,9 +762,7 @@ def h_script_integral(params: JacobiParams, t, theta: float, phi: float, deriv=(
     t_arr = np.asarray(t, dtype=float).ravel()
     _check_t(t_arr)
     _check_angles(theta, phi)
-    if not 0.0 < rtol < math.inf:
-        raise ValueError(f"rtol must be positive and finite, got {rtol}")
-    _check_resolution(base_nodes, max_doublings, delta_floor)
+    _check_integral_options(rtol, base_nodes, max_doublings, delta_floor)
     if not t_arr.size:
         return np.empty(np.shape(t))
     route = f"integral route (alpha={params.alpha}, beta={params.beta}, deriv={deriv})"
@@ -804,7 +800,7 @@ def t_integral_H(params: JacobiParams, theta: float, phi: float, N: int, L: int,
         raise UnsupportedOrderError(
             f"t-integral route supports 1 <= N <= 3 and L <= 1, got N={N}, L={L}")
     _check_angles(theta, phi)
-    _check_resolution(base_nodes, max_doublings, delta_floor)
+    _check_integral_options(INTEGRAL_RTOL, base_nodes, max_doublings, delta_floor)
     if theta == phi:
         raise ValueError(f"the t-integral of H diverges on the diagonal theta = phi = {theta}")
     route = f"t-integral route (alpha={params.alpha}, beta={params.beta}, N={N}, L={L})"
@@ -860,7 +856,10 @@ def _general_once(params, t, theta, phi, corner_ds, n_nodes, with_mass, space):
     P, Q = _pq(theta, phi)
     value = corner = mass = 0.0
     for (xi, eta), d11 in zip(_CORNERS, corner_ds):
-        d_pow = d11 ** (-sigma)
+        try:
+            d_pow = d11 ** (-sigma)
+        except OverflowError:  # large sigma near the diagonal; d11 == 0 still divides by zero
+            raise QuadratureError(f"general route: D = {d11:.3g} ** -{sigma:g} overflows") from None
         corner += scale * d_pow
         uw, omu = pi_measures.halfline_rule(
             params.alpha, n_nodes, _grading_delta(t, theta, phi, P, corner=(xi, eta)))
@@ -895,8 +894,9 @@ def h_script_general(params: JacobiParams, t: float, theta: float, phi: float) -
     _general_once), and node counts double from BASE_NODES under the
     acceptance rule of _refine, which the integral route shares.  A corner
     whose D rounds below zero, in the integrand's form or in the route's
-    own, is refused.  Its rtol, GENERAL_RTOL, sits at the route's
-    cancellation floor (large alpha + beta + 2 near the diagonal).
+    own, or whose D^(-sigma) overflows, is refused.  Its rtol, GENERAL_RTOL,
+    sits at the route's cancellation floor (large alpha + beta + 2 near the
+    diagonal).
     """
     _check_t(t)
     _check_angles(theta, phi)
@@ -934,10 +934,8 @@ def jph_correction(params: JacobiParams, t, M: int = 0):
 
 
 def resolve_method(method: str, t: float) -> str:
-    """The route a method takes at t for derivatives: itself, or for 'auto'
-    the series from AUTO_SPLIT_T on and the integral route below.  auto's
-    values below the split may take F4 columns instead, point by point, and
-    on the diagonal theta == phi the series (kernel_H_batch)."""
+    """The route a method takes at t for a derivative (route_plan's, for
+    'auto'); kept only for perfbench's judge_pointwise, until it reads route_plan."""
     if method != "auto":
         return method
     return "series" if t >= AUTO_SPLIT_T else "integral"
@@ -966,53 +964,55 @@ def _f4_column_value(params, t, theta, phi):
     return prefactor * _f4_oriented_columns(*args)
 
 
-def kernel_H_batch(params: JacobiParams, t_arr, theta: float, phi: float, M=0, N=0, L=0,
-                   split=AUTO_SPLIT_T, **integral):
-    """H derivatives over a t array, plus the sinh correction below split
-    and the series route from split on; the path of every auto evaluation
-    (kernel_eval's one point as the scans' t batches).
-
-    Below split, a value (M = N = L = 0) at theta == phi takes the series
-    at each t from T_MIN_SERIES on whose truncation (_series_terms) is at
-    most AUTO_SERIES_TERMS: there the terms e^(-t r_n) P_n(theta)^2 are all
-    nonnegative, so the sum cannot cancel, and below that many terms it
-    costs less than the integral route.  The truncation falls as t grows,
-    so the diagonal t from some t* on take the series, in one call with the
-    t from split on (cut at the smallest t of both).  Any other value at a
-    t whose predicted F4 column count (_f4_column_estimate) is at most
-    AUTO_F4_COLUMNS is summed by F4 columns, whatever rho is; every other t
-    below split takes the integral route.  theta and phi must lie in
-    [0, pi], which the prediction assumes.
-    integral (rtol, base_nodes, max_doublings, delta_floor; an
-    operator-kernel preset's integral dict as it stands) goes to
-    h_script_integral, whose defaults fill the rest, and is checked by it
-    even when no t takes that route: a keyword it does not take raises its
-    TypeError, a bad value its ValueError (the series path keeps its own
-    derivative orders)."""
+def route_plan(params: JacobiParams, t_arr, theta: float, phi: float, M=0, N=0, L=0,
+               split=AUTO_SPLIT_T):
+    """auto's route at each t of t_arr, decided here only: an array of t_arr's
+    shape of "series", "f4" or "integral".  From split on, the series.  Below
+    it, a value (M = N = L = 0) on the diagonal theta == phi takes the series
+    at each t >= T_MIN_SERIES whose truncation (_series_terms) is at most
+    AUTO_SERIES_TERMS: its terms e^(-t r_n) P_n(theta)^2 are all nonnegative,
+    so the sum cannot cancel, and that short it costs less than the integral
+    route.  Any other value takes F4 columns where their predicted count
+    (_f4_column_estimate) is at most AUTO_F4_COLUMNS, whatever rho is: tens
+    of columns away from the diagonal.  Every other t, and every derivative,
+    takes the t-uniform integral route.  t must be positive and finite, and
+    theta and phi in [0, pi], which the prediction assumes."""
     t_arr = np.asarray(t_arr, dtype=float)
     _check_t(t_arr)
     check_angle_range(theta, phi)
-    out = np.empty_like(t_arr)
-    series = t_arr >= split
-    f4 = np.zeros_like(series)
-    if M == 0 and N == 0 and L == 0 and not series.all():
+    plan = np.where(t_arr >= split, "series", "integral")
+    below = plan != "series"
+    if M == 0 and N == 0 and L == 0 and below.any():
         if theta == phi:
-            series[~series] = [t >= T_MIN_SERIES
-                               and _series_terms(params, t, 0, 0, 0) <= AUTO_SERIES_TERMS
-                               for t in t_arr[~series].tolist()]
-        if not series.all():
-            f4[~series] = _f4_column_estimate(t_arr[~series], theta, phi) <= AUTO_F4_COLUMNS
-    below = ~(series | f4)
-    if np.any(below):
+            plan[below] = ["series" if t >= T_MIN_SERIES and _series_terms(params, t, 0, 0, 0)
+                           <= AUTO_SERIES_TERMS else "integral" for t in t_arr[below].tolist()]
+            below = plan != "series"
+        plan[below] = np.where(_f4_column_estimate(t_arr[below], theta, phi) <= AUTO_F4_COLUMNS,
+                               "f4", "integral")
+    return plan
+
+
+def kernel_H_batch(params: JacobiParams, t_arr, theta: float, phi: float, M=0, N=0, L=0,
+                   split=AUTO_SPLIT_T, **integral):
+    """H derivatives over a t array, each t by the route route_plan names:
+    the path of every auto evaluation.  The integral t take one
+    h_script_integral call and the F4 t their columns, both plus the sinh
+    correction, and the series t one series_H call cut at the smallest.
+    integral (a preset's integral dict) goes to h_script_integral and is
+    checked (_check_integral_options) even when no t takes that route."""
+    t_arr = np.asarray(t_arr, dtype=float)
+    plan = route_plan(params, t_arr, theta, phi, M, N, L, split)
+    _check_integral_options(**integral)
+    out = np.empty_like(t_arr)
+    below = plan == "integral"
+    if below.any():
         vals = h_script_integral(params, t_arr[below], theta, phi, deriv=(M, N, L), **integral)
-        if N == 0 and L == 0:
-            vals = vals + jph_correction(params, t_arr[below], M=M)
-        out[below] = vals
-    elif integral:
-        h_script_integral(params, t_arr[below], theta, phi, **integral)
-    if np.any(f4):
+        out[below] = vals + jph_correction(params, t_arr[below], M=M) if N == 0 and L == 0 else vals
+    f4 = plan == "f4"
+    if f4.any():
         out[f4] = ([_f4_column_value(params, t, theta, phi) for t in t_arr[f4].tolist()]
                    + jph_correction(params, t_arr[f4]))
-    if np.any(series):
+    series = plan == "series"
+    if series.any():
         out[series] = series_H(params, t_arr[series], theta, phi, M=M, N=N, L=L)
     return out

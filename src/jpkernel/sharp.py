@@ -7,10 +7,8 @@ long time (t >= 1) with exp(-t |lam| / 2) for H and exp(-t lam / 2) for the
 companion kernel.  The comparability constants are not specified by the
 theory, so scans record the empirical min/max ratio and check max/min
 against a configurable cap.  The kernel comes from kernel_H_batch, as
-'auto' evaluates it: the series from AUTO_SPLIT_T on and, below, the
-series on the diagonal theta == phi where its truncation is short, F4
-columns away from the diagonal and the integral route at SCAN_RTOL near
-it.  Angles outside [0, pi] are refused.
+'auto' evaluates it, each t by the route kernel.route_plan names; the
+integral route runs at SCAN_RTOL.  Angles outside [0, pi] are refused.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ def _check_which(which):
 def comparator(params: JacobiParams, t: float, theta: float, phi: float, which: str = "H") -> float:
     """Short-time comparator for t <= 1, long-time for t > 1 (both regimes
     are valid at t = 1 exactly); theta and phi must lie in [0, pi]."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     check_angle_range(theta, phi)
     _check_which(which)
     if t > 1.0:

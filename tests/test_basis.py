@@ -254,6 +254,19 @@ class TestMeasure:
         assert mu_ball(p, 1.0, 0.0) == 0.0
         assert_allclose(mu_ball(p, math.pi / 2, math.pi), mu_total(p), rtol=1e-13)
 
+    @pytest.mark.parametrize("theta, r, match", [
+        (math.nan, 0.1, "theta must not be nan"),
+        (1.0, math.nan, "radius must be nonnegative, got nan"),
+        (1.0, -0.1, "radius must be nonnegative, got -0.1")])
+    def test_ball_refuses_nan_and_negative_radii(self, theta, r, match):
+        # A nan theta or radius used to give nan.
+        with pytest.raises(ValueError, match=match):
+            mu_ball(JacobiParams(0.3, -0.2), theta, r)
+
+    def test_ball_of_infinite_radius_is_the_total(self):
+        p = JacobiParams(0.3, -0.2)
+        assert_allclose(mu_ball(p, 1.0, math.inf), mu_total(p), rtol=1e-13)
+
     def test_ball_closed_form(self):
         got = mu_ball(JacobiParams(0, 0), math.pi / 2, 0.1)
         assert_allclose(got, math.sin(0.1), rtol=1e-12)

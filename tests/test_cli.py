@@ -116,6 +116,15 @@ class TestCompareCommand:
         header = out_path.read_text().splitlines()[0]
         assert header == "t,theta,phi,series,f4,integral,general,max_rel_diff"
 
+    def test_general_route_overflow_is_a_numeric_failure(self, capsys):
+        # The general route used to end this run with an OverflowError traceback.
+        code, _, err = run_cli(
+            capsys, "compare", "--alpha", "50", "--beta", "50",
+            "--t-grid", "0.05", "--theta-grid", "1.0", "--phi-grid", "1.0",
+        )
+        assert code == 3
+        assert "method general failed" in err and "overflows" in err
+
     def test_tolerance_violation_exit(self, capsys):
         code, out, _ = run_cli(
             capsys, "compare", "--alpha", "0.5", "--beta", "0.5",

@@ -359,6 +359,13 @@ class TestGeneral:
         with pytest.raises(QuadratureError):
             h_script_general(JacobiParams(1.5, 1.5), t, theta, phi)
 
+    @pytest.mark.parametrize("phi", [1.0, 1.01])
+    def test_refuses_a_corner_power_that_overflows(self, phi):
+        # D^(-sigma) at the corner (1, 1), about 3e-4 ** -102, used to raise a
+        # bare OverflowError.
+        with pytest.raises(QuadratureError, match="overflows"):
+            h_script_general(JacobiParams(50.0, 50.0), 0.05, 1.0, phi)
+
     @pytest.mark.parametrize("t", [0.01, 0.03, 0.1, 0.5])
     @pytest.mark.parametrize("ab", GENERAL_SWEEP_SETS, ids=lambda ab: f"a{ab[0]}_b{ab[1]}")
     def test_sweep_matches_integral(self, ab, t):
@@ -909,6 +916,86 @@ def test_diagonal_and_out_of_domain_values_never_raise(column_calls, ab):
     # Some t next to the diagonal did take F4: (0, 1e-7) and (pi - 1e-7, pi)
     # at t >= 0.1, (1, 1 + 1e-7) at 0.19.
     assert len(column_calls) >= 5
+
+
+# ---------------------------------------------------------------------------
+# the route plan: kernel_H_batch runs the routes route_plan names
+# ---------------------------------------------------------------------------
+
+def _fake_routes(monkeypatch):
+    """Replace the routes kernel_H_batch runs by fakes that return 0 and
+    record (t, route) for each t they are handed, and each call's route."""
+    ran, calls = [], []
+
+    def fake(route, one_point=False):
+        def run(params, t, *args, **kwargs):
+            calls.append(route)
+            ran.extend((s, route) for s in ([t] if one_point else t.tolist()))
+            return 0.0 if one_point else np.zeros_like(t)
+        return run
+
+    monkeypatch.setattr(kernel, "h_script_integral", fake("integral"))
+    monkeypatch.setattr(kernel, "series_H", fake("series"))
+    monkeypatch.setattr(kernel, "_f4_column_value", fake("f4", one_point=True))
+    return ran, calls
+
+
+# Values and derivatives, on and off the diagonal; t below T_MIN_SERIES,
+# below the split and from it on.
+PLAN_TS = np.array([0.5, 0.19, 1e-4, 1.0, 0.02, 0.05, 0.185, kernel.AUTO_SPLIT_T])
+
+
+@pytest.mark.parametrize("deriv", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)], ids=str)
+@pytest.mark.parametrize("ab, theta, phi, shape", [
+    ((-0.75, -0.75), 1.0, 1.1, (8,)), ((0.5, 0.5), 1.0, 1.0, (8,)), ((0.5, 0.5), 0.4, 2.5, (2, 4)),
+    ((-0.75, 0.5), 3.0, 3.0, (4, 2)), ((5.0, 5.0), 0.0, 1e-7, (8,))], ids=str)
+def test_each_t_runs_the_route_the_plan_names(monkeypatch, ab, theta, phi, shape, deriv):
+    p, ts = JacobiParams(*ab), PLAN_TS.reshape(shape)
+    plan = kernel.route_plan(p, ts, theta, phi, *deriv)
+    assert plan.shape == shape
+    assert set(plan.ravel().tolist()) <= ({"series", "f4", "integral"} if deriv == (0, 0, 0)
+                                          else {"series", "integral"})
+    ran, calls = _fake_routes(monkeypatch)
+    kernel.kernel_H_batch(p, ts, theta, phi, *deriv)
+    assert sorted(ran) == sorted(zip(ts.ravel().tolist(), plan.ravel().tolist()))
+    assert calls.count("integral") <= 1 and calls.count("series") <= 1
+
+
+def test_a_scalar_t_on_the_diagonal_takes_the_series():
+    # kernel_H_batch used to raise TypeError ("'numpy.bool' object does not
+    # support item assignment") here.
+    assert kernel.route_plan(HALF, 0.1, 1.0, 1.0).shape == ()
+    assert kernel.kernel_H_batch(HALF, 0.1, 1.0, 1.0) == series_H(HALF, [0.1], 1.0, 1.0)[0]
+
+
+def test_the_plans_take_every_route():
+    # The cases above are not vacuous: between them the plans hold all three.
+    assert kernel.route_plan(JacobiParams(-0.75, -0.75), PLAN_TS, 1.0, 1.1).tolist() == [
+        "series", "f4", "integral", "series", "integral", "integral", "f4", "series"]
+    assert kernel.route_plan(HALF, PLAN_TS, 1.0, 1.0).tolist() == [
+        "series", "series", "integral", "series", "series", "series", "series", "series"]
+
+
+@pytest.mark.parametrize("ts, theta, phi, route", [
+    ([0.5, 1.0], 1.0, 2.0, "series"), ([0.1, 0.15], 1.0, 2.0, "f4"),
+    ([0.05, 0.5], 1.0, 1.0, "series")], ids=["series", "f4", "diagonal-series"])
+def test_a_batch_off_the_integral_route_makes_no_integral_call(monkeypatch, ts, theta, phi, route):
+    # Such a batch used to call h_script_integral on an empty t array to check
+    # its keywords.
+    assert set(kernel.route_plan(HALF, ts, theta, phi).tolist()) == {route}
+    integral_calls = _spy_on(monkeypatch, "h_script_integral")
+    assert np.all(np.isfinite(kernel.kernel_H_batch(HALF, ts, theta, phi, rtol=1e-7)))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'rtoll'"):
+        kernel.kernel_H_batch(HALF, ts, theta, phi, rtoll=1e-7)
+    assert integral_calls == []
+
+
+@pytest.mark.parametrize("deriv", [d for d in np.ndindex(4, 4, 4) if 0 < sum(d) <= 3], ids=str)
+def test_resolve_method_names_the_plans_route_for_derivatives(deriv):
+    ts = np.array([1e-4, 0.05, 0.19, kernel.AUTO_SPLIT_T, 0.5, 3.0])
+    for theta, phi in [(1.0, 2.0), (1.0, 1.0)]:
+        assert (kernel.route_plan(HALF, ts, theta, phi, *deriv).tolist()
+                == [kernel.resolve_method("auto", t) for t in ts.tolist()])
 
 
 # ---------------------------------------------------------------------------

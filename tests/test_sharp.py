@@ -57,6 +57,14 @@ class TestComparator:
         with pytest.raises(ValueError):
             comparator(p, 1.0, 1.0, 2.0, which="bogus")
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("which", sharp.COMPARATORS)
+    def test_refuses_t_that_is_not_positive_and_finite(self, which, t):
+        # t = inf used to give 0.0 at (1/2, 1/2) and nan at (-1/2, -1/2) for Hscript.
+        for ab in [(0.5, 0.5), (-0.5, -0.5)]:
+            with pytest.raises(ValueError, match=f"t must be positive and finite, got {t}"):
+                comparator(JacobiParams(*ab), t, 1.0, 2.0, which)
+
     @pytest.mark.parametrize("theta, phi, match", [
         (-1.0, 2.0, "theta must lie in \\[0, pi\\], got -1.0"),
         (1.0, 4.0, "phi must lie in \\[0, pi\\], got 4.0"),
